@@ -1,134 +1,4 @@
 """Fuzzy-rough weighted least-squares twin SVM for imbalanced binary
 classification."""
 
-from .classifier import (
-    Hyperplane,
-    KernelModel,
-    LinearModel,
-    TrainConfig,
-    TrainingSummary,
-    fit_frlstsvm,
-    fit_kernel,
-    fit_linear,
-    fit_lstsvm_baseline,
-    gaussian_kernel,
-    load_model,
-    predict,
-    predict_kernel,
-    predict_linear,
-    save_model,
-)
-from .dataset import (
-    ClassSplit,
-    FoldPlan,
-    LabeledDataset,
-    ScalingParams,
-    fold_rows,
-    imbalance_ratio,
-    load_csv,
-    load_keel,
-    minmax_apply,
-    minmax_fit,
-    split_by_class,
-    stratified_kfold,
-    subset,
-    write_csv,
-)
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DegenerateModelError,
-    ExperimentError,
-    FrlstsvmError,
-    SingularSystemError,
-)
-from .experiment import (
-    CvResult,
-    ExperimentConfig,
-    FoldRecord,
-    GridPoint,
-    grid_points,
-    parse_config,
-    run_nested_cv,
-    write_cv_result,
-)
-from .fuzzy_rough import (
-    FuzzyParams,
-    PositiveRegionScores,
-    SimilarityMatrix,
-    SubsampleResult,
-    WeightVector,
-    attribute_similarity,
-    class_weights,
-    indiscernibility_matrix,
-    lower_approx_membership,
-    positive_region_scores,
-    subsample_majority,
-)
-from .linalg import SpdSolveReport, spd_solve
-from .metrics import ConfusionMatrix, MetricReport, confusion, report
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClassSplit",
-    "ConfigurationError",
-    "ConfusionMatrix",
-    "CvResult",
-    "DataError",
-    "DegenerateModelError",
-    "ExperimentConfig",
-    "ExperimentError",
-    "FoldPlan",
-    "FoldRecord",
-    "FrlstsvmError",
-    "FuzzyParams",
-    "GridPoint",
-    "Hyperplane",
-    "KernelModel",
-    "LabeledDataset",
-    "LinearModel",
-    "MetricReport",
-    "PositiveRegionScores",
-    "ScalingParams",
-    "SimilarityMatrix",
-    "SingularSystemError",
-    "SpdSolveReport",
-    "SubsampleResult",
-    "TrainConfig",
-    "TrainingSummary",
-    "WeightVector",
-    "attribute_similarity",
-    "class_weights",
-    "confusion",
-    "fit_frlstsvm",
-    "fit_kernel",
-    "fit_linear",
-    "fit_lstsvm_baseline",
-    "fold_rows",
-    "gaussian_kernel",
-    "grid_points",
-    "imbalance_ratio",
-    "indiscernibility_matrix",
-    "load_csv",
-    "load_keel",
-    "load_model",
-    "lower_approx_membership",
-    "minmax_apply",
-    "minmax_fit",
-    "parse_config",
-    "positive_region_scores",
-    "predict",
-    "predict_kernel",
-    "predict_linear",
-    "report",
-    "run_nested_cv",
-    "save_model",
-    "spd_solve",
-    "split_by_class",
-    "stratified_kfold",
-    "subset",
-    "subsample_majority",
-    "write_csv",
-    "write_cv_result",
-]

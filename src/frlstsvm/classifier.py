@@ -1,5 +1,5 @@
 """Twin-hyperplane least-squares solvers, linear and Gaussian-kernel,
-plus the end-to-end training pipeline.
+plus the training pipeline that every fit goes through.
 
 The classifier fits two non-parallel hyperplanes, one close to each
 class, and labels a point by the nearer plane. With H = [X1 | 1] built
@@ -19,6 +19,11 @@ offset. The unweighted baseline solves the primal forms directly:
 The kernel variant applies the same algebra to P = [K(X1, Xref) | 1]
 and Q = [K(X2hat, Xref) | 1] with Xref the minority rows stacked over
 the kept majority rows.
+
+The pipeline (scale, split by class, subsample the majority, weight,
+solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
+that nested CV fits a whole grid from one object per training set;
+fit_frlstsvm is one fit of a fresh PreparedFold.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .errors import (
 )
 from .fuzzy_rough import (
     FuzzyParams,
-    WeightVector,
     class_weights,
     positive_region_scores,
     subsample_majority,
@@ -190,16 +194,13 @@ def _gaussian_gram_sym(x, sigma: float) -> np.ndarray:
     return out
 
 
-def _augment(x) -> np.ndarray:
-    x = linalg.as_matrix(x)
+def _augment(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def _weights_array(w, size: int, name: str) -> np.ndarray:
     if w is None:
         return np.ones(size)
-    if isinstance(w, WeightVector):
-        w = w.weights
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if w.shape[0] != size:
         raise ValueError(
@@ -208,6 +209,19 @@ def _weights_array(w, size: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError(f"{name} weights must be finite and > 0")
     return w
+
+
+def _checked_blocks(x1, x2, d1=None, d2=None):
+    """The two class matrices as finite 2-D arrays of equal width, and
+    their instance weights as arrays (unit weights for None)."""
+    x1 = linalg.as_matrix(x1, "x1")
+    x2 = linalg.as_matrix(x2, "x2")
+    if x1.shape[1] != x2.shape[1]:
+        raise ValueError(
+            f"feature counts disagree: {x1.shape[1]} vs {x2.shape[1]}"
+        )
+    return (x1, x2, _weights_array(d1, x1.shape[0], "minority"),
+            _weights_array(d2, x2.shape[0], "majority"))
 
 
 def _solve_plane(a_aug: np.ndarray, b_aug: np.ndarray, d_b: np.ndarray,
@@ -227,6 +241,25 @@ def _solve_plane(a_aug: np.ndarray, b_aug: np.ndarray, d_b: np.ndarray,
     inner[np.diag_indices_from(inner)] += 1.0 / (c * d_b)
     coeff, inner_report = spd_solve(inner, np.ones(b_aug.shape[0]))
     return mbt @ coeff, outer_report, inner_report
+
+
+def _fit_planes(h: np.ndarray, g: np.ndarray, d1: np.ndarray,
+                d2: np.ndarray, c1: float, c2: float,
+                delta: float) -> tuple[np.ndarray, np.ndarray,
+                                       TrainingSummary]:
+    """Both weighted planes from the feature-mapped class blocks,
+    H = [phi(X1) | 1] and G = [phi(X2hat) | 1], with phi the identity
+    (linear) or K(., Xref) (kernel). Returns u1, u2 and the summary."""
+    t1, outer1, inner1 = _solve_plane(h, g, d2, c1, delta)
+    t2, outer2, inner2 = _solve_plane(g, h, d1, c2, delta)
+    summary = TrainingSummary(
+        m1=h.shape[0], m2_kept=g.shape[0], m2_total=g.shape[0],
+        solver_reports={
+            "plane1_outer": outer1, "plane1_inner": inner1,
+            "plane2_outer": outer2, "plane2_inner": inner2,
+        },
+    )
+    return -t1, t2, summary
 
 
 def _unpack(u: np.ndarray) -> Hyperplane:
@@ -251,8 +284,8 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
     ----------
     x1 : (m1, n) minority rows, already scaled.
     x2hat : (m2k, n) kept majority rows, already scaled.
-    d1, d2 : instance weights for x1 and x2hat (WeightVector, array,
-        or None for unit weights).
+    d1, d2 : instance weights for x1 and x2hat (array, or None for unit
+        weights).
     c1, c2 : penalty factors, > 0.
     delta : ridge added to each Gram matrix.
     scaling : attached to the model so prediction can scale raw inputs;
@@ -260,30 +293,13 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
     config : full config snapshot to carry on the model; a minimal one
         is synthesized when omitted.
     """
-    x1 = linalg.as_matrix(x1, "x1")
-    x2hat = linalg.as_matrix(x2hat, "x2hat")
-    if x1.shape[1] != x2hat.shape[1]:
-        raise ValueError(
-            f"feature counts disagree: {x1.shape[1]} vs {x2hat.shape[1]}"
-        )
-    d1 = _weights_array(d1, x1.shape[0], "minority")
-    d2 = _weights_array(d2, x2hat.shape[0], "majority")
+    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
     if config is None:
         config = _default_config(c1, c2, delta, weighted=True)
-
-    h = _augment(x1)
-    g = _augment(x2hat)
-    t1, outer1, inner1 = _solve_plane(h, g, d2, c1, delta)
-    t2, outer2, inner2 = _solve_plane(g, h, d1, c2, delta)
-    summary = TrainingSummary(
-        m1=x1.shape[0], m2_kept=x2hat.shape[0], m2_total=x2hat.shape[0],
-        solver_reports={
-            "plane1_outer": outer1, "plane1_inner": inner1,
-            "plane2_outer": outer2, "plane2_inner": inner2,
-        },
-    )
+    u1, u2, summary = _fit_planes(_augment(x1), _augment(x2hat), d1, d2,
+                                  c1, c2, delta)
     return LinearModel(
-        plane1=_unpack(-t1), plane2=_unpack(t2),
+        plane1=_unpack(u1), plane2=_unpack(u2),
         scaling=scaling, config=config, summary=summary,
     )
 
@@ -293,12 +309,7 @@ def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
                         scaling: ScalingParams | None = None) -> LinearModel:
     """Plain LSTSVM, no subsampling and no weights, via the primal
     closed forms."""
-    x1 = linalg.as_matrix(x1, "x1")
-    x2 = linalg.as_matrix(x2, "x2")
-    if x1.shape[1] != x2.shape[1]:
-        raise ValueError(
-            f"feature counts disagree: {x1.shape[1]} vs {x2.shape[1]}"
-        )
+    x1, x2, _, _ = _checked_blocks(x1, x2)
     if c1 <= 0 or c2 <= 0:
         raise ConfigurationError("c1 and c2 must be > 0")
     h = _augment(x1)
@@ -377,30 +388,12 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
         raise ConfigurationError(
             f"fit_kernel requires a gaussian config, got {config.kernel!r}"
         )
-    x1 = linalg.as_matrix(x1, "x1")
-    x2hat = linalg.as_matrix(x2hat, "x2hat")
-    if x1.shape[1] != x2hat.shape[1]:
-        raise ValueError(
-            f"feature counts disagree: {x1.shape[1]} vs {x2hat.shape[1]}"
-        )
-    d1 = _weights_array(d1, x1.shape[0], "minority")
-    d2 = _weights_array(d2, x2hat.shape[0], "majority")
+    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
     m1 = x1.shape[0]
     x_ref = np.vstack([x1, x2hat])
     k_ref = _gaussian_gram_sym(x_ref, config.sigma)
-    p = np.hstack([k_ref[:m1, :], np.ones((m1, 1))])
-    q = np.hstack([k_ref[m1:, :], np.ones((x2hat.shape[0], 1))])
-    t1, outer1, inner1 = _solve_plane(p, q, d2, config.c1, config.delta)
-    t2, outer2, inner2 = _solve_plane(q, p, d1, config.c2, config.delta)
-    u1 = -t1
-    u2 = t2
-    summary = TrainingSummary(
-        m1=m1, m2_kept=x2hat.shape[0], m2_total=x2hat.shape[0],
-        solver_reports={
-            "plane1_outer": outer1, "plane1_inner": inner1,
-            "plane2_outer": outer2, "plane2_inner": inner2,
-        },
-    )
+    u1, u2, summary = _fit_planes(_augment(k_ref[:m1]), _augment(k_ref[m1:]),
+                                  d1, d2, config.c1, config.c2, config.delta)
     return KernelModel(
         x_ref=x_ref, w1=u1[:-1], b1=float(u1[-1]),
         w2=u2[:-1], b2=float(u2[-1]),
@@ -445,49 +438,84 @@ def predict(model, x, return_distances: bool = False):
     return predict_linear(model, x, return_distances)
 
 
-def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
-    """Full training pipeline on one training set.
+class PreparedFold:
+    """One training set made ready for any number of fits.
 
-    Scaling is fit on these rows only, classes are split, majority
-    instances are scored and subsampled at tau, instance weights are
-    computed (majority weights after subsampling), and the linear or
-    kernel solver runs. Returns a LinearModel or KernelModel whose
-    summary records how many majority rows survived.
+    Min-max scaling is fit on these rows only and the scaled rows are
+    split by class. The fuzzy-rough steps of the pipeline are memoised
+    for the life of the object: the majority's positive-region scores
+    per FuzzyParams, the subsample per (FuzzyParams, tau), the minority
+    weights per FuzzyParams and the kept-majority weights per
+    (FuzzyParams, tau). A tau that empties the majority raises the same
+    ConfigurationError on every fit that asks for it.
     """
-    scaling = minmax_fit(ds.features)
-    xs = minmax_apply(scaling, ds.features)
-    labels = ds.labels
-    min_rows = np.flatnonzero(labels == 1)
-    maj_rows = np.flatnonzero(labels == -1)
-    if min_rows.size == 0 or maj_rows.size == 0:
-        raise DataError("training data must contain both classes")
-    x1 = xs[min_rows]
-    x2 = xs[maj_rows]
 
-    if config.subsample_enabled:
-        scores = positive_region_scores(xs, labels, config.fuzzy,
-                                        target_class=-1)
-        sub = subsample_majority(scores, config.tau)
-        kept_local = sub.kept_indices
-    else:
-        kept_local = np.arange(maj_rows.size)
-    x2hat = x2[kept_local]
+    def __init__(self, features, labels):
+        features = np.asarray(features, dtype=np.float64)
+        self.labels = np.asarray(labels)
+        self.scaling = minmax_fit(features)
+        self.xs = minmax_apply(self.scaling, features)
+        min_rows = np.flatnonzero(self.labels == 1)
+        self.maj_rows = np.flatnonzero(self.labels == -1)
+        if min_rows.size == 0 or self.maj_rows.size == 0:
+            raise DataError("training data must contain both classes")
+        self.x1 = self.xs[min_rows]
+        self.x2 = self.xs[self.maj_rows]
+        self._memo: dict = {}
 
-    if config.weights_enabled:
-        d1 = class_weights(x1, config.fuzzy, "minority").weights
-        d2 = class_weights(x2hat, config.fuzzy, "majority").weights
-    else:
-        d1 = None
-        d2 = None
+    def _cached(self, key, compute):
+        if key not in self._memo:
+            try:
+                self._memo[key] = compute()
+            except ConfigurationError as exc:
+                self._memo[key] = exc
+        hit = self._memo[key]
+        if isinstance(hit, ConfigurationError):
+            raise hit.with_traceback(None)
+        return hit
 
-    if config.kernel == "gaussian":
-        model = fit_kernel(x1, x2hat, d1, d2, config, scaling=scaling)
-    else:
-        model = fit_linear(x1, x2hat, d1, d2, config.c1, config.c2,
-                           config.delta, scaling=scaling, config=config)
-    model.summary.m2_total = maj_rows.size
-    model.summary.kept_majority_rows = maj_rows[kept_local]
-    return model
+    def _kept(self, config: TrainConfig) -> np.ndarray:
+        """Indices into x2 of the majority rows the fit keeps."""
+        if not config.subsample_enabled:
+            return np.arange(self.x2.shape[0])
+        fuzzy = config.fuzzy
+        scores = self._cached(("scores", fuzzy), lambda: (
+            positive_region_scores(self.xs, self.labels, fuzzy,
+                                   target_class=-1)))
+        return self._cached(("kept", fuzzy, config.tau), lambda: (
+            subsample_majority(scores, config.tau).kept_indices))
+
+    def fit(self, config: TrainConfig):
+        """Subsample the majority at tau, weight both classes, and run
+        the linear or kernel solver. Returns a LinearModel or
+        KernelModel carrying this set's scaling, whose summary records
+        how many majority rows survived."""
+        kept = self._kept(config)
+        x2hat = self.x2[kept]
+        d1 = d2 = None
+        if config.weights_enabled:
+            fuzzy = config.fuzzy
+            tau = config.tau if config.subsample_enabled else None
+            d1 = self._cached(("d1", fuzzy),
+                              lambda: class_weights(self.x1, fuzzy))
+            d2 = self._cached(("d2", fuzzy, tau),
+                              lambda: class_weights(x2hat, fuzzy))
+        if config.kernel == "gaussian":
+            model = fit_kernel(self.x1, x2hat, d1, d2, config,
+                               scaling=self.scaling)
+        else:
+            model = fit_linear(self.x1, x2hat, d1, d2, config.c1, config.c2,
+                               config.delta, scaling=self.scaling,
+                               config=config)
+        model.summary.m2_total = self.x2.shape[0]
+        model.summary.kept_majority_rows = self.maj_rows[kept]
+        return model
+
+
+def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
+    """Full training pipeline on one training set: one fit of a fresh
+    PreparedFold."""
+    return PreparedFold(ds.features, ds.labels).fit(config)
 
 
 def _config_lines(cfg: TrainConfig) -> list[str]:
@@ -700,9 +728,9 @@ def load_model(path):
             raise DataError(
                 f"{path}: non-numeric reference row at line {rd.pos}"
             ) from None
+    if len({len(row) for row in rows}) != 1:
+        raise DataError(f"{path}: ragged or empty reference rows")
     x_ref = np.asarray(rows)
-    if x_ref.ndim != 2:
-        raise DataError(f"{path}: ragged reference rows")
     if rd.section("coefficients") != 4:
         raise DataError(f"{path}: coefficients section must have 4 lines")
     w1 = rd.tagged_floats("w1")

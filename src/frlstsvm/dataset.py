@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,11 @@ class LabeledDataset:
     features : (m, n) float64, all finite, m >= 2, n >= 1
     labels   : (m,) int, entries in {+1, -1}, both classes present
     attribute_names : optional column names, length n
-    scaling : optional fitted column scaling carried alongside the data
     """
 
     features: np.ndarray
     labels: np.ndarray
     attribute_names: list[str] | None = None
-    scaling: ScalingParams | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -104,14 +102,6 @@ class ScalingParams:
             raise DataError("scaling parameters must be matching 1-D arrays")
         if np.any(self.ranges <= 0):
             raise DataError("scaling ranges must be positive")
-
-
-@dataclass(eq=False)
-class ClassSplit:
-    minority: np.ndarray
-    majority: np.ndarray
-    minority_rows: np.ndarray
-    majority_rows: np.ndarray
 
 
 @dataclass(eq=False)
@@ -452,19 +442,6 @@ def minmax_apply(params: ScalingParams, x) -> np.ndarray:
         )
     out = np.clip((x2 - params.mins) / params.ranges, 0.0, 1.0)
     return out[0] if single else out
-
-
-def split_by_class(ds: LabeledDataset) -> ClassSplit:
-    minority_rows = np.flatnonzero(ds.labels == 1)
-    majority_rows = np.flatnonzero(ds.labels == -1)
-    if minority_rows.size == 0 or majority_rows.size == 0:
-        raise DataError("both classes must be present")
-    return ClassSplit(
-        minority=ds.features[minority_rows].copy(),
-        majority=ds.features[majority_rows].copy(),
-        minority_rows=minority_rows,
-        majority_rows=majority_rows,
-    )
 
 
 def imbalance_ratio(ds: LabeledDataset) -> float:

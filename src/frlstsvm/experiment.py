@@ -24,10 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
+    PreparedFold,
     TrainConfig,
     fit_frlstsvm,
-    fit_kernel,
-    fit_linear,
     predict,
 )
 from .dataset import (
@@ -35,8 +34,6 @@ from .dataset import (
     fold_rows,
     load_csv,
     load_keel,
-    minmax_apply,
-    minmax_fit,
     stratified_kfold,
     subset,
 )
@@ -47,13 +44,20 @@ from .errors import (
     ExperimentError,
     SingularSystemError,
 )
-from .fuzzy_rough import (
-    FuzzyParams,
+from .fuzzy_rough import FuzzyParams
+from .metrics import CONVENTIONS, confusion, report
+
+# Unused here since the grid search fits through PreparedFold, but the
+# benchmark's tracer (perfbench/tracer.py, SITES) wraps these names on
+# this module before a traced run, so they must stay until SITES drops
+# them.
+from .classifier import fit_kernel, fit_linear  # noqa: F401
+from .dataset import minmax_apply, minmax_fit  # noqa: F401
+from .fuzzy_rough import (  # noqa: F401
     class_weights,
     positive_region_scores,
     subsample_majority,
 )
-from .metrics import CONVENTIONS, confusion, report
 
 DEFAULT_TAU_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 DEFAULT_GAMMA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
@@ -249,69 +253,30 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     """Mean inner-fold G-mean per grid point, plus a validity mask.
 
     A point that fails on any inner fold (tau empties the majority,
-    singular system, degenerate model) is marked invalid. Similarity
-    scores and minority weights are shared across the c and sigma axes
-    of each (gamma, tau) group.
+    singular system, degenerate model) is marked invalid and not fit
+    again. Each inner fold fits every point through one PreparedFold,
+    so its fuzzy-rough steps are shared across the grid.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
+    configs = [_train_config(config, pt) for pt in points]
     sums = np.zeros(len(points))
     alive = np.ones(len(points), dtype=bool)
-
-    groups: dict[float, dict[float, list[int]]] = {}
-    for i, pt in enumerate(points):
-        groups.setdefault(pt.gamma, {}).setdefault(pt.tau, []).append(i)
-
     for f in range(inner_k):
         tr, va = fold_rows(plan, f)
-        x_tr_raw = train_ds.features[tr]
-        y_tr = train_ds.labels[tr]
-        scaling = minmax_fit(x_tr_raw)
-        xs = minmax_apply(scaling, x_tr_raw)
-        x_va = minmax_apply(scaling, train_ds.features[va])
+        prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr])
+        x_va = train_ds.features[va]
         y_va = train_ds.labels[va]
-        min_mask = y_tr == 1
-        x1 = xs[min_mask]
-        x2 = xs[~min_mask]
-
-        for gamma, tau_groups in groups.items():
-            fuzzy = FuzzyParams(gamma=gamma, tnorm=config.tnorm,
-                                implicator=config.implicator,
-                                score_mode=config.score_mode)
-            d1 = (class_weights(x1, fuzzy, "minority").weights
-                  if config.weights_enabled else None)
-            scores = (positive_region_scores(xs, y_tr, fuzzy, -1)
-                      if config.subsample_enabled else None)
-            for tau, members in tau_groups.items():
-                if config.subsample_enabled:
-                    try:
-                        sub = subsample_majority(scores, tau)
-                    except ConfigurationError:
-                        alive[members] = False
-                        continue
-                    x2h = x2[sub.kept_indices]
-                else:
-                    x2h = x2
-                d2 = (class_weights(x2h, fuzzy, "majority").weights
-                      if config.weights_enabled else None)
-                for i in members:
-                    if not alive[i]:
-                        continue
-                    pt = points[i]
-                    try:
-                        if config.kernel == "gaussian":
-                            model = fit_kernel(x1, x2h, d1, d2,
-                                               _train_config(config, pt))
-                        else:
-                            model = fit_linear(x1, x2h, d1, d2,
-                                               pt.c1, pt.c2, config.delta)
-                        pred = predict(model, x_va)
-                        rep = report(confusion(y_va, pred),
-                                     config.convention)
-                    except (ConfigurationError, SingularSystemError,
-                            DegenerateModelError):
-                        alive[i] = False
-                        continue
-                    sums[i] += rep.gmean
+        for i, cfg in enumerate(configs):
+            if not alive[i]:
+                continue
+            try:
+                pred = predict(prep.fit(cfg), x_va)
+                rep = report(confusion(y_va, pred), config.convention)
+            except (ConfigurationError, SingularSystemError,
+                    DegenerateModelError):
+                alive[i] = False
+                continue
+            sums[i] += rep.gmean
     return sums / inner_k, alive
 
 

@@ -8,7 +8,7 @@ attribute is max(0, 1 - gamma * |ax - ay|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class FuzzyParams:
 
 
 @dataclass(eq=False)
-class SimilarityMatrix:
-    values: np.ndarray
-    row_indices: np.ndarray
-
-
-@dataclass(eq=False)
 class PositiveRegionScores:
     scores: np.ndarray
     mode: str
@@ -87,21 +81,6 @@ class SubsampleResult:
     removed_indices: np.ndarray
     scores: PositiveRegionScores
     tau: float
-
-
-@dataclass(eq=False)
-class WeightVector:
-    weights: np.ndarray
-    class_tag: str
-
-
-def attribute_similarity(ax: float, ay: float, range_la: float,
-                         gamma: float) -> float:
-    """Similarity of two values of one attribute:
-    max(0, 1 - gamma * |ax - ay| / l(a))."""
-    if range_la <= 0:
-        raise ValueError(f"attribute range must be > 0, got {range_la}")
-    return max(0.0, 1.0 - gamma * abs(ax - ay) / range_la)
 
 
 def _cross_similarity(xa: np.ndarray, xb: np.ndarray,
@@ -124,8 +103,7 @@ def _cross_similarity(xa: np.ndarray, xb: np.ndarray,
     return out
 
 
-def indiscernibility_matrix(x, params: FuzzyParams,
-                            row_indices=None) -> SimilarityMatrix:
+def indiscernibility_matrix(x, params: FuzzyParams) -> np.ndarray:
     """Full pairwise similarity of one instance set.
 
     Each unordered pair is evaluated once and mirrored, so the matrix
@@ -134,26 +112,11 @@ def indiscernibility_matrix(x, params: FuzzyParams,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty 2-D matrix")
-    p = x.shape[0]
     full = _cross_similarity(x, x, params)
     upper = np.triu(full, k=1)
     values = upper + upper.T
     np.fill_diagonal(values, 1.0)
-    if row_indices is None:
-        row_indices = np.arange(p)
-    return SimilarityMatrix(values=values,
-                            row_indices=np.asarray(row_indices))
-
-
-def lower_approx_membership(sim_row, concept_row, implicator: str) -> float:
-    """inf over x of L(R(x,y), A(x)) for one instance y."""
-    r = np.asarray(sim_row, dtype=np.float64)
-    a = np.asarray(concept_row, dtype=np.float64)
-    if r.size == 0 or a.size == 0:
-        raise ValueError("membership vectors must be non-empty")
-    if r.shape != a.shape:
-        raise ValueError(f"length mismatch: {r.shape} vs {a.shape}")
-    return float(np.min(_implicator_pair(implicator, r, a)))
+    return values
 
 
 def positive_region_scores(x_all, labels, params: FuzzyParams,
@@ -168,6 +131,10 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
     """
     x_all = np.asarray(x_all, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != x_all.shape[:1]:
+        raise ValueError(
+            f"{labels.size} labels for a matrix of shape {x_all.shape}"
+        )
     target_rows = np.flatnonzero(labels == target_class)
     if target_rows.size == 0:
         raise ConfigurationError(
@@ -179,7 +146,7 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
         if p == 1:
             scores = np.ones(1)
         else:
-            scores = (block.values.sum(axis=1) - 1.0) / (p - 1)
+            scores = (block.sum(axis=1) - 1.0) / (p - 1)
         scores = np.clip(scores, 0.0, 1.0)
     else:
         cross = _cross_similarity(x_all[target_rows], x_all, params)
@@ -218,18 +185,13 @@ def subsample_majority(scores: PositiveRegionScores,
     )
 
 
-def class_weights(x_class, params: FuzzyParams,
-                  class_tag: str = "majority") -> WeightVector:
+def class_weights(x_class, params: FuzzyParams) -> np.ndarray:
     """Per-instance weight: mean similarity to the other members of the
     same class, clamped to [1e-6, 1]. A singleton class gets weight 1.
 
     Called on the kept majority rows for D2 and on the full minority
     class for D1.
     """
-    if class_tag not in ("minority", "majority"):
-        raise ConfigurationError(
-            f"class_tag must be minority or majority, got {class_tag!r}"
-        )
     x_class = np.asarray(x_class, dtype=np.float64)
     if x_class.ndim != 2 or x_class.shape[0] == 0:
         raise ValueError("need a non-empty 2-D matrix")
@@ -238,6 +200,5 @@ def class_weights(x_class, params: FuzzyParams,
         weights = np.ones(1)
     else:
         sim = indiscernibility_matrix(x_class, params)
-        weights = (sim.values.sum(axis=1) - 1.0) / (p - 1)
-    weights = np.clip(weights, WEIGHT_FLOOR, 1.0)
-    return WeightVector(weights=weights, class_tag=class_tag)
+        weights = (sim.sum(axis=1) - 1.0) / (p - 1)
+    return np.clip(weights, WEIGHT_FLOOR, 1.0)

@@ -36,20 +36,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"inner dimensions disagree: {a.shape} times {b.shape}"
-        )
-    return a @ b
-
-
 def gram(a) -> np.ndarray:
     """Return A^T A, symmetrized so the result is exactly its own
     transpose regardless of how the BLAS accumulates."""

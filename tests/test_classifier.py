@@ -1,6 +1,7 @@
 """Plane fits, kernel fits, the decision rule, and serialization."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from frlstsvm.classifier import (
     Hyperplane,
     KernelModel,
     LinearModel,
+    PreparedFold,
     TrainConfig,
     fit_frlstsvm,
     fit_kernel,
@@ -470,6 +472,74 @@ class TestPipeline:
         assert acc >= 0.9
 
 
+def model_arrays(model) -> list[np.ndarray]:
+    if isinstance(model, KernelModel):
+        coeffs = [model.x_ref, model.w1, model.b1, model.w2, model.b2]
+    else:
+        coeffs = [model.plane1.w, model.plane1.b,
+                  model.plane2.w, model.plane2.b]
+    return [np.asarray(a) for a in coeffs] + [
+        model.summary.kept_majority_rows]
+
+
+class TestPreparedFold:
+    def test_every_grid_fit_matches_a_fresh_pipeline(self):
+        # One PreparedFold serves a whole grid in shuffled order; a memo
+        # keyed too coarsely (say, the kept-majority weights by gamma
+        # alone) hands some fit the wrong rows or weights.
+        x, y = make_blobs(90, m1=8, m2=30)
+        ds = LabeledDataset(x, y)
+        probe = np.random.default_rng(3).uniform(-4, 4, size=(40, 2))
+        kernels = (("linear", None), ("gaussian", 0.5))
+        configs = [
+            TrainConfig(c1=c, c2=c, tau=tau, fuzzy=fuzzy(gamma=gamma),
+                        kernel=kernel, sigma=sigma,
+                        subsample_enabled=sub, weights_enabled=wts)
+            for gamma, tau, c, sub, wts, (kernel, sigma) in itertools.product(
+                (1.0, 2.0), (0.0, 0.72, 1.0), (0.5, 2.0), (True, False),
+                (True, False), kernels)
+        ]
+        want = {}
+        for cfg in configs:
+            try:
+                model = fit_frlstsvm(ds, cfg)
+            except ConfigurationError:
+                want[cfg] = None
+                continue
+            want[cfg] = (model_arrays(model),
+                         predict(model, probe, return_distances=True))
+        kept = {(cfg.fuzzy.gamma, cfg.tau): out[0][-1].size
+                for cfg, out in want.items()
+                if out is not None and cfg.subsample_enabled}
+        # tau 0.72 keeps a different strict subset at each gamma, and
+        # tau 1 empties the majority whenever subsampling is on
+        assert 0 < kept[1.0, 0.72] < 30 and 0 < kept[2.0, 0.72] < 30
+        assert kept[1.0, 0.72] != kept[2.0, 0.72]
+        empty = {cfg for cfg in configs
+                 if cfg.subsample_enabled and cfg.tau == 1.0}
+        assert {cfg for cfg, out in want.items() if out is None} == empty
+
+        prep = PreparedFold(x, y)
+        rng = np.random.default_rng(4)
+        raised = 0
+        for _ in range(2):
+            for i in rng.permutation(len(configs)):
+                cfg = configs[i]
+                if want[cfg] is None:
+                    with pytest.raises(ConfigurationError, match="tau"):
+                        prep.fit(cfg)
+                    raised += 1
+                    continue
+                model = prep.fit(cfg)
+                arrays, outputs = want[cfg]
+                for got, exp in zip(model_arrays(model) + list(
+                        predict(model, probe, return_distances=True)),
+                        arrays + list(outputs)):
+                    assert got.dtype == exp.dtype
+                    assert got.tobytes() == exp.tobytes()
+        assert raised == 2 * len(empty)
+
+
 class TestSerialization:
     def linear_model(self):
         x, y = make_blobs(80, m1=8, m2=20)
@@ -546,6 +616,17 @@ class TestSerialization:
         clipped.write_text("\n".join(lines[: len(lines) // 2]))
         with pytest.raises(DataError):
             load_model(str(clipped))
+
+    def test_rejects_short_reference_row(self, tmp_path):
+        model, _ = self.kernel_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        row = [i for i, ln in enumerate(lines) if ln.startswith("xref ")][0]
+        lines[row + 3] = lines[row + 3].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="reference rows"):
+            load_model(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

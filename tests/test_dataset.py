@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from frlstsvm.classifier import PreparedFold
 from frlstsvm.dataset import (
     LabeledDataset,
     fold_rows,
@@ -15,7 +16,6 @@ from frlstsvm.dataset import (
     load_matrix_csv,
     minmax_apply,
     minmax_fit,
-    split_by_class,
     stratified_kfold,
     subset,
     write_csv,
@@ -294,14 +294,14 @@ class TestMinMax:
 
 class TestSplitAndRatio:
     def test_split_example(self):
-        ds = LabeledDataset(
-            np.array([[1.0], [2.0], [3.0]]), np.array([1, -1, -1])
-        )
-        parts = split_by_class(ds)
-        assert parts.minority.shape == (1, 1)
-        assert parts.majority.shape == (2, 1)
-        assert np.array_equal(parts.minority_rows, [0])
-        assert np.array_equal(parts.majority_rows, [1, 2])
+        # the training pipeline splits the scaled rows by class
+        prep = PreparedFold(np.array([[1.0], [2.0], [3.0]]),
+                            np.array([1, -1, -1]))
+        assert np.array_equal(prep.x1, [[0.0]])
+        assert np.array_equal(prep.x2, [[0.5], [1.0]])
+        assert np.array_equal(prep.maj_rows, [1, 2])
+        with pytest.raises(DataError, match="both classes"):
+            PreparedFold(np.zeros((2, 1)), np.array([-1, -1]))
 
     def test_ratio_example(self):
         ds = LabeledDataset(np.zeros((4, 1)), np.array([1, -1, -1, -1]))

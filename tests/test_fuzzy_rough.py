@@ -4,16 +4,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from frlstsvm.dataset import minmax_apply, minmax_fit
-from frlstsvm.errors import ConfigurationError
+from frlstsvm.dataset import ScalingParams, minmax_apply, minmax_fit
+from frlstsvm.errors import ConfigurationError, DataError
 from frlstsvm.fuzzy_rough import (
     WEIGHT_FLOOR,
     FuzzyParams,
     PositiveRegionScores,
-    attribute_similarity,
     class_weights,
     indiscernibility_matrix,
-    lower_approx_membership,
     positive_region_scores,
     subsample_majority,
 )
@@ -26,38 +24,48 @@ def params(gamma=1.0, **kw):
     return FuzzyParams(gamma=gamma, **kw)
 
 
+def attr_sim(ax: float, ay: float, gamma: float) -> float:
+    """Similarity of two one-attribute rows, read off the library's
+    pairwise matrix."""
+    x = np.array([[ax], [ay]])
+    return float(indiscernibility_matrix(x, params(gamma=gamma))[0, 1])
+
+
 class TestAttributeSimilarity:
     def test_formula(self):
-        assert attribute_similarity(0.3, 0.5, 1.0, 1.0) == pytest.approx(0.8)
+        assert attr_sim(0.3, 0.5, 1.0) == pytest.approx(0.8)
 
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = float(rng.uniform(-5, 5))
             g = float(rng.uniform(0.01, 50))
-            assert attribute_similarity(v, v, 1.0, g) == 1.0
+            assert attr_sim(v, v, g) == 1.0
 
     def test_truncates_to_zero(self):
-        assert attribute_similarity(0.0, 0.6, 1.0, 2.0) == 0.0
+        assert attr_sim(0.0, 0.6, 2.0) == 0.0
 
     def test_range_normalizes_distance(self):
-        a = attribute_similarity(2.0, 6.0, 10.0, 1.0)
-        b = attribute_similarity(0.2, 0.6, 1.0, 1.0)
-        assert a == pytest.approx(b)
+        # l(a) enters through min-max scaling: 2 and 6 on a 0..10
+        # column are 0.2 and 0.6 on the unit range
+        raw = np.array([[0.0], [2.0], [6.0], [10.0]])
+        xs = minmax_apply(minmax_fit(raw), raw)
+        a = indiscernibility_matrix(xs, params())[1, 2]
+        assert a == pytest.approx(attr_sim(0.2, 0.6, 1.0))
 
     def test_nonincreasing_in_gamma(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             ax, ay = rng.uniform(0, 1, size=2)
             sims = [
-                attribute_similarity(ax, ay, 1.0, g)
+                attr_sim(ax, ay, g)
                 for g in (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
             ]
             assert all(s0 >= s1 for s0, s1 in zip(sims, sims[1:]))
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError, match="range"):
-            attribute_similarity(0.1, 0.2, 0.0, 1.0)
+        with pytest.raises(DataError, match="range"):
+            ScalingParams(mins=np.zeros(2), ranges=np.array([1.0, 0.0]))
 
 
 class TestFuzzyParams:
@@ -85,17 +93,17 @@ class TestIndiscernibility:
     def test_identical_rows(self):
         x = np.array([[0.3, 0.7], [0.3, 0.7]])
         sim = indiscernibility_matrix(x, params())
-        assert sim.values[0, 1] == 1.0 and sim.values[1, 0] == 1.0
+        assert sim[0, 1] == 1.0 and sim[1, 0] == 1.0
 
     def test_disjoint_rows(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
         sim = indiscernibility_matrix(x, params())
-        assert sim.values[0, 1] == 0.0
+        assert sim[0, 1] == 0.0
 
     def test_minimum_tnorm_picks_worst_attribute(self):
         x = np.array([[0.2, 0.4], [0.4, 0.5]])
         sim = indiscernibility_matrix(x, params())
-        assert sim.values[0, 1] == pytest.approx(0.8)
+        assert sim[0, 1] == pytest.approx(0.8)
 
     @pytest.mark.parametrize("tnorm", ["minimum", "product", "lukasiewicz"])
     def test_matches_pairwise_oracle(self, tnorm):
@@ -108,17 +116,17 @@ class TestIndiscernibility:
                     continue
                 a, b = (i, j) if i < j else (j, i)
                 want = brute_pair_sim(x[a], x[b], 1.7, tnorm)
-                assert sim.values[i, j] == pytest.approx(want, abs=1e-14)
+                assert sim[i, j] == pytest.approx(want, abs=1e-14)
 
     def test_exact_symmetry_and_bounds(self):
         rng = np.random.default_rng(6)
         for tnorm in ("minimum", "product", "lukasiewicz"):
             x = rng.uniform(0, 1, size=(17, 4))
             sim = indiscernibility_matrix(x, params(gamma=2.3, tnorm=tnorm))
-            assert np.array_equal(sim.values, sim.values.T)
-            assert np.all(np.diag(sim.values) == 1.0)
-            assert np.all(sim.values >= 0.0)
-            assert np.all(sim.values <= 1.0)
+            assert np.array_equal(sim, sim.T)
+            assert np.all(np.diag(sim) == 1.0)
+            assert np.all(sim >= 0.0)
+            assert np.all(sim <= 1.0)
 
     def test_affine_rescaling_is_bit_invariant(self):
         # exact when the shift is integral and the scale a power of two
@@ -129,8 +137,8 @@ class TestIndiscernibility:
         other = minmax_apply(minmax_fit(moved), moved)
         p = params(gamma=1.5)
         assert np.array_equal(
-            indiscernibility_matrix(base, p).values,
-            indiscernibility_matrix(other, p).values,
+            indiscernibility_matrix(base, p),
+            indiscernibility_matrix(other, p),
         )
 
     def test_empty_input_rejected(self):
@@ -138,25 +146,32 @@ class TestIndiscernibility:
             indiscernibility_matrix(np.zeros((0, 2)), params())
 
 
+def lower_approx(x, labels, implicator="lukasiewicz"):
+    p = params(implicator=implicator, score_mode="lower_approx")
+    return positive_region_scores(np.array(x), np.array(labels), p).scores
+
+
 class TestLowerApproxMembership:
     def test_full_concept_gives_one(self):
-        assert lower_approx_membership([1.0, 1.0], [1.0, 1.0],
-                                       "lukasiewicz") == 1.0
+        got = lower_approx([[0.2], [0.7]], [-1, -1])
+        assert np.array_equal(got, [1.0, 1.0])
 
     def test_lukasiewicz_residual(self):
-        got = lower_approx_membership([0.9], [0.0], "lukasiewicz")
-        assert got == pytest.approx(0.1)
+        # similarity 0.9 to a row outside the concept
+        got = lower_approx([[0.0], [0.1]], [-1, 1])
+        assert got[0] == pytest.approx(0.1)
 
     def test_kleene_dienes_takes_minimum(self):
-        got = lower_approx_membership([0.6, 0.3], [0.0, 1.0],
-                                      "kleene_dienes")
-        assert got == pytest.approx(0.4)
+        # similarities 0.6 and 0.3 to rows outside the concept
+        got = lower_approx([[0.0], [0.4], [0.7]], [-1, 1, 1],
+                           "kleene_dienes")
+        assert got[0] == pytest.approx(0.4)
 
     def test_rejects_empty_and_mismatched(self):
+        with pytest.raises(ConfigurationError):
+            lower_approx([[0.2], [0.7]], [1, 1])
         with pytest.raises(ValueError):
-            lower_approx_membership([], [], "lukasiewicz")
-        with pytest.raises(ValueError):
-            lower_approx_membership([0.5], [0.5, 0.5], "lukasiewicz")
+            lower_approx([[0.2], [0.7]], [-1, 1, -1])
 
 
 class TestPositiveRegionScores:
@@ -297,32 +312,27 @@ class TestSubsample:
 class TestClassWeights:
     def test_identical_pair(self):
         w = class_weights(np.array([[0.2, 0.2], [0.2, 0.2]]), params())
-        assert np.array_equal(w.weights, [1.0, 1.0])
+        assert np.array_equal(w, [1.0, 1.0])
 
     def test_three_point_example(self):
         x = np.array([[0.0], [0.1], [0.9]])
         w = class_weights(x, params())
-        assert w.weights == pytest.approx([0.50, 0.55, 0.15])
+        assert w == pytest.approx([0.50, 0.55, 0.15])
 
     def test_floor_when_everything_truncates(self):
         x = np.array([[0.0], [0.5], [1.0]])
         w = class_weights(x, params(gamma=100.0))
-        assert np.all(w.weights == WEIGHT_FLOOR)
+        assert np.all(w == WEIGHT_FLOOR)
 
     def test_singleton(self):
-        w = class_weights(np.array([[0.7]]), params(), class_tag="minority")
-        assert np.array_equal(w.weights, [1.0])
-        assert w.class_tag == "minority"
+        w = class_weights(np.array([[0.7]]), params())
+        assert np.array_equal(w, [1.0])
 
     def test_bounds_and_permutation_consistency(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(0, 1, size=(20, 3))
-        w = class_weights(x, params(gamma=2.0)).weights
+        w = class_weights(x, params(gamma=2.0))
         assert np.all(w >= WEIGHT_FLOOR) and np.all(w <= 1.0)
         perm = rng.permutation(20)
-        wp = class_weights(x[perm], params(gamma=2.0)).weights
+        wp = class_weights(x[perm], params(gamma=2.0))
         assert wp == pytest.approx(w[perm], abs=1e-12)
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(ConfigurationError, match="class_tag"):
-            class_weights(np.zeros((2, 1)), params(), class_tag="other")

@@ -5,9 +5,7 @@ from frlstsvm.errors import SingularSystemError
 from frlstsvm.linalg import (
     add_scaled_identity,
     gram,
-    matmul,
     spd_solve,
-    transpose,
 )
 
 
@@ -32,22 +30,6 @@ class TestGram:
 
 
 class TestProducts:
-    def test_matmul_identity(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(matmul(a, np.eye(3)), a)
-
-    def test_transpose_of_product(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        assert np.array_equal(transpose(matmul(a, b)),
-                              matmul(transpose(b), transpose(a)))
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            matmul(np.eye(2), np.eye(3))
-
     def test_add_scaled_identity(self):
         assert np.array_equal(add_scaled_identity(np.eye(2), 1.0),
                               2.0 * np.eye(2))
