@@ -4,21 +4,23 @@ plus the training pipeline that every fit goes through.
 The classifier fits two non-parallel hyperplanes, one close to each
 class, and labels a point by the nearer plane. With H = [X1 | 1] built
 from minority rows and G = [X2hat | 1] from the (possibly subsampled)
-majority rows, the weighted fits solve
+majority rows, the weighted fits solve the primal normal equations
 
-    u1 = -(H'H + dI)^-1 G' a,   a = (D2^-1/c1 + G (H'H + dI)^-1 G')^-1 e
-    u2 =  (G'G + dI)^-1 H' b,   b = (D1^-1/c2 + H (G'G + dI)^-1 H')^-1 e
+    u1 = -(H'H + c1 G'D2G + dI)^-1 c1 G'D2 e
+    u2 =  (G'G + c2 H'D1H + dI)^-1 c2 H'D1 e
 
 where D1, D2 are diagonal instance-weight matrices, d is a small ridge
 and e is the all-ones vector. u_j stacks the plane normal over its
-offset. The unweighted baseline solves the primal forms directly:
+offset, so each plane is one symmetric system of order n + 1. The
+unweighted baseline solves the unit-weight planes divided through by
+c, so its ridge d acts as c*d above:
 
     u1 = -(G'G + (1/c1) H'H + dI)^-1 G' e
     u2 =  (H'H + (1/c2) G'G + dI)^-1 H' e
 
 The kernel variant applies the same algebra to P = [K(X1, Xref) | 1]
 and Q = [K(X2hat, Xref) | 1] with Xref the minority rows stacked over
-the kept majority rows.
+the kept majority rows, so its systems have order m_ref + 1.
 
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
@@ -32,11 +34,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import linalg
+from . import fuzzy_rough, linalg
 from .dataset import ScalingParams, LabeledDataset, minmax_apply, minmax_fit
 from .errors import (
     ConfigurationError,
@@ -44,8 +47,11 @@ from .errors import (
     DegenerateModelError,
 )
 from .fuzzy_rough import (
+    WEIGHT_FLOOR,
     FuzzyParams,
+    PositiveRegionScores,
     class_weights,
+    mean_similarity,
     positive_region_scores,
     subsample_majority,
 )
@@ -175,23 +181,15 @@ def gaussian_kernel(x, y, sigma: float) -> float:
 
 
 def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
-    """Rectangular Gaussian kernel matrix between two row sets."""
+    """Rectangular Gaussian kernel matrix between two row sets. The self
+    matrix gaussian_gram(x, x, sigma) is exactly symmetric with an exact
+    unit diagonal, since cdist sums (a - b)^2 = (b - a)^2 per pair."""
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
     xa = linalg.as_matrix(xa, "left rows")
     xb = linalg.as_matrix(xb, "right rows")
     d2 = cdist(xa, xb, metric="sqeuclidean")
     return np.exp(-d2 / (2.0 * sigma * sigma))
-
-
-def _gaussian_gram_sym(x, sigma: float) -> np.ndarray:
-    """Self Gram matrix, mirrored from the upper triangle so it is
-    exactly symmetric with an exact unit diagonal."""
-    full = gaussian_gram(x, x, sigma)
-    upper = np.triu(full, k=1)
-    out = upper + upper.T
-    np.fill_diagonal(out, 1.0)
-    return out
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -224,23 +222,13 @@ def _checked_blocks(x1, x2, d1=None, d2=None):
             _weights_array(d2, x2.shape[0], "majority"))
 
 
-def _solve_plane(a_aug: np.ndarray, b_aug: np.ndarray, d_b: np.ndarray,
-                 c: float, delta: float) -> tuple[
-                     np.ndarray, SpdSolveReport, SpdSolveReport]:
-    """Shared core of both weighted plane fits.
-
-    Returns t = (A'A + delta I)^-1 B' s with
-    s = (D^-1/c + B (A'A + delta I)^-1 B')^-1 e; the caller applies the
-    sign. Also returns the outer and inner solver reports.
-    """
-    outer = add_scaled_identity(gram(a_aug), delta)
-    mbt, outer_report = spd_solve(outer, b_aug.T)
-    inner = b_aug @ mbt
-    # symmetric by definition; enforce exactly before factoring
-    inner = (inner + inner.T) * 0.5
-    inner[np.diag_indices_from(inner)] += 1.0 / (c * d_b)
-    coeff, inner_report = spd_solve(inner, np.ones(b_aug.shape[0]))
-    return mbt @ coeff, outer_report, inner_report
+def _solve_plane(a: np.ndarray, b: np.ndarray, d_b: np.ndarray, c: float,
+                 delta: float) -> tuple[np.ndarray, SpdSolveReport]:
+    """t = (A'A + c B'DB + delta I)^-1 c B'D e: the ridge least-squares
+    fit of At = 0 and Bt = e, with weights cD on the rows of B. The
+    caller applies the sign."""
+    lhs = gram(a) + c * gram(b * np.sqrt(d_b)[:, None])
+    return spd_solve(add_scaled_identity(lhs, delta), c * (b.T @ d_b))
 
 
 def _fit_planes(h: np.ndarray, g: np.ndarray, d1: np.ndarray,
@@ -250,14 +238,11 @@ def _fit_planes(h: np.ndarray, g: np.ndarray, d1: np.ndarray,
     """Both weighted planes from the feature-mapped class blocks,
     H = [phi(X1) | 1] and G = [phi(X2hat) | 1], with phi the identity
     (linear) or K(., Xref) (kernel). Returns u1, u2 and the summary."""
-    t1, outer1, inner1 = _solve_plane(h, g, d2, c1, delta)
-    t2, outer2, inner2 = _solve_plane(g, h, d1, c2, delta)
+    t1, report1 = _solve_plane(h, g, d2, c1, delta)
+    t2, report2 = _solve_plane(g, h, d1, c2, delta)
     summary = TrainingSummary(
         m1=h.shape[0], m2_kept=g.shape[0], m2_total=g.shape[0],
-        solver_reports={
-            "plane1_outer": outer1, "plane1_inner": inner1,
-            "plane2_outer": outer2, "plane2_inner": inner2,
-        },
+        solver_reports={"plane1": report1, "plane2": report2},
     )
     return -t1, t2, summary
 
@@ -391,7 +376,7 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
     x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
     m1 = x1.shape[0]
     x_ref = np.vstack([x1, x2hat])
-    k_ref = _gaussian_gram_sym(x_ref, config.sigma)
+    k_ref = gaussian_gram(x_ref, x_ref, config.sigma)
     u1, u2, summary = _fit_planes(_augment(k_ref[:m1]), _augment(k_ref[m1:]),
                                   d1, d2, config.c1, config.c2, config.delta)
     return KernelModel(
@@ -438,16 +423,31 @@ def predict(model, x, return_distances: bool = False):
     return predict_linear(model, x, return_distances)
 
 
+class FitBlocks(NamedTuple):
+    """What one fit solves from: the scaled minority rows, the kept
+    majority rows, their instance weights (None for unit weights), the
+    kept rows' indices into the training set and the majority size."""
+
+    x1: np.ndarray
+    x2hat: np.ndarray
+    d1: np.ndarray | None
+    d2: np.ndarray | None
+    kept_rows: np.ndarray
+    m2_total: int
+
+
 class PreparedFold:
     """One training set made ready for any number of fits.
 
     Min-max scaling is fit on these rows only and the scaled rows are
     split by class. The fuzzy-rough steps of the pipeline are memoised
-    for the life of the object: the majority's positive-region scores
-    per FuzzyParams, the subsample per (FuzzyParams, tau), the minority
-    weights per FuzzyParams and the kept-majority weights per
-    (FuzzyParams, tau). A tau that empties the majority raises the same
-    ConfigurationError on every fit that asks for it.
+    for the life of the object, per FuzzyParams: the majority's m2 x m2
+    similarity, its positive-region scores and the minority weights;
+    and per (FuzzyParams, tau): the subsample and the kept-majority
+    weights. Density scores and kept-majority weights are row means of
+    the one majority similarity, so a grid computes it once per gamma.
+    A tau that empties the majority raises the same ConfigurationError
+    on every fit that asks for it.
     """
 
     def __init__(self, features, labels):
@@ -474,24 +474,46 @@ class PreparedFold:
             raise hit.with_traceback(None)
         return hit
 
+    def _similarity(self, fuzzy: FuzzyParams) -> np.ndarray:
+        # looked up on the module, where the benchmark's tracer wraps it
+        return self._cached(("similarity", fuzzy), lambda: (
+            fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy)))
+
+    def scores(self, fuzzy: FuzzyParams) -> PositiveRegionScores:
+        """The majority's positive_region_scores; in density mode, the
+        row means of the majority similarity."""
+        def compute():
+            if fuzzy.score_mode != "density":
+                return positive_region_scores(self.xs, self.labels, fuzzy,
+                                              target_class=-1)
+            return PositiveRegionScores(
+                scores=mean_similarity(self._similarity(fuzzy)),
+                mode=fuzzy.score_mode, params=fuzzy,
+                row_indices=self.maj_rows,
+            )
+        return self._cached(("scores", fuzzy), compute)
+
     def _kept(self, config: TrainConfig) -> np.ndarray:
         """Indices into x2 of the majority rows the fit keeps."""
         if not config.subsample_enabled:
             return np.arange(self.x2.shape[0])
-        fuzzy = config.fuzzy
-        scores = self._cached(("scores", fuzzy), lambda: (
-            positive_region_scores(self.xs, self.labels, fuzzy,
-                                   target_class=-1)))
-        return self._cached(("kept", fuzzy, config.tau), lambda: (
+        scores = self.scores(config.fuzzy)
+        return self._cached(("kept", config.fuzzy, config.tau), lambda: (
             subsample_majority(scores, config.tau).kept_indices))
 
-    def fit(self, config: TrainConfig):
-        """Subsample the majority at tau, weight both classes, and run
-        the linear or kernel solver. Returns a LinearModel or
-        KernelModel carrying this set's scaling, whose summary records
-        how many majority rows survived."""
+    def _kept_weights(self, fuzzy: FuzzyParams,
+                      kept: np.ndarray) -> np.ndarray:
+        """class_weights of the kept majority rows, read off the whole
+        majority's similarity: the same values summed in the same
+        order, so the same bits."""
+        sim = self._similarity(fuzzy)
+        if kept.size < sim.shape[0]:
+            sim = sim[np.ix_(kept, kept)]
+        return mean_similarity(sim, WEIGHT_FLOOR)
+
+    def blocks(self, config: TrainConfig) -> FitBlocks:
+        """Subsample the majority at tau and weight both classes."""
         kept = self._kept(config)
-        x2hat = self.x2[kept]
         d1 = d2 = None
         if config.weights_enabled:
             fuzzy = config.fuzzy
@@ -499,23 +521,37 @@ class PreparedFold:
             d1 = self._cached(("d1", fuzzy),
                               lambda: class_weights(self.x1, fuzzy))
             d2 = self._cached(("d2", fuzzy, tau),
-                              lambda: class_weights(x2hat, fuzzy))
-        if config.kernel == "gaussian":
-            model = fit_kernel(self.x1, x2hat, d1, d2, config,
-                               scaling=self.scaling)
-        else:
-            model = fit_linear(self.x1, x2hat, d1, d2, config.c1, config.c2,
-                               config.delta, scaling=self.scaling,
-                               config=config)
-        model.summary.m2_total = self.x2.shape[0]
-        model.summary.kept_majority_rows = self.maj_rows[kept]
-        return model
+                              lambda: self._kept_weights(fuzzy, kept))
+        return FitBlocks(self.x1, self.x2[kept], d1, d2,
+                         self.maj_rows[kept], self.x2.shape[0])
+
+
+def fit_blocks(blocks: FitBlocks, config: TrainConfig,
+               scaling: ScalingParams | None = None):
+    """Run the linear or kernel solver on prepared blocks. Returns a
+    LinearModel or KernelModel carrying `scaling` (None: predict takes
+    scaled rows), whose summary records how many majority rows
+    survived."""
+    if config.kernel == "gaussian":
+        model = fit_kernel(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
+                           config, scaling=scaling)
+    else:
+        model = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
+                           config.c1, config.c2, config.delta,
+                           scaling=scaling, config=config)
+    model.summary.m2_total = blocks.m2_total
+    model.summary.kept_majority_rows = blocks.kept_rows
+    return model
 
 
 def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
     """Full training pipeline on one training set: one fit of a fresh
-    PreparedFold."""
-    return PreparedFold(ds.features, ds.labels).fit(config)
+    PreparedFold. The PreparedFold, and with it the majority similarity,
+    is released before the solve starts."""
+    prep = PreparedFold(ds.features, ds.labels)
+    blocks, scaling = prep.blocks(config), prep.scaling
+    del prep
+    return fit_blocks(blocks, config, scaling)
 
 
 def _config_lines(cfg: TrainConfig) -> list[str]:
@@ -742,6 +778,6 @@ def load_model(path):
         raise DataError(f"{path}: coefficient lengths disagree with xref")
     return KernelModel(
         x_ref=x_ref, w1=w1, b1=float(b1[0]), w2=w2, b2=float(b2[0]),
-        gram_ref=_gaussian_gram_sym(x_ref, config.sigma),
+        gram_ref=gaussian_gram(x_ref, x_ref, config.sigma),
         scaling=scaling, config=config,
     )

@@ -26,6 +26,7 @@ import numpy as np
 from .classifier import (
     PreparedFold,
     TrainConfig,
+    fit_blocks,
     fit_frlstsvm,
     predict,
 )
@@ -34,6 +35,7 @@ from .dataset import (
     fold_rows,
     load_csv,
     load_keel,
+    minmax_apply,
     stratified_kfold,
     subset,
 )
@@ -52,7 +54,7 @@ from .metrics import CONVENTIONS, confusion, report
 # this module before a traced run, so they must stay until SITES drops
 # them.
 from .classifier import fit_kernel, fit_linear  # noqa: F401
-from .dataset import minmax_apply, minmax_fit  # noqa: F401
+from .dataset import minmax_fit  # noqa: F401
 from .fuzzy_rough import (  # noqa: F401
     class_weights,
     positive_region_scores,
@@ -255,7 +257,8 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     A point that fails on any inner fold (tau empties the majority,
     singular system, degenerate model) is marked invalid and not fit
     again. Each inner fold fits every point through one PreparedFold,
-    so its fuzzy-rough steps are shared across the grid.
+    so its fuzzy-rough steps are shared across the grid, and scales its
+    validation rows once; the grid's models carry no scaling.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
     configs = [_train_config(config, pt) for pt in points]
@@ -264,13 +267,13 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     for f in range(inner_k):
         tr, va = fold_rows(plan, f)
         prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr])
-        x_va = train_ds.features[va]
+        x_va = minmax_apply(prep.scaling, train_ds.features[va])
         y_va = train_ds.labels[va]
         for i, cfg in enumerate(configs):
             if not alive[i]:
                 continue
             try:
-                pred = predict(prep.fit(cfg), x_va)
+                pred = predict(fit_blocks(prep.blocks(cfg), cfg), x_va)
                 rep = report(confusion(y_va, pred), config.convention)
             except (ConfigurationError, SingularSystemError,
                     DegenerateModelError):

@@ -106,17 +106,24 @@ def _cross_similarity(xa: np.ndarray, xb: np.ndarray,
 def indiscernibility_matrix(x, params: FuzzyParams) -> np.ndarray:
     """Full pairwise similarity of one instance set.
 
-    Each unordered pair is evaluated once and mirrored, so the matrix
-    is exactly symmetric, with an exact unit diagonal.
+    The matrix is exactly symmetric, with an exact unit diagonal: every
+    attribute term depends on |ax - ay|, which IEEE arithmetic computes
+    identically in both orders and as 0 for a row against itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("need a non-empty 2-D matrix")
-    full = _cross_similarity(x, x, params)
-    upper = np.triu(full, k=1)
-    values = upper + upper.T
-    np.fill_diagonal(values, 1.0)
-    return values
+    return _cross_similarity(x, x, params)
+
+
+def mean_similarity(sim: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Each row's mean similarity to the other rows of a self-similarity
+    matrix with a unit diagonal, (row sum - 1) / (p - 1), clipped to
+    [floor, 1]; a single row gets 1."""
+    p = sim.shape[0]
+    if p == 1:
+        return np.ones(1)
+    return np.clip((sim.sum(axis=1) - 1.0) / (p - 1), floor, 1.0)
 
 
 def positive_region_scores(x_all, labels, params: FuzzyParams,
@@ -142,12 +149,7 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
         )
     if params.score_mode == "density":
         block = indiscernibility_matrix(x_all[target_rows], params)
-        p = target_rows.size
-        if p == 1:
-            scores = np.ones(1)
-        else:
-            scores = (block.sum(axis=1) - 1.0) / (p - 1)
-        scores = np.clip(scores, 0.0, 1.0)
+        scores = mean_similarity(block)
     else:
         cross = _cross_similarity(x_all[target_rows], x_all, params)
         concept = (labels == target_class).astype(np.float64)
@@ -189,16 +191,9 @@ def class_weights(x_class, params: FuzzyParams) -> np.ndarray:
     """Per-instance weight: mean similarity to the other members of the
     same class, clamped to [1e-6, 1]. A singleton class gets weight 1.
 
-    Called on the kept majority rows for D2 and on the full minority
-    class for D1.
+    D1 is this on the full minority class. D2 is this on the kept
+    majority rows, which the training pipeline reads off the similarity
+    of the whole majority instead (see classifier.PreparedFold).
     """
-    x_class = np.asarray(x_class, dtype=np.float64)
-    if x_class.ndim != 2 or x_class.shape[0] == 0:
-        raise ValueError("need a non-empty 2-D matrix")
-    p = x_class.shape[0]
-    if p == 1:
-        weights = np.ones(1)
-    else:
-        sim = indiscernibility_matrix(x_class, params)
-        weights = (sim.sum(axis=1) - 1.0) / (p - 1)
-    return np.clip(weights, WEIGHT_FLOOR, 1.0)
+    sim = indiscernibility_matrix(x_class, params)
+    return mean_similarity(sim, WEIGHT_FLOOR)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's vectorized code
 paths: similarity and score oracles are plain double loops, the
-quadratic-objective oracle is a matrix-free conjugate-gradient descent,
-and the metric oracle works in exact rational arithmetic.
+quadratic-objective oracles are a matrix-free conjugate-gradient
+descent and the Sherman-Morrison-Woodbury dual of the planes, and the
+metric oracle works in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -149,6 +150,33 @@ def grad_f2(u, x1, x2hat, d1, c2: float, delta: float) -> np.ndarray:
     g = _augment(np.asarray(x2hat, dtype=float))
     d1 = np.asarray(d1, dtype=float)
     return g.T @ (g @ u) + delta * u + c2 * (h.T @ (d1 * (h @ u - 1.0)))
+
+
+# -- Sherman-Morrison-Woodbury dual of the weighted planes ------------
+
+def smw_dual_planes(x1, x2hat, d1, d2, c1: float, c2: float,
+                    delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both weighted planes through the dual of order m2 (plane 1) and
+    m1 (plane 2), with H = [x1 | 1] and G = [x2hat | 1]:
+
+        u1 = -(H'H + dI)^-1 G' a,   a = (D2^-1/c1 + G (H'H + dI)^-1 G')^-1 e
+        u2 =  (G'G + dI)^-1 H' b,   b = (D1^-1/c2 + H (G'G + dI)^-1 H')^-1 e
+
+    By Woodbury this equals the primal normal equations the library
+    solves, but it goes through different matrices and numpy's LU
+    solver, so it checks the library's algebra independently. Pass
+    kernel blocks K(X, Xref) as x1 and x2hat for the kernel planes.
+    """
+    h = _augment(np.asarray(x1, dtype=float))
+    g = _augment(np.asarray(x2hat, dtype=float))
+
+    def dual(a, b, d_b, c):
+        outer = a.T @ a + delta * np.eye(a.shape[1])
+        mbt = np.linalg.solve(outer, b.T)
+        inner = b @ mbt + np.diag(1.0 / (c * np.asarray(d_b, dtype=float)))
+        return mbt @ np.linalg.solve(inner, np.ones(b.shape[0]))
+
+    return -dual(h, g, d2, c1), dual(g, h, d1, c2)
 
 
 # -- rational-arithmetic metric oracle ---------------------------------

@@ -13,6 +13,7 @@ from frlstsvm.classifier import (
     LinearModel,
     PreparedFold,
     TrainConfig,
+    fit_blocks,
     fit_frlstsvm,
     fit_kernel,
     fit_linear,
@@ -31,7 +32,13 @@ from frlstsvm.errors import (
     DataError,
     DegenerateModelError,
 )
-from frlstsvm.fuzzy_rough import FuzzyParams
+from frlstsvm import fuzzy_rough
+from frlstsvm.fuzzy_rough import (
+    FuzzyParams,
+    class_weights,
+    positive_region_scores,
+    subsample_majority,
+)
 
 from helpers import (
     descent_u1,
@@ -40,6 +47,7 @@ from helpers import (
     grad_f2,
     make_blobs,
     make_circles,
+    smw_dual_planes,
 )
 
 
@@ -113,6 +121,16 @@ class TestGaussianKernel:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigurationError):
             gaussian_kernel([0.0], [1.0], 0.0)
+
+    def test_self_gram_is_exactly_symmetric_with_unit_diagonal(self):
+        # fit_kernel and load_model take the self gram as exact
+        rng = np.random.default_rng(22)
+        for rows in (1, 7, 160):
+            x = rng.uniform(0, 1, size=(rows, 8))
+            for sigma in (0.25, 1.0, 3.0):
+                k = gaussian_gram(x, x, sigma)
+                assert np.array_equal(k, k.T)
+                assert np.all(np.diag(k) == 1.0)
 
 
 MIRROR_X1 = np.array([[1.0, 0.0]])
@@ -208,6 +226,20 @@ class TestSolverIdentities:
             want2 = descent_u2(x1, x2, d1, c2, 1e-6)
             assert rel_close(u1, want1, 1e-4)
             assert rel_close(u2, want2, 1e-4)
+
+    def test_weighted_fit_matches_smw_dual(self):
+        # the primal normal equations against the Woodbury dual, solved
+        # through other matrices by another factorization
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            x1, x2, d1, d2 = random_instance(rng, weighted=True)
+            c1 = float(2.0 ** rng.integers(-3, 4))
+            c2 = float(2.0 ** rng.integers(-3, 4))
+            model = fit_linear(x1, x2, d1, d2, c1, c2, delta=1e-6)
+            want1, want2 = smw_dual_planes(x1, x2, d1, d2, c1, c2, 1e-6)
+            assert rel_close(plane_vec(model.plane1), want1, 1e-8)
+            assert rel_close(plane_vec(model.plane2), want2, 1e-8)
+            assert set(model.summary.solver_reports) == {"plane1", "plane2"}
 
     def test_returned_planes_zero_the_gradient(self):
         rng = np.random.default_rng(36)
@@ -325,6 +357,33 @@ class TestKernelFit:
                              p.T @ np.ones(6))
         assert rel_close(np.append(model.w1, model.b1), u1, 1e-6)
         assert rel_close(np.append(model.w2, model.b2), u2, 1e-6)
+
+    def test_matches_smw_dual_and_zeroes_the_gradient(self):
+        rng = np.random.default_rng(61)
+        probe = rng.uniform(-0.2, 1.2, size=(400, 2))
+        for seed in (55, 56):
+            x, y = make_circles(seed, m1=20, m2=40)
+            x1, x2, _ = scaled_split(x, y)
+            d1 = rng.uniform(0.05, 1.0, size=20)
+            d2 = rng.uniform(0.05, 1.0, size=40)
+            for c in (0.25, 4.0):
+                cfg = config(c1=c, c2=c, kernel="gaussian", sigma=0.3)
+                model = fit_kernel(x1, x2, d1, d2, cfg)
+                k = gaussian_gram(model.x_ref, model.x_ref, 0.3)
+                p, q = k[:20], k[20:]
+                u1 = np.append(model.w1, model.b1)
+                u2 = np.append(model.w2, model.b2)
+                g1 = grad_f1(u1, p, q, d2, c, 1e-6)
+                g2 = grad_f2(u2, p, q, d1, c, 1e-6)
+                assert np.linalg.norm(g1) <= 1e-8 * (1 + np.linalg.norm(u1))
+                assert np.linalg.norm(g2) <= 1e-8 * (1 + np.linalg.norm(u2))
+                o1, o2 = smw_dual_planes(p, q, d1, d2, c, c, 1e-6)
+                oracle = KernelModel(
+                    x_ref=model.x_ref, w1=o1[:-1], b1=o1[-1], w2=o2[:-1],
+                    b2=o2[-1], gram_ref=k, scaling=None, config=cfg,
+                )
+                assert np.array_equal(predict_kernel(model, probe),
+                                      predict_kernel(oracle, probe))
 
     def test_duplicated_minority_rows_leave_confident_labels(self):
         x, y = make_circles(52, m1=30, m2=60)
@@ -527,10 +586,10 @@ class TestPreparedFold:
                 cfg = configs[i]
                 if want[cfg] is None:
                     with pytest.raises(ConfigurationError, match="tau"):
-                        prep.fit(cfg)
+                        prep.blocks(cfg)
                     raised += 1
                     continue
-                model = prep.fit(cfg)
+                model = fit_blocks(prep.blocks(cfg), cfg, prep.scaling)
                 arrays, outputs = want[cfg]
                 for got, exp in zip(model_arrays(model) + list(
                         predict(model, probe, return_distances=True)),
@@ -538,6 +597,61 @@ class TestPreparedFold:
                     assert got.dtype == exp.dtype
                     assert got.tobytes() == exp.tobytes()
         assert raised == 2 * len(empty)
+
+
+    def test_steps_are_bit_equal_to_the_fuzzy_rough_functions(self):
+        # scores and kept-majority weights are read off one memoised
+        # majority similarity; they must equal the standalone functions
+        # bit for bit, or CV result files would drift
+        x, y = make_blobs(91, m1=9, m2=40, spread=1.2)
+        prep = PreparedFold(x, y)
+        xs = minmax_apply(minmax_fit(x), x)
+        taus = (0.0, 0.5, 0.7)
+        kept_sizes = set()
+        for tnorm in ("minimum", "product", "lukasiewicz"):
+            for gamma in (0.8, 2.0):
+                fz = fuzzy(gamma=gamma, tnorm=tnorm)
+                scores = positive_region_scores(xs, y, fz, target_class=-1)
+                got = prep.scores(fz)
+                assert got.scores.tobytes() == scores.scores.tobytes()
+                assert np.array_equal(got.row_indices, scores.row_indices)
+                d1 = class_weights(xs[y == 1], fz)
+                for tau in taus:
+                    cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+                    try:
+                        kept = subsample_majority(scores, tau).kept_indices
+                    except ConfigurationError:
+                        with pytest.raises(ConfigurationError):
+                            prep.blocks(cfg)
+                        continue
+                    kept_sizes.add(kept.size)
+                    blocks = prep.blocks(cfg)
+                    x2hat = xs[y == -1][kept]
+                    assert np.array_equal(blocks.kept_rows,
+                                          np.flatnonzero(y == -1)[kept])
+                    assert blocks.x2hat.tobytes() == x2hat.tobytes()
+                    assert blocks.d1.tobytes() == d1.tobytes()
+                    assert (blocks.d2.tobytes()
+                            == class_weights(x2hat, fz).tobytes())
+        assert len(kept_sizes) >= 3
+
+    def test_grid_computes_each_similarity_once(self, monkeypatch):
+        calls = []
+        real = fuzzy_rough.indiscernibility_matrix
+
+        def counted(x, params):
+            calls.append(params.gamma)
+            return real(x, params)
+
+        monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix", counted)
+        x, y = make_blobs(92, m1=8, m2=30, spread=1.2)
+        prep = PreparedFold(x, y)
+        for gamma, tau, c in itertools.product((1.0, 2.0), (0.0, 0.4, 0.6),
+                                               (0.5, 2.0)):
+            cfg = TrainConfig(c1=c, c2=c, tau=tau, fuzzy=fuzzy(gamma=gamma))
+            fit_blocks(prep.blocks(cfg), cfg)
+        # one majority and one minority similarity per gamma
+        assert sorted(calls) == [1.0, 1.0, 2.0, 2.0]
 
 
 class TestSerialization:
