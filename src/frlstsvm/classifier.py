@@ -22,6 +22,13 @@ The kernel variant applies the same algebra to P = [K(X1, Xref) | 1]
 and Q = [K(X2hat, Xref) | 1] with Xref the minority rows stacked over
 the kept majority rows, so its systems have order m_ref + 1.
 
+Both kernels give one model type, TwinPlaneModel, and one predict. A
+row's features f are the scaled row itself (linear) or its kernel
+values K(row, Xref) (gaussian), and its distance to plane j is
+|f'w_j + b_j| / ||w_j||. The norm is Euclidean for a linear plane and
+sqrt(w_j' K(Xref, Xref) w_j), the length in the reproducing space, for
+a gaussian one; each plane computes it once, when it is built.
+
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
 that nested CV fits a whole grid from one object per training set;
@@ -31,16 +38,20 @@ fit_frlstsvm is one fit of a fresh PreparedFold.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import fuzzy_rough, linalg
-from .dataset import ScalingParams, LabeledDataset, minmax_apply, minmax_fit
+from .dataset import (
+    LabeledDataset,
+    ScalingParams,
+    atomic_write,
+    minmax_apply,
+    minmax_fit,
+)
 from .errors import (
     ConfigurationError,
     DataError,
@@ -111,22 +122,27 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class Hyperplane:
+    """The plane w'f + b = 0 over a row's features f. Distances to it
+    divide by `norm`, the length of w: Euclidean, or sqrt(w'Kw) when
+    built with the gram K(Xref, Xref) of a gaussian model, which is not
+    kept. A plane of norm 0 is degenerate."""
+
     w: np.ndarray
     b: float
+    gram: InitVar[np.ndarray | None] = None
+    norm: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, gram):
         self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
         self.b = float(self.b)
-        if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
+        if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise ValueError("hyperplane coefficients must be finite")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.w))
-
-    @property
-    def degenerate(self) -> bool:
-        return self.norm == 0.0
+        if gram is None:
+            # np.linalg.norm's arithmetic for a real vector, so its bits,
+            # without its call overhead
+            self.norm = math.sqrt(float(self.w.dot(self.w)))
+        else:
+            self.norm = math.sqrt(max(float(self.w @ gram @ self.w), 0.0))
 
 
 @dataclass(eq=False)
@@ -139,45 +155,29 @@ class TrainingSummary:
 
 
 @dataclass(eq=False)
-class LinearModel:
+class TwinPlaneModel:
+    """Two planes, one close to each class. A gaussian model keeps its
+    reference rows x_ref and maps rows to K(row, x_ref) before measuring
+    distances; a linear model has x_ref None."""
+
     plane1: Hyperplane
     plane2: Hyperplane
     scaling: ScalingParams | None
     config: TrainConfig
     summary: TrainingSummary | None = None
+    x_ref: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.x_ref is None) != (self.config.kernel == "linear"):
+            raise ValueError(
+                "a gaussian model needs reference rows, a linear one none"
+            )
 
     @property
     def n_features(self) -> int:
-        return self.plane1.w.shape[0]
-
-
-@dataclass(eq=False)
-class KernelModel:
-    x_ref: np.ndarray
-    w1: np.ndarray
-    b1: float
-    w2: np.ndarray
-    b2: float
-    gram_ref: np.ndarray
-    scaling: ScalingParams | None
-    config: TrainConfig
-    summary: TrainingSummary | None = None
-
-    @property
-    def n_features(self) -> int:
+        if self.x_ref is None:
+            return self.plane1.w.shape[0]
         return self.x_ref.shape[1]
-
-
-def gaussian_kernel(x, y, sigma: float) -> float:
-    """exp(-||x - y||^2 / (2 sigma^2)) for two points."""
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be > 0, got {sigma}")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d2 = float(np.sum((x - y) ** 2))
-    return math.exp(-d2 / (2.0 * sigma * sigma))
 
 
 def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
@@ -188,8 +188,13 @@ def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
     xa = linalg.as_matrix(xa, "left rows")
     xb = linalg.as_matrix(xb, "right rows")
-    d2 = cdist(xa, xb, metric="sqeuclidean")
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    # in place, one buffer: the same operations as
+    # np.exp(-d / (2 sigma^2)), so the same bits
+    d = cdist(xa, xb, metric="sqeuclidean")
+    np.negative(d, out=d)
+    np.divide(d, 2.0 * sigma * sigma, out=d)
+    np.exp(d, out=d)
+    return d
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
@@ -247,8 +252,8 @@ def _fit_planes(h: np.ndarray, g: np.ndarray, d1: np.ndarray,
     return -t1, t2, summary
 
 
-def _unpack(u: np.ndarray) -> Hyperplane:
-    return Hyperplane(w=u[:-1], b=u[-1])
+def _unpack(u: np.ndarray, gram: np.ndarray | None = None) -> Hyperplane:
+    return Hyperplane(w=u[:-1], b=u[-1], gram=gram)
 
 
 def _default_config(c1: float, c2: float, delta: float,
@@ -262,7 +267,7 @@ def _default_config(c1: float, c2: float, delta: float,
 
 def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
                delta: float = 1e-6, scaling: ScalingParams | None = None,
-               config: TrainConfig | None = None) -> LinearModel:
+               config: TrainConfig | None = None) -> TwinPlaneModel:
     """Fit both weighted hyperplanes from pre-scaled class matrices.
 
     Parameters
@@ -283,7 +288,7 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
         config = _default_config(c1, c2, delta, weighted=True)
     u1, u2, summary = _fit_planes(_augment(x1), _augment(x2hat), d1, d2,
                                   c1, c2, delta)
-    return LinearModel(
+    return TwinPlaneModel(
         plane1=_unpack(u1), plane2=_unpack(u2),
         scaling=scaling, config=config, summary=summary,
     )
@@ -291,7 +296,8 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
 
 def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
                         delta: float = 1e-6,
-                        scaling: ScalingParams | None = None) -> LinearModel:
+                        scaling: ScalingParams | None = None
+                        ) -> TwinPlaneModel:
     """Plain LSTSVM, no subsampling and no weights, via the primal
     closed forms."""
     x1, x2, _, _ = _checked_blocks(x1, x2)
@@ -309,7 +315,7 @@ def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
         m1=x1.shape[0], m2_kept=x2.shape[0], m2_total=x2.shape[0],
         solver_reports={"plane1": report1, "plane2": report2},
     )
-    return LinearModel(
+    return TwinPlaneModel(
         plane1=_unpack(-u1), plane2=_unpack(u2),
         scaling=scaling,
         config=_default_config(c1, c2, delta, weighted=False),
@@ -334,35 +340,32 @@ def _prepare_features(model, x) -> tuple[np.ndarray, bool]:
     return x2, single
 
 
-def _plane_distances(plane: Hyperplane, xs: np.ndarray) -> np.ndarray:
-    if plane.degenerate:
-        return np.full(xs.shape[0], np.inf)
-    return np.abs(xs @ plane.w + plane.b) / plane.norm
+def predict(model: TwinPlaneModel, x, return_distances: bool = False):
+    """Label each row by its nearer plane; ties go to +1.
 
-
-def predict_linear(model: LinearModel, x, return_distances: bool = False):
-    """Label each row by its nearer hyperplane; ties go to +1.
-
-    A 1-D input is treated as a single point and scalar results are
-    returned. With return_distances, per-plane distances come back too.
+    The distance to plane j is |f'w_j + b_j| / norm_j, with f the scaled
+    row, or its kernel values K(row, x_ref) for a gaussian model. A
+    degenerate plane (norm 0) is infinitely far from every row; both
+    degenerate is an error. A 1-D input is treated as a single point
+    and scalar results are returned. With return_distances, per-plane
+    distances come back too.
     """
     xs, single = _prepare_features(model, x)
-    if model.plane1.degenerate and model.plane2.degenerate:
-        raise DegenerateModelError("both hyperplanes are degenerate")
-    d1 = _plane_distances(model.plane1, xs)
-    d2 = _plane_distances(model.plane2, xs)
+    planes = (model.plane1, model.plane2)
+    if planes[0].norm == 0.0 and planes[1].norm == 0.0:
+        raise DegenerateModelError("both planes are degenerate")
+    if model.x_ref is not None:
+        xs = gaussian_gram(xs, model.x_ref, model.config.sigma)
+    d1, d2 = (np.full(xs.shape[0], np.inf) if p.norm == 0.0
+              else np.abs(xs @ p.w + p.b) / p.norm for p in planes)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
     if single:
-        if return_distances:
-            return int(labels[0]), float(d1[0]), float(d2[0])
-        return int(labels[0])
-    if return_distances:
-        return labels, d1, d2
-    return labels
+        labels, d1, d2 = int(labels[0]), float(d1[0]), float(d2[0])
+    return (labels, d1, d2) if return_distances else labels
 
 
 def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
-               scaling: ScalingParams | None = None) -> KernelModel:
+               scaling: ScalingParams | None = None) -> TwinPlaneModel:
     """Fit the Gaussian-kernel variant from pre-scaled class matrices.
 
     The reference set stacks the minority rows over the kept majority
@@ -379,48 +382,10 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
     k_ref = gaussian_gram(x_ref, x_ref, config.sigma)
     u1, u2, summary = _fit_planes(_augment(k_ref[:m1]), _augment(k_ref[m1:]),
                                   d1, d2, config.c1, config.c2, config.delta)
-    return KernelModel(
-        x_ref=x_ref, w1=u1[:-1], b1=float(u1[-1]),
-        w2=u2[:-1], b2=float(u2[-1]),
-        gram_ref=k_ref, scaling=scaling, config=config, summary=summary,
+    return TwinPlaneModel(
+        plane1=_unpack(u1, k_ref), plane2=_unpack(u2, k_ref),
+        scaling=scaling, config=config, summary=summary, x_ref=x_ref,
     )
-
-
-def _surface_distances(kx: np.ndarray, w: np.ndarray, b: float,
-                       gram_ref: np.ndarray) -> np.ndarray:
-    denom_sq = float(w @ gram_ref @ w)
-    denom = math.sqrt(max(denom_sq, 0.0))
-    if denom == 0.0 or not math.isfinite(denom):
-        return np.full(kx.shape[0], np.inf)
-    return np.abs(kx @ w + b) / denom
-
-
-def predict_kernel(model: KernelModel, x, return_distances: bool = False):
-    """Kernel-surface nearest-distance rule; ties go to +1.
-
-    The distance to surface j is |k_x' w_j + b_j| divided by the norm
-    of w_j in the reproducing space, sqrt(w_j' K(Xref, Xref) w_j).
-    """
-    xs, single = _prepare_features(model, x)
-    kx = gaussian_gram(xs, model.x_ref, model.config.sigma)
-    d1 = _surface_distances(kx, model.w1, model.b1, model.gram_ref)
-    d2 = _surface_distances(kx, model.w2, model.b2, model.gram_ref)
-    if np.all(np.isinf(d1)) and np.all(np.isinf(d2)):
-        raise DegenerateModelError("both kernel surfaces are degenerate")
-    labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
-    if single:
-        if return_distances:
-            return int(labels[0]), float(d1[0]), float(d2[0])
-        return int(labels[0])
-    if return_distances:
-        return labels, d1, d2
-    return labels
-
-
-def predict(model, x, return_distances: bool = False):
-    if isinstance(model, KernelModel):
-        return predict_kernel(model, x, return_distances)
-    return predict_linear(model, x, return_distances)
 
 
 class FitBlocks(NamedTuple):
@@ -529,9 +494,8 @@ class PreparedFold:
 def fit_blocks(blocks: FitBlocks, config: TrainConfig,
                scaling: ScalingParams | None = None):
     """Run the linear or kernel solver on prepared blocks. Returns a
-    LinearModel or KernelModel carrying `scaling` (None: predict takes
-    scaled rows), whose summary records how many majority rows
-    survived."""
+    TwinPlaneModel carrying `scaling` (None: predict takes scaled rows),
+    whose summary records how many majority rows survived."""
     if config.kernel == "gaussian":
         model = fit_kernel(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
                            config, scaling=scaling)
@@ -577,15 +541,11 @@ def _vector_line(tag: str, v: np.ndarray) -> str:
     return tag + " " + " ".join(_fmt(x) for x in np.asarray(v).reshape(-1))
 
 
-def save_model(model, path) -> None:
+def save_model(model: TwinPlaneModel, path) -> None:
     """Write the versioned text format; the write is atomic."""
-    if isinstance(model, KernelModel):
-        kind = "gaussian"
-    elif isinstance(model, LinearModel):
-        kind = "linear"
-    else:
+    if not isinstance(model, TwinPlaneModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    lines = [f"{FORMAT_TAG} {kind}"]
+    lines = [f"{FORMAT_TAG} {model.config.kernel}"]
     if model.scaling is None:
         lines += ["scaling 1", "none"]
     else:
@@ -595,38 +555,15 @@ def save_model(model, path) -> None:
             _vector_line("range", model.scaling.ranges),
         ]
     lines += _config_lines(model.config)
-    if kind == "linear":
-        lines += [
-            "planes 4",
-            _vector_line("w1", model.plane1.w),
-            f"b1 {_fmt(model.plane1.b)}",
-            _vector_line("w2", model.plane2.w),
-            f"b2 {_fmt(model.plane2.b)}",
-        ]
+    if model.x_ref is None:
+        lines.append("planes 4")
     else:
-        m_ref = model.x_ref.shape[0]
-        lines.append(f"xref {m_ref}")
-        for row in model.x_ref:
-            lines.append(" ".join(_fmt(v) for v in row))
-        lines += [
-            "coefficients 4",
-            _vector_line("w1", model.w1),
-            f"b1 {_fmt(model.b1)}",
-            _vector_line("w2", model.w2),
-            f"b2 {_fmt(model.b2)}",
-        ]
-    text = "\n".join(lines) + "\n"
-    path = str(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".model-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        lines.append(f"xref {model.x_ref.shape[0]}")
+        lines += [" ".join(_fmt(v) for v in row) for row in model.x_ref]
+        lines.append("coefficients 4")
+    for j, plane in (("1", model.plane1), ("2", model.plane2)):
+        lines += [_vector_line(f"w{j}", plane.w), f"b{j} {_fmt(plane.b)}"]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 class _Reader:
@@ -667,15 +604,23 @@ class _Reader:
             )
         return parts[1:]
 
-    def tagged_floats(self, tag: str) -> np.ndarray:
-        parts = self.tagged(tag)
+    def floats(self, parts: list[str], tag: str | None = None) -> list[float]:
+        """The parts as finite floats, or a DataError naming the line and
+        its tag (None: a reference row)."""
         try:
-            return np.asarray([float(p) for p in parts])
+            values = [float(p) for p in parts]
         except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            kind = "non-numeric" if values is None else "non-finite"
+            where = "in reference row" if tag is None else f"under {tag!r}"
             raise DataError(
-                f"{self.path}: non-numeric value under {tag!r} at line "
-                f"{self.pos}"
-            ) from None
+                f"{self.path}: {kind} value {where} at line {self.pos}"
+            )
+        return values
+
+    def tagged_floats(self, tag: str) -> np.ndarray:
+        return np.asarray(self.floats(self.tagged(tag), tag))
 
 
 def load_model(path):
@@ -740,44 +685,30 @@ def load_model(path):
             f"{config.kernel!r}"
         )
 
-    if kind == "linear":
-        if rd.section("planes") != 4:
-            raise DataError(f"{path}: planes section must have 4 lines")
-        w1 = rd.tagged_floats("w1")
-        b1 = rd.tagged_floats("b1")
-        w2 = rd.tagged_floats("w2")
-        b2 = rd.tagged_floats("b2")
-        if b1.size != 1 or b2.size != 1 or w1.size != w2.size:
-            raise DataError(f"{path}: malformed planes section")
-        return LinearModel(
-            plane1=Hyperplane(w=w1, b=float(b1[0])),
-            plane2=Hyperplane(w=w2, b=float(b2[0])),
-            scaling=scaling, config=config,
-        )
-
-    m_ref = rd.section("xref")
-    rows = []
-    for _ in range(m_ref):
-        try:
-            rows.append([float(p) for p in rd.next().split()])
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric reference row at line {rd.pos}"
-            ) from None
-    if len({len(row) for row in rows}) != 1:
-        raise DataError(f"{path}: ragged or empty reference rows")
-    x_ref = np.asarray(rows)
-    if rd.section("coefficients") != 4:
-        raise DataError(f"{path}: coefficients section must have 4 lines")
+    x_ref = None
+    section = "planes"
+    if kind == "gaussian":
+        rows = [rd.floats(rd.next().split())
+                for _ in range(rd.section("xref"))]
+        if len({len(row) for row in rows}) != 1:
+            raise DataError(f"{path}: ragged or empty reference rows")
+        x_ref = np.asarray(rows)
+        section = "coefficients"
+    if rd.section(section) != 4:
+        raise DataError(f"{path}: {section} section must have 4 lines")
     w1 = rd.tagged_floats("w1")
     b1 = rd.tagged_floats("b1")
     w2 = rd.tagged_floats("w2")
     b2 = rd.tagged_floats("b2")
-    if (w1.size != m_ref or w2.size != m_ref
-            or b1.size != 1 or b2.size != 1):
-        raise DataError(f"{path}: coefficient lengths disagree with xref")
-    return KernelModel(
-        x_ref=x_ref, w1=w1, b1=float(b1[0]), w2=w2, b2=float(b2[0]),
-        gram_ref=gaussian_gram(x_ref, x_ref, config.sigma),
-        scaling=scaling, config=config,
+    width = w1.size if x_ref is None else x_ref.shape[0]
+    if (b1.size != 1 or b2.size != 1
+            or w1.size != width or w2.size != width):
+        raise DataError(f"{path}: malformed {section} section")
+    # the gram only gives the two norms; it is not kept
+    gram = (None if x_ref is None
+            else gaussian_gram(x_ref, x_ref, config.sigma))
+    return TwinPlaneModel(
+        plane1=Hyperplane(w=w1, b=b1[0], gram=gram),
+        plane2=Hyperplane(w=w2, b=b2[0], gram=gram),
+        scaling=scaling, config=config, x_ref=x_ref,
     )

@@ -14,6 +14,7 @@ from .classifier import (
     save_model,
 )
 from .dataset import (
+    atomic_write,
     load_csv,
     load_keel,
     load_matrix_csv,
@@ -24,7 +25,6 @@ from .errors import ExperimentError, FrlstsvmError
 from .experiment import (
     CvResult,
     _aggregate,
-    atomic_write,
     format_cv_table,
     parse_config,
     run_nested_cv,

@@ -1,4 +1,5 @@
-"""Dataset loading, validation, scaling and fold planning.
+"""Dataset loading, validation, scaling, fold planning and atomic file
+writes.
 
 Labels follow one convention everywhere: +1 is the minority (positive)
 class and -1 is the majority. The loaders remap raw file labels onto
@@ -9,6 +10,8 @@ larger one.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -279,6 +282,23 @@ def load_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows)
+
+
+def atomic_write(path, text: str) -> None:
+    """Write text to path through a temporary file in the same
+    directory, so readers see the old file or the new one, never a
+    partial write."""
+    path = str(path)
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(ds: LabeledDataset, path) -> None:

@@ -14,8 +14,6 @@ results do not depend on the worker count.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -32,6 +30,7 @@ from .classifier import (
 )
 from .dataset import (
     LabeledDataset,
+    atomic_write,
     fold_rows,
     load_csv,
     load_keel,
@@ -548,20 +547,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def atomic_write(path, text: str) -> None:
-    path = str(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def cv_csv_text(result: CvResult) -> str:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's vectorized code
 paths: similarity and score oracles are plain double loops, the
 quadratic-objective oracles are a matrix-free conjugate-gradient
-descent and the Sherman-Morrison-Woodbury dual of the planes, and the
-metric oracle works in exact rational arithmetic.
+descent and the Sherman-Morrison-Woodbury dual of the planes, the
+gaussian kernel oracle is a scalar sum, and the metric oracle works in
+exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -177,6 +178,15 @@ def smw_dual_planes(x1, x2hat, d1, d2, c1: float, c2: float,
         return mbt @ np.linalg.solve(inner, np.ones(b.shape[0]))
 
     return -dual(h, g, d2, c1), dual(g, h, d1, c2)
+
+
+# -- scalar gaussian kernel oracle -------------------------------------
+
+def gaussian_kernel(x, y, sigma: float) -> float:
+    """exp(-||x - y||^2 / (2 sigma^2)) for two points, one coordinate at
+    a time: the scalar oracle for the library's gaussian_gram."""
+    d2 = sum((float(a) - float(b)) ** 2 for a, b in zip(x, y, strict=True))
+    return math.exp(-d2 / (2.0 * sigma * sigma))
 
 
 # -- rational-arithmetic metric oracle ---------------------------------

@@ -20,7 +20,6 @@ from frlstsvm.classifier import (
     fit_linear,
     fit_lstsvm_baseline,
     predict,
-    predict_linear,
 )
 from frlstsvm.dataset import (
     LabeledDataset,
@@ -156,7 +155,7 @@ def test_criterion_3_pipeline_reduction():
         baseline = fit_lstsvm_baseline(xs[y == 1], xs[y == -1], 1.0, 1.0,
                                        scaling=scaling)
         if not np.array_equal(predict(pipeline, x),
-                              predict_linear(baseline, x)):
+                              predict(baseline, x)):
             mismatches += 1
     verdict(
         3, "pipeline reduction", mismatches == 0,

@@ -1,13 +1,21 @@
 """The benchmark's tracer wraps library functions by module attribute
-(perfbench/tracer.py, SITES) before a traced run; every name it lists
-must resolve on the library, or the traced run fails before it starts."""
+(perfbench/tracer.py, SITES) before a traced run, and reads a few
+arguments and results of theirs (ATTRS) into per-layer metrics. Every
+name it lists must resolve on the library, and a traced run must still
+yield every per-layer metric that BENCHMARK.json declares."""
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from helpers import make_circles
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def traced_sites() -> dict[str, tuple[str, ...]]:
@@ -29,3 +37,54 @@ def test_every_traced_site_resolves():
         missing += [f"frlstsvm.{mod_name}.{attr}" for attr in attrs
                     if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_derives_every_per_layer_metric(tmp_path):
+    # What the benchmark's child does, in miniature: a nested CV, then a
+    # fit, save, load and predict per kernel, all under one job span.
+    # Calls go through the module attributes the tracer wraps.
+    import frlstsvm
+    from frlstsvm import classifier, dataset, experiment, fuzzy_rough
+
+    tracing = load_tracer_module()
+    x, y = make_circles(95, m1=12, m2=36)
+    ds = dataset.LabeledDataset(x, y)
+    cv_config = experiment.ExperimentConfig(
+        tau_grid=(0.0, 0.3), gamma_grid=(1.0,), c1_grid=(1.0,), folds=3,
+        repeats=1, seed=1, workers=1)
+    fit_configs = [
+        classifier.TrainConfig(c1=1.0, c2=1.0, tau=0.2,
+                               fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0),
+                               kernel=kernel, sigma=sigma)
+        for kernel, sigma in (("linear", None), ("gaussian", 0.5))
+    ]
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install(frlstsvm)
+    try:
+        with tracer.span(tracing.JOB):
+            experiment.run_nested_cv(cv_config, ds)
+            for cfg in fit_configs:
+                model = classifier.fit_frlstsvm(ds, cfg)
+                path = str(tmp_path / f"{cfg.kernel}.model")
+                classifier.save_model(model, path)
+                classifier.predict(classifier.load_model(path), x, True)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(classifier.predict, "__wrapped__")
+
+    common, _ = tracing.derive(tracer.collect())
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    # run.py computes trace.overhead_s from a traced and an untraced run
+    wanted = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_s"}
+    assert wanted - set(common) == set()
+    for name in ("classifier.fit_calls", "classifier.predict_rows",
+                 "classifier.model_bytes", "linalg.spd_solve_calls",
+                 "fuzzy_rough.similarity_calls", "experiment.grid_points"):
+        assert common[name] > 0, name

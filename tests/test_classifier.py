@@ -6,24 +6,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
     Hyperplane,
-    KernelModel,
-    LinearModel,
     PreparedFold,
     TrainConfig,
+    TwinPlaneModel,
     fit_blocks,
     fit_frlstsvm,
     fit_kernel,
     fit_linear,
     fit_lstsvm_baseline,
     gaussian_gram,
-    gaussian_kernel,
     load_model,
     predict,
-    predict_kernel,
-    predict_linear,
     save_model,
 )
 from frlstsvm.dataset import LabeledDataset, minmax_apply, minmax_fit
@@ -43,6 +40,7 @@ from frlstsvm.fuzzy_rough import (
 from helpers import (
     descent_u1,
     descent_u2,
+    gaussian_kernel,
     grad_f1,
     grad_f2,
     make_blobs,
@@ -93,17 +91,21 @@ class TestTrainConfig:
             config(delta=-1e-9)
 
 
+def kernel_value(x, y, sigma):
+    return gaussian_gram([x], [y], sigma)[0, 0]
+
+
 class TestGaussianKernel:
     def test_same_point_is_one(self):
-        assert gaussian_kernel([0.2, 0.7], [0.2, 0.7], 3.0) == 1.0
+        assert kernel_value([0.2, 0.7], [0.2, 0.7], 3.0) == 1.0
 
     def test_distance_sqrt2_sigma(self):
-        got = gaussian_kernel([0.0, 0.0], [1.0, 1.0], 1.0)
+        got = kernel_value([0.0, 0.0], [1.0, 1.0], 1.0)
         assert got == pytest.approx(math.exp(-1.0))
 
     def test_monotone_toward_one_in_sigma(self):
         x, y = np.array([0.0, 0.0]), np.array([0.4, 0.3])
-        values = [gaussian_kernel(x, y, s) for s in (0.1, 0.5, 1, 5, 50)]
+        values = [kernel_value(x, y, s) for s in (0.1, 0.5, 1, 5, 50)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.999
 
@@ -119,8 +121,9 @@ class TestGaussianKernel:
                 )
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ConfigurationError):
-            gaussian_kernel([0.0], [1.0], 0.0)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                gaussian_gram([[0.0]], [[1.0]], sigma)
 
     def test_self_gram_is_exactly_symmetric_with_unit_diagonal(self):
         # fit_kernel and load_model take the self gram as exact
@@ -131,6 +134,17 @@ class TestGaussianKernel:
                 k = gaussian_gram(x, x, sigma)
                 assert np.array_equal(k, k.T)
                 assert np.all(np.diag(k) == 1.0)
+
+    def test_in_place_gram_keeps_the_bits_of_the_expression(self):
+        # models saved before the gram was built in place must load and
+        # predict to the same bits
+        rng = np.random.default_rng(23)
+        xa = rng.uniform(0, 1, size=(40, 8))
+        xb = rng.uniform(0, 1, size=(25, 8))
+        for sigma in (0.3, 1.0, 2.5):
+            d2 = cdist(xa, xb, metric="sqeuclidean")
+            want = np.exp(-d2 / (2.0 * sigma * sigma))
+            assert gaussian_gram(xa, xb, sigma).tobytes() == want.tobytes()
 
 
 MIRROR_X1 = np.array([[1.0, 0.0]])
@@ -161,10 +175,10 @@ class TestMirrorProblem:
 
     def test_decision_examples(self):
         model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
-        assert predict_linear(model, np.array([2.0, 0.0])) == 1
-        assert predict_linear(model, np.array([-2.0, 0.0])) == -1
+        assert predict(model, np.array([2.0, 0.0])) == 1
+        assert predict(model, np.array([-2.0, 0.0])) == -1
         # equidistant by symmetry: the tie goes to the minority class
-        assert predict_linear(model, np.array([0.0, 0.0])) == 1
+        assert predict(model, np.array([0.0, 0.0])) == 1
 
     def test_descent_oracle_on_tiny_problem(self):
         model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
@@ -262,7 +276,7 @@ class TestSolverIdentities:
         xs = minmax_apply(scaling, ds.features)
         model = fit_lstsvm_baseline(xs[y == 1], xs[y == -1], 1.0, 1.0,
                                     scaling=scaling)
-        acc = float(np.mean(predict_linear(model, x) == y))
+        acc = float(np.mean(predict(model, x) == y))
         assert acc >= 0.95
 
     def test_weight_length_mismatch(self):
@@ -272,7 +286,7 @@ class TestSolverIdentities:
 
 class TestPredictLinear:
     def make_model(self, w1, b1, w2, b2):
-        return LinearModel(
+        return TwinPlaneModel(
             plane1=Hyperplane(w=np.asarray(w1, float), b=b1),
             plane2=Hyperplane(w=np.asarray(w2, float), b=b2),
             scaling=None,
@@ -283,32 +297,32 @@ class TestPredictLinear:
         rng = np.random.default_rng(44)
         base = self.make_model([1.0, -0.5], 0.2, [-0.3, 0.8], -0.1)
         xs = rng.uniform(-2, 2, size=(50, 2))
-        want = predict_linear(base, xs)
+        want = predict(base, xs)
         for c1, c2 in ((3.0, 0.5), (0.001, 7.0), (100.0, 100.0)):
             scaled = self.make_model(
                 base.plane1.w * c1, base.plane1.b * c1,
                 base.plane2.w * c2, base.plane2.b * c2,
             )
-            assert np.array_equal(predict_linear(scaled, xs), want)
+            assert np.array_equal(predict(scaled, xs), want)
 
     def test_single_degenerate_plane_loses_every_point(self):
         model = self.make_model([0.0, 0.0], 0.0, [1.0, 0.0], 0.0)
-        assert predict_linear(model, np.array([5.0, 1.0])) == -1
+        assert predict(model, np.array([5.0, 1.0])) == -1
 
     def test_both_degenerate_is_an_error(self):
         model = self.make_model([0.0], 0.0, [0.0], 0.0)
         with pytest.raises(DegenerateModelError):
-            predict_linear(model, np.array([1.0]))
+            predict(model, np.array([1.0]))
 
     def test_dimension_mismatch(self):
         model = self.make_model([1.0, 0.0], 0.0, [0.0, 1.0], 0.0)
         with pytest.raises(DataError, match="features"):
-            predict_linear(model, np.ones(3))
+            predict(model, np.ones(3))
 
     def test_distances_returned_in_order(self):
         model = self.make_model([1.0], -1.0, [1.0], 1.0)
-        label, d1, d2 = predict_linear(model, np.array([1.0]),
-                                       return_distances=True)
+        label, d1, d2 = predict(model, np.array([1.0]),
+                                return_distances=True)
         assert label == 1 and d1 == 0.0 and d2 == 2.0
 
 
@@ -324,9 +338,9 @@ class TestKernelFit:
         x1, x2, scaling = scaled_split(x, y)
         cfg = config(kernel="gaussian", sigma=0.25)
         kernel_model = fit_kernel(x1, x2, None, None, cfg, scaling=scaling)
-        kernel_acc = float(np.mean(predict_kernel(kernel_model, x) == y))
+        kernel_acc = float(np.mean(predict(kernel_model, x) == y))
         linear_model = fit_lstsvm_baseline(x1, x2, 1.0, 1.0, scaling=scaling)
-        linear_acc = float(np.mean(predict_linear(linear_model, x) == y))
+        linear_acc = float(np.mean(predict(linear_model, x) == y))
         assert kernel_acc >= 0.95
         assert linear_acc <= 0.70
 
@@ -335,8 +349,8 @@ class TestKernelFit:
         x1, x2, scaling = scaled_split(x, y)
         cfg = config(kernel="gaussian", sigma=0.25)
         model = fit_kernel(x1, x2, None, None, cfg, scaling=scaling)
-        assert predict_kernel(model, np.array([1.0, 0.0])) == 1
-        assert predict_kernel(model, np.array([3.0, 0.0])) == -1
+        assert predict(model, np.array([1.0, 0.0])) == 1
+        assert predict(model, np.array([3.0, 0.0])) == -1
 
     def test_matches_manually_assembled_closed_form(self):
         rng = np.random.default_rng(60)
@@ -355,8 +369,8 @@ class TestKernelFit:
                               q.T @ np.ones(9))
         u2 = np.linalg.solve(p.T @ p + q.T @ q + delta * eye,
                              p.T @ np.ones(6))
-        assert rel_close(np.append(model.w1, model.b1), u1, 1e-6)
-        assert rel_close(np.append(model.w2, model.b2), u2, 1e-6)
+        assert rel_close(plane_vec(model.plane1), u1, 1e-6)
+        assert rel_close(plane_vec(model.plane2), u2, 1e-6)
 
     def test_matches_smw_dual_and_zeroes_the_gradient(self):
         rng = np.random.default_rng(61)
@@ -371,19 +385,20 @@ class TestKernelFit:
                 model = fit_kernel(x1, x2, d1, d2, cfg)
                 k = gaussian_gram(model.x_ref, model.x_ref, 0.3)
                 p, q = k[:20], k[20:]
-                u1 = np.append(model.w1, model.b1)
-                u2 = np.append(model.w2, model.b2)
+                u1 = plane_vec(model.plane1)
+                u2 = plane_vec(model.plane2)
                 g1 = grad_f1(u1, p, q, d2, c, 1e-6)
                 g2 = grad_f2(u2, p, q, d1, c, 1e-6)
                 assert np.linalg.norm(g1) <= 1e-8 * (1 + np.linalg.norm(u1))
                 assert np.linalg.norm(g2) <= 1e-8 * (1 + np.linalg.norm(u2))
                 o1, o2 = smw_dual_planes(p, q, d1, d2, c, c, 1e-6)
-                oracle = KernelModel(
-                    x_ref=model.x_ref, w1=o1[:-1], b1=o1[-1], w2=o2[:-1],
-                    b2=o2[-1], gram_ref=k, scaling=None, config=cfg,
+                oracle = TwinPlaneModel(
+                    plane1=Hyperplane(w=o1[:-1], b=o1[-1], gram=k),
+                    plane2=Hyperplane(w=o2[:-1], b=o2[-1], gram=k),
+                    scaling=None, config=cfg, x_ref=model.x_ref,
                 )
-                assert np.array_equal(predict_kernel(model, probe),
-                                      predict_kernel(oracle, probe))
+                assert np.array_equal(predict(model, probe),
+                                      predict(oracle, probe))
 
     def test_duplicated_minority_rows_leave_confident_labels(self):
         x, y = make_circles(52, m1=30, m2=60)
@@ -396,8 +411,8 @@ class TestKernelFit:
             np.repeat(np.linspace(-4, 4, 15), 15),
             np.tile(np.linspace(-4, 4, 15), 15),
         ])
-        la, d1a, d2a = predict_kernel(a, grid, return_distances=True)
-        lb, d1b, d2b = predict_kernel(b, grid, return_distances=True)
+        la, d1a, d2a = predict(a, grid, return_distances=True)
+        lb, d1b, d2b = predict(b, grid, return_distances=True)
         margin_a = np.abs(d1a - d2a) / (d1a + d2a + 1e-12)
         margin_b = np.abs(d1b - d2b) / (d1b + d2b + 1e-12)
         confident = (margin_a > 0.05) & (margin_b > 0.05)
@@ -409,11 +424,15 @@ class TestKernelFit:
         x1, x2, scaling = scaled_split(x, y)
         model = fit_kernel(x1, x2, None, None,
                            config(kernel="gaussian", sigma=0.4))
-        k = model.gram_ref
+        k = gaussian_gram(model.x_ref, model.x_ref, 0.4)
         assert np.array_equal(k, k.T)
         assert np.all(np.diag(k) == 1.0)
         assert np.all(k > 0.0) and np.all(k <= 1.0)
-        assert model.w1.shape[0] == model.x_ref.shape[0]
+        for plane in (model.plane1, model.plane2):
+            assert plane.w.shape[0] == model.x_ref.shape[0]
+            # the norm each plane carries is its length in the
+            # reproducing space, sqrt(w'Kw)
+            assert plane.norm == math.sqrt(float(plane.w @ k @ plane.w))
 
     def test_requires_gaussian_config(self):
         with pytest.raises(ConfigurationError, match="gaussian"):
@@ -425,23 +444,25 @@ class TestKernelFit:
         cfg = config(kernel="gaussian", sigma=0.3)
         model = fit_kernel(x1, x2, None, None, cfg, scaling=scaling)
         xs = np.random.default_rng(1).uniform(-3, 3, size=(30, 2))
-        want = predict_kernel(model, xs)
-        boosted = KernelModel(
-            x_ref=model.x_ref, w1=model.w1 * 9.0, b1=model.b1 * 9.0,
-            w2=model.w2 * 0.125, b2=model.b2 * 0.125,
-            gram_ref=model.gram_ref, scaling=model.scaling,
-            config=cfg,
+        want = predict(model, xs)
+        k = gaussian_gram(model.x_ref, model.x_ref, 0.3)
+        p1, p2 = model.plane1, model.plane2
+        boosted = TwinPlaneModel(
+            plane1=Hyperplane(w=p1.w * 9.0, b=p1.b * 9.0, gram=k),
+            plane2=Hyperplane(w=p2.w * 0.125, b=p2.b * 0.125, gram=k),
+            scaling=model.scaling, config=cfg, x_ref=model.x_ref,
         )
-        assert np.array_equal(predict_kernel(boosted, xs), want)
+        assert np.array_equal(predict(boosted, xs), want)
 
     def test_degenerate_kernel_surfaces(self):
-        model = KernelModel(
-            x_ref=np.zeros((2, 1)), w1=np.zeros(2), b1=0.0,
-            w2=np.zeros(2), b2=0.0, gram_ref=np.eye(2), scaling=None,
-            config=config(kernel="gaussian", sigma=1.0),
+        model = TwinPlaneModel(
+            plane1=Hyperplane(w=np.zeros(2), b=0.0, gram=np.eye(2)),
+            plane2=Hyperplane(w=np.zeros(2), b=0.0, gram=np.eye(2)),
+            scaling=None, config=config(kernel="gaussian", sigma=1.0),
+            x_ref=np.zeros((2, 1)),
         )
         with pytest.raises(DegenerateModelError):
-            predict_kernel(model, np.array([0.5]))
+            predict(model, np.array([0.5]))
 
 
 class TestPipeline:
@@ -460,7 +481,7 @@ class TestPipeline:
                          1e-6)
         probe = np.random.default_rng(2).uniform(-4, 4, size=(40, 2))
         assert np.array_equal(predict(pipe, probe),
-                              predict_linear(base, probe))
+                              predict(base, probe))
 
     def test_subsampling_with_tau_zero_also_reduces(self):
         x, y = make_blobs(71, m1=10, m2=30)
@@ -530,13 +551,23 @@ class TestPipeline:
         acc = float(np.mean(predict(model, x) == y))
         assert acc >= 0.9
 
+    def test_empty_batch_gives_empty_arrays(self):
+        ds = LabeledDataset(*make_circles(77, m1=10, m2=20))
+        empty = np.empty((0, 2))
+        for cfg in (config(tau=0.1),
+                    config(tau=0.1, kernel="gaussian", sigma=0.3)):
+            model = fit_frlstsvm(ds, cfg)
+            labels = predict(model, empty)
+            assert labels.shape == (0,) and labels.dtype == np.int64
+            labels, d1, d2 = predict(model, empty, return_distances=True)
+            assert labels.shape == d1.shape == d2.shape == (0,)
+
 
 def model_arrays(model) -> list[np.ndarray]:
-    if isinstance(model, KernelModel):
-        coeffs = [model.x_ref, model.w1, model.b1, model.w2, model.b2]
-    else:
-        coeffs = [model.plane1.w, model.plane1.b,
-                  model.plane2.w, model.plane2.b]
+    coeffs = [model.plane1.w, model.plane1.b, model.plane1.norm,
+              model.plane2.w, model.plane2.b, model.plane2.norm]
+    if model.x_ref is not None:
+        coeffs.append(model.x_ref)
     return [np.asarray(a) for a in coeffs] + [
         model.summary.kept_majority_rows]
 
@@ -669,11 +700,16 @@ class TestSerialization:
         path = str(tmp_path / "linear.model")
         save_model(model, path)
         back = load_model(path)
-        assert isinstance(back, LinearModel)
+        assert isinstance(back, TwinPlaneModel) and back.x_ref is None
         assert np.array_equal(back.plane1.w, model.plane1.w)
         assert back.plane1.b == model.plane1.b
         assert np.array_equal(back.plane2.w, model.plane2.w)
         assert back.plane2.b == model.plane2.b
+        assert back.plane1.norm == model.plane1.norm
+        assert back.plane2.norm == model.plane2.norm
+        # the same bits as numpy's Euclidean norm
+        for plane in (back.plane1, back.plane2):
+            assert plane.norm == float(np.linalg.norm(plane.w))
         assert np.array_equal(back.scaling.mins, model.scaling.mins)
         assert back.config.c1 == model.config.c1
         assert back.config.fuzzy.gamma == model.config.fuzzy.gamma
@@ -684,10 +720,13 @@ class TestSerialization:
         path = str(tmp_path / "kernel.model")
         save_model(model, path)
         back = load_model(path)
-        assert isinstance(back, KernelModel)
+        assert isinstance(back, TwinPlaneModel)
         assert np.array_equal(back.x_ref, model.x_ref)
-        assert np.array_equal(back.w1, model.w1)
-        assert np.array_equal(back.gram_ref, model.gram_ref)
+        assert np.array_equal(back.plane1.w, model.plane1.w)
+        assert np.array_equal(back.plane2.w, model.plane2.w)
+        # the norms are recomputed from the reference rows on load
+        assert back.plane1.norm == model.plane1.norm
+        assert back.plane2.norm == model.plane2.norm
         assert back.config.sigma == model.config.sigma
         assert np.array_equal(predict(back, x), predict(model, x))
 
@@ -740,6 +779,31 @@ class TestSerialization:
         lines[row + 3] = lines[row + 3].rsplit(" ", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="reference rows"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("kind,tag", [
+        ("linear", "min"), ("linear", "range"), ("linear", "w1"),
+        ("linear", "b2"), ("gaussian", "min"), ("gaussian", "w2"),
+        ("gaussian", "b1"), ("gaussian", "xref"),
+    ])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values(self, tmp_path, kind, tag, bad):
+        # scaling, plane and reference-row sections alike: a value that
+        # parses as a float but is not finite names its line
+        maker = self.linear_model if kind == "linear" else self.kernel_model
+        model, _ = maker()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        row = [i for i, ln in enumerate(lines) if ln.split()[0] == tag][0]
+        if tag == "xref":
+            row += 1
+        parts = lines[row].split()
+        parts[-1] = bad
+        lines[row] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match=f"non-finite value .* at line {row + 1}$"):
             load_model(str(path))
 
     def test_missing_file(self, tmp_path):

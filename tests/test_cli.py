@@ -10,7 +10,7 @@ import pytest
 from frlstsvm.classifier import (
     fit_lstsvm_baseline,
     load_model,
-    predict_linear,
+    predict,
 )
 from frlstsvm.cli import main
 from frlstsvm.dataset import (
@@ -82,7 +82,7 @@ class TestTrainEval:
         xs = minmax_apply(scaling, x)
         baseline = fit_lstsvm_baseline(xs[y == 1], xs[y == -1], 1.0, 1.0,
                                        scaling=scaling)
-        want = report(confusion(y, predict_linear(baseline, x)))
+        want = report(confusion(y, predict(baseline, x)))
         lines = metrics_out.read_text().splitlines()
         assert lines[0] == "dataset,config,acc,sen,spe,gmean,convention"
         cells = lines[1].split(",")
