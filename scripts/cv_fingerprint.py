@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Write the result files that a performance change must keep byte for
+byte.
+
+    python3 scripts/cv_fingerprint.py OUTDIR
+
+On the seeded pima-shaped data of perfbench/datagen.py (seed 1) it
+writes, for each config in CONFIGS, the nested-CV result files
+cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For a
+linear and a gaussian fit it also writes the saved model file and
+predict(..., return_distances=True) on 500 held-out rows. The configs
+are the criterion-5 linear grid (10 outer x 9 inner folds), a small
+gaussian grid, the linear grid without subsampling and weights and in
+lower_approx score mode, and grids without tau 0 for each t-norm and
+score mode.
+
+The library comes from the src/ beside this script. To compare two
+commits, run the script in a checkout of each (copy it into a checkout
+that predates it) and compare the two directories byte for byte:
+
+    diff -r OUT_PARENT OUT_CHANGE && echo identical
+
+It uses one process; set OMP_NUM_THREADS=1 (or the BLAS library's own
+thread variable) on both sides, since a different BLAS thread count
+can change the last bits of a solve.
+"""
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from frlstsvm.classifier import (  # noqa: E402
+    TrainConfig,
+    fit_frlstsvm,
+    predict,
+    save_model,
+)
+from frlstsvm.dataset import LabeledDataset  # noqa: E402
+from frlstsvm.experiment import (  # noqa: E402
+    ExperimentConfig,
+    cv_csv_text,
+    cv_jsonl_text,
+    run_nested_cv,
+)
+from frlstsvm.fuzzy_rough import FuzzyParams  # noqa: E402
+
+SHAPE = "pima"
+SEED = 1
+PROBE_ROWS = 500
+
+_LINEAR_GRID = dict(tau_grid=(0.0, 0.2, 0.4), gamma_grid=(0.5, 1.0),
+                    c1_grid=(0.25, 1.0, 4.0), folds=10, inner_folds=9)
+
+# Inner selection picks tau 0 on every outer fold of the linear grid,
+# so its records never show a subsample; the grids without tau 0 put
+# the subsample and each score mode and t-norm into the records.
+_SUBSAMPLED = dict(_LINEAR_GRID, tau_grid=(0.2, 0.4), gamma_grid=(1.0,))
+
+# name -> ExperimentConfig fields; every config runs one repeat, seed 1,
+# in one process
+CONFIGS = {
+    "linear": _LINEAR_GRID,
+    "gaussian": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
+                     gamma_grid=(1.0,), c1_grid=(1.0,),
+                     sigma_grid=(1.0, 2.0), folds=5),
+    "nosubsample_noweights": dict(_LINEAR_GRID, subsample_enabled=False,
+                                  weights_enabled=False),
+    "lower_approx": dict(_LINEAR_GRID, score_mode="lower_approx"),
+    "subsampled": _SUBSAMPLED,
+    "subsampled_lower_approx": dict(_SUBSAMPLED, score_mode="lower_approx"),
+    "subsampled_product": dict(_SUBSAMPLED, tnorm="product"),
+    "subsampled_lukasiewicz": dict(_SUBSAMPLED, tnorm="lukasiewicz"),
+}
+
+# name -> (kernel, sigma) of the single fits, at tau 0.2, gamma 1, c 1
+FITS = {"fit_linear": ("linear", None), "fit_gaussian": ("gaussian", 1.0)}
+
+
+def _datagen():
+    """perfbench/datagen.py, imported by path: perfbench is not a
+    package."""
+    path = REPO_ROOT / "perfbench" / "datagen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_datagen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_fingerprint(outdir, configs=None) -> list[Path]:
+    """Write every fingerprint file into outdir (created if absent) and
+    return their paths. configs maps a name to ExperimentConfig fields;
+    None means CONFIGS."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    datagen = _datagen()
+    ds = LabeledDataset(*datagen.make_dataset(SHAPE, SEED))
+    probe, _ = datagen.make_batch(SHAPE, SEED, PROBE_ROWS)
+    written = []
+
+    def write(name: str, text: str) -> None:
+        path = outdir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
+
+    for name, fields in (CONFIGS if configs is None else configs).items():
+        config = ExperimentConfig(repeats=1, seed=SEED, workers=1, **fields)
+        result = run_nested_cv(config, ds)
+        write(f"{name}.csv", cv_csv_text(result))
+        write(f"{name}.jsonl", cv_jsonl_text(result))
+    for name, (kernel, sigma) in FITS.items():
+        model = fit_frlstsvm(ds, TrainConfig(
+            c1=1.0, c2=1.0, tau=0.2, fuzzy=FuzzyParams(gamma=1.0),
+            kernel=kernel, sigma=sigma))
+        save_model(model, outdir / f"{name}.model")
+        written.append(outdir / f"{name}.model")
+        labels, d1, d2 = predict(model, probe, return_distances=True)
+        write(f"{name}.predict", "".join(
+            f"{label} {a!r} {b!r}\n"
+            for label, a, b in zip(labels.tolist(), d1.tolist(),
+                                   d2.tolist())))
+    return written
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: python3 scripts/cv_fingerprint.py OUTDIR",
+              file=sys.stderr)
+        return 2
+    for path in write_fingerprint(argv[0]):
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

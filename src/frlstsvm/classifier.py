@@ -72,6 +72,9 @@ KERNELS = ("linear", "gaussian")
 
 FORMAT_TAG = "FRLSTSVM/1"
 
+# entries in one row block of the kept x kept similarity (1 MiB)
+_KEPT_BLOCK_ENTRIES = 1 << 17
+
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
@@ -452,7 +455,7 @@ class PreparedFold:
                 return positive_region_scores(self.xs, self.labels, fuzzy,
                                               target_class=-1)
             return PositiveRegionScores(
-                scores=mean_similarity(self._similarity(fuzzy)),
+                scores=mean_similarity(self._similarity(fuzzy).sum(axis=1)),
                 mode=fuzzy.score_mode, params=fuzzy,
                 row_indices=self.maj_rows,
             )
@@ -469,12 +472,18 @@ class PreparedFold:
     def _kept_weights(self, fuzzy: FuzzyParams,
                       kept: np.ndarray) -> np.ndarray:
         """class_weights of the kept majority rows, read off the whole
-        majority's similarity: the same values summed in the same
-        order, so the same bits."""
+        majority's similarity without copying its kept x kept block:
+        each row block of that block holds the same contiguous rows, so
+        its row sums, and the weights, have the same bits."""
         sim = self._similarity(fuzzy)
-        if kept.size < sim.shape[0]:
-            sim = sim[np.ix_(kept, kept)]
-        return mean_similarity(sim, WEIGHT_FLOOR)
+        if kept.size == sim.shape[0]:
+            return mean_similarity(sim.sum(axis=1), WEIGHT_FLOOR)
+        step = max(1, _KEPT_BLOCK_ENTRIES // kept.size)
+        sums = np.concatenate([
+            sim[np.ix_(kept[i:i + step], kept)].sum(axis=1)
+            for i in range(0, kept.size, step)
+        ])
+        return mean_similarity(sums, WEIGHT_FLOOR)
 
     def blocks(self, config: TrainConfig) -> FitBlocks:
         """Subsample the majority at tau and weight both classes."""
@@ -623,6 +632,17 @@ class _Reader:
         return np.asarray(self.floats(self.tagged(tag), tag))
 
 
+def _check_width(path: str, section: str, width: int,
+                 scaling: ScalingParams | None) -> None:
+    """A model's feature count must match its scaling section, or every
+    predict on it fails."""
+    if scaling is not None and width != scaling.mins.size:
+        raise DataError(
+            f"{path}: {section} section has {width} features, the "
+            f"scaling section {scaling.mins.size}"
+        )
+
+
 def load_model(path):
     """Read a model file written by save_model."""
     path = str(path)
@@ -693,6 +713,7 @@ def load_model(path):
         if len({len(row) for row in rows}) != 1:
             raise DataError(f"{path}: ragged or empty reference rows")
         x_ref = np.asarray(rows)
+        _check_width(path, "xref", x_ref.shape[1], scaling)
         section = "coefficients"
     if rd.section(section) != 4:
         raise DataError(f"{path}: {section} section must have 4 lines")
@@ -704,6 +725,8 @@ def load_model(path):
     if (b1.size != 1 or b2.size != 1
             or w1.size != width or w2.size != width):
         raise DataError(f"{path}: malformed {section} section")
+    if x_ref is None:
+        _check_width(path, section, width, scaling)
     # the gram only gives the two norms; it is not kept
     gram = (None if x_ref is None
             else gaussian_gram(x_ref, x_ref, config.sigma))

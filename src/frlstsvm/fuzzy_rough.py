@@ -4,6 +4,16 @@ instance weights.
 All routines expect features already scaled to [0, 1], so every
 attribute range l(a) is 1 and the similarity of two instances under one
 attribute is max(0, 1 - gamma * |ax - ay|).
+
+Under the minimum t-norm the similarity of two rows is the smallest of
+those attribute terms, and it is computed as one Chebyshev (L-infinity)
+distance: max(0, 1 - gamma * max_a |ax - ay|). The bits are exact, not
+approximate. Each rounded step, d -> gamma*d -> 1 - gamma*d -> max(0, .),
+is monotone in d, so the smallest term is the term of the largest
+|ax - ay|; cdist takes that maximum over the same IEEE differences the
+per-attribute form takes; and d*(-gamma) + 1, the in-place form, equals
+1 - gamma*d in IEEE arithmetic. The product and lukasiewicz t-norms
+fold the attribute terms one at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError
 
@@ -19,16 +30,6 @@ WEIGHT_FLOOR = 1e-6
 T_NORMS = ("minimum", "product", "lukasiewicz")
 IMPLICATORS = ("lukasiewicz", "kleene_dienes")
 SCORE_MODES = ("density", "lower_approx")
-
-
-def _tnorm_pair(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if name == "minimum":
-        return np.minimum(a, b)
-    if name == "product":
-        return a * b
-    if name == "lukasiewicz":
-        return np.maximum(0.0, a + b - 1.0)
-    raise ConfigurationError(f"unknown t-norm {name!r}")
 
 
 def _implicator_pair(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,6 +84,13 @@ class SubsampleResult:
     tau: float
 
 
+def _attribute_terms(d: np.ndarray, gamma: float) -> np.ndarray:
+    """max(0, 1 - gamma * d) in place over an array of distances d."""
+    d *= -gamma
+    d += 1.0
+    return np.maximum(d, 0.0, out=d)
+
+
 def _cross_similarity(xa: np.ndarray, xb: np.ndarray,
                       params: FuzzyParams) -> np.ndarray:
     """Pairwise similarity between the rows of two scaled matrices,
@@ -91,15 +99,29 @@ def _cross_similarity(xa: np.ndarray, xb: np.ndarray,
     xb = np.asarray(xb, dtype=np.float64)
     if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
         raise ValueError("matrices must be 2-D with equal column counts")
-    out = None
-    for a in range(xa.shape[1]):
-        s = np.maximum(
-            0.0, 1.0 - params.gamma * np.abs(xa[:, a:a + 1] - xb[None, :, a])
-        )
-        out = s if out is None else _tnorm_pair(params.tnorm, out, s)
-    if out is None:
+    shape = (xa.shape[0], xb.shape[0])
+    if xa.shape[1] == 0:
         # zero attributes: every pair is vacuously identical
-        out = np.ones((xa.shape[0], xb.shape[0]))
+        return np.ones(shape)
+    if params.tnorm == "minimum":
+        return _attribute_terms(cdist(xa, xb, "chebyshev"), params.gamma)
+
+    def term(a: int, buf: np.ndarray) -> np.ndarray:
+        np.subtract(xa[:, a:a + 1], xb[None, :, a], out=buf)
+        np.abs(buf, out=buf)
+        return _attribute_terms(buf, params.gamma)
+
+    # two m x m buffers: the running t-norm and the next attribute term
+    out = term(0, np.empty(shape))
+    s = np.empty(shape)
+    for a in range(1, xa.shape[1]):
+        term(a, s)
+        if params.tnorm == "product":
+            out *= s
+        else:  # lukasiewicz: max(0, out + s - 1)
+            out += s
+            out -= 1.0
+            np.maximum(out, 0.0, out=out)
     return out
 
 
@@ -116,14 +138,14 @@ def indiscernibility_matrix(x, params: FuzzyParams) -> np.ndarray:
     return _cross_similarity(x, x, params)
 
 
-def mean_similarity(sim: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Each row's mean similarity to the other rows of a self-similarity
-    matrix with a unit diagonal, (row sum - 1) / (p - 1), clipped to
-    [floor, 1]; a single row gets 1."""
-    p = sim.shape[0]
+def mean_similarity(row_sums: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Each row's mean similarity to the other rows, from the p row sums
+    of a p x p self-similarity matrix with a unit diagonal:
+    (row sum - 1) / (p - 1), clipped to [floor, 1]; a single row gets 1."""
+    p = row_sums.shape[0]
     if p == 1:
         return np.ones(1)
-    return np.clip((sim.sum(axis=1) - 1.0) / (p - 1), floor, 1.0)
+    return np.clip((row_sums - 1.0) / (p - 1), floor, 1.0)
 
 
 def positive_region_scores(x_all, labels, params: FuzzyParams,
@@ -149,7 +171,7 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
         )
     if params.score_mode == "density":
         block = indiscernibility_matrix(x_all[target_rows], params)
-        scores = mean_similarity(block)
+        scores = mean_similarity(block.sum(axis=1))
     else:
         cross = _cross_similarity(x_all[target_rows], x_all, params)
         concept = (labels == target_class).astype(np.float64)
@@ -196,4 +218,4 @@ def class_weights(x_class, params: FuzzyParams) -> np.ndarray:
     of the whole majority instead (see classifier.PreparedFold).
     """
     sim = indiscernibility_matrix(x_class, params)
-    return mean_similarity(sim, WEIGHT_FLOOR)
+    return mean_similarity(sim.sum(axis=1), WEIGHT_FLOOR)

@@ -1,7 +1,8 @@
 """Shared test helpers: independent oracles and data generators.
 
 The oracles here deliberately avoid the library's vectorized code
-paths: similarity and score oracles are plain double loops, the
+paths: similarity and score oracles are plain double loops or, for
+bit-exact checks, the per-attribute similarity loop, the
 quadratic-objective oracles are a matrix-free conjugate-gradient
 descent and the Sherman-Morrison-Woodbury dual of the planes, the
 gaussian kernel oracle is a scalar sum, and the metric oracle works in
@@ -80,6 +81,55 @@ def brute_lower_approx_scores(x_all: np.ndarray, labels: np.ndarray,
             best = min(best, v)
         out.append(best)
     return out
+
+
+# -- per-attribute similarity oracle ------------------------------------
+# The library's similarity before the minimum t-norm became one
+# Chebyshev distance: one m x m term per attribute, t-normed in
+# ascending column order. Its arithmetic is the reference the library
+# must match bit for bit.
+
+def loop_tnorm_pair(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if name == "minimum":
+        return np.minimum(a, b)
+    if name == "product":
+        return a * b
+    if name == "lukasiewicz":
+        return np.maximum(0.0, a + b - 1.0)
+    raise ValueError(f"unknown t-norm {name!r}")
+
+
+def loop_similarity(xa: np.ndarray, xb: np.ndarray, gamma: float,
+                    tnorm: str) -> np.ndarray:
+    xa = np.asarray(xa, dtype=np.float64)
+    xb = np.asarray(xb, dtype=np.float64)
+    out = None
+    for a in range(xa.shape[1]):
+        s = np.maximum(
+            0.0, 1.0 - gamma * np.abs(xa[:, a:a + 1] - xb[None, :, a])
+        )
+        out = s if out is None else loop_tnorm_pair(tnorm, out, s)
+    if out is None:
+        # zero attributes: every pair is vacuously identical
+        out = np.ones((xa.shape[0], xb.shape[0]))
+    return out
+
+
+def loop_lower_approx_scores(x_all: np.ndarray, labels: np.ndarray,
+                             target: int, gamma: float, tnorm: str,
+                             implicator: str) -> np.ndarray:
+    """lower_approx scores of the target class over loop_similarity,
+    in the library's vectorised arithmetic."""
+    rows = np.flatnonzero(labels == target)
+    cross = loop_similarity(x_all[rows], x_all, gamma, tnorm)
+    concept = (labels == target).astype(np.float64)[None, :]
+    if implicator == "lukasiewicz":
+        memberships = np.minimum(1.0, 1.0 - cross + concept)
+    elif implicator == "kleene_dienes":
+        memberships = np.maximum(1.0 - cross, concept)
+    else:
+        raise ValueError(implicator)
+    return np.clip(memberships.min(axis=1), 0.0, 1.0)
 
 
 # -- matrix-free descent oracle for the weighted quadratics ------------

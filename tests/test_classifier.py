@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
+    _KEPT_BLOCK_ENTRIES,
     Hyperplane,
     PreparedFold,
     TrainConfig,
@@ -666,6 +668,46 @@ class TestPreparedFold:
                             == class_weights(x2hat, fz).tobytes())
         assert len(kept_sizes) >= 3
 
+    def test_blocked_kept_weights_are_bit_equal_to_class_weights(self):
+        # a 900-row majority: a strict subset of it spans several row
+        # blocks of the kept x kept similarity
+        x, y = make_blobs(93, m1=40, m2=900, spread=1.2)
+        prep = PreparedFold(x, y)
+        fz = fuzzy(gamma=2.0)
+        scores = prep.scores(fz).scores
+        sizes = []
+        for tau in (float(scores.max()), 0.0,
+                    float(np.quantile(scores, 0.25))):
+            cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+            blocks = prep.blocks(cfg)
+            assert (blocks.d2.tobytes()
+                    == class_weights(blocks.x2hat, fz).tobytes())
+            sizes.append(blocks.x2hat.shape[0])
+        assert sizes[:2] == [1, 900] and 1 < sizes[2] < 900
+        assert sizes[2] ** 2 > 3 * _KEPT_BLOCK_ENTRIES
+
+    def test_blocks_peak_memory_is_the_similarity(self):
+        # an abalone19-sized majority (4142 x 8): the similarity itself
+        # is the only m2 x m2 array that blocks() allocates
+        rng = np.random.default_rng(96)
+        m1, m2 = 32, 4142
+        x = np.vstack([rng.normal(0.55, 0.05, size=(m1, 8)),
+                       rng.normal(0.2, 0.04, size=(m2, 8))])
+        x[m1 + rng.permutation(m2)[:m2 // 3], rng.integers(0, 8)] += 0.5
+        y = np.array([1] * m1 + [-1] * m2)
+        fz = fuzzy(gamma=1.0)
+        tau = float(np.median(PreparedFold(x, y).scores(fz).scores))
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+        prep = PreparedFold(x, y)
+        tracemalloc.start()
+        try:
+            blocks = prep.blocks(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < blocks.x2hat.shape[0] < m2
+        assert peak < m2 * m2 * 8 + 16 * 2 ** 20
+
     def test_grid_computes_each_similarity_once(self, monkeypatch):
         calls = []
         real = fuzzy_rough.indiscernibility_matrix
@@ -805,6 +847,51 @@ class TestSerialization:
         with pytest.raises(DataError,
                            match=f"non-finite value .* at line {row + 1}$"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_rejects_width_that_disagrees_with_scaling(self, tmp_path,
+                                                       kind):
+        # one column fewer in the planes (linear) or in every reference
+        # row (gaussian) than in the scaling section: every predict on
+        # such a model would fail, so loading does
+        maker = self.linear_model if kind == "linear" else self.kernel_model
+        model, _ = maker()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        if kind == "linear":
+            section = "planes"
+            edit = [i for i, ln in enumerate(lines)
+                    if ln.split()[0] in ("w1", "w2")]
+        else:
+            section = "xref"
+            start = lines.index(f"xref {model.x_ref.shape[0]}") + 1
+            edit = range(start, start + model.x_ref.shape[0])
+        for i in edit:
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{section} section has 1 "
+                                            "features, the scaling "
+                                            "section 2"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_accepts_a_file_without_scaling(self, tmp_path, kind):
+        # "scaling 1 / none" gives no width to check: the model takes
+        # rows already scaled
+        maker = self.linear_model if kind == "linear" else self.kernel_model
+        model, x = maker()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        assert [ln.split()[0] for ln in lines[1:4]] == [
+            "scaling", "min", "range"]
+        lines[1:4] = ["scaling 1", "none"]
+        path.write_text("\n".join(lines) + "\n")
+        back = load_model(str(path))
+        assert back.scaling is None
+        xs = minmax_apply(model.scaling, x)
+        assert np.array_equal(predict(back, xs), predict(model, x))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -1,0 +1,46 @@
+"""Smoke test of scripts/cv_fingerprint.py, the byte-identity check
+that performance changes run against their parent commit."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+from frlstsvm.classifier import load_model
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
+    "cv_fingerprint.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("cv_fingerprint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_writes_cv_files_models_and_predictions(tmp_path):
+    script = load_script()
+    smoke = {"smoke": dict(tau_grid=(0.0, 0.2), gamma_grid=(1.0,),
+                           c1_grid=(1.0,), folds=3, inner_folds=2)}
+    written = script.write_fingerprint(tmp_path / "out", smoke)
+    names = sorted(p.name for p in written)
+    assert names == sorted(
+        ["smoke.csv", "smoke.jsonl"]
+        + [f"{fit}.{ext}" for fit in script.FITS
+           for ext in ("model", "predict")])
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == names
+    csv = (out / "smoke.csv").read_text().splitlines()
+    assert csv[0].startswith("repeat,fold,")
+    assert [ln.split(",")[1] for ln in csv[1:4]] == ["0", "1", "2"]
+    assert len((out / "smoke.jsonl").read_text().splitlines()) >= 3
+    for fit in script.FITS:
+        load_model(out / f"{fit}.model")
+        rows = (out / f"{fit}.predict").read_text().splitlines()
+        assert len(rows) == script.PROBE_ROWS
+        assert rows[0].split()[0] in ("1", "-1")
+
+
+def test_usage_without_an_output_directory(capsys):
+    assert load_script().main([]) == 2
+    assert "usage" in capsys.readouterr().err

@@ -7,9 +7,12 @@ import pytest
 from frlstsvm.dataset import ScalingParams, minmax_apply, minmax_fit
 from frlstsvm.errors import ConfigurationError, DataError
 from frlstsvm.fuzzy_rough import (
+    IMPLICATORS,
+    T_NORMS,
     WEIGHT_FLOOR,
     FuzzyParams,
     PositiveRegionScores,
+    _cross_similarity,
     class_weights,
     indiscernibility_matrix,
     positive_region_scores,
@@ -17,7 +20,8 @@ from frlstsvm.fuzzy_rough import (
 )
 
 from helpers import brute_density_scores, brute_lower_approx_scores, \
-    brute_pair_sim, dyadic_matrix
+    brute_pair_sim, dyadic_matrix, loop_lower_approx_scores, \
+    loop_similarity
 
 
 def params(gamma=1.0, **kw):
@@ -144,6 +148,60 @@ class TestIndiscernibility:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             indiscernibility_matrix(np.zeros((0, 2)), params())
+
+
+ORACLE_GAMMAS = (0.05, 0.5, 1.0, 1.7, 3.0)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSimilarityMatchesLoopOracle:
+    """The library's similarity (one Chebyshev distance for the minimum
+    t-norm, an in-place fold for the others) has the bits of the
+    per-attribute loop in tests/helpers.py."""
+
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    @pytest.mark.parametrize("width", [0, 1, 2, 5, 13])
+    def test_cross_similarity_is_bit_equal(self, tnorm, width):
+        rng = np.random.default_rng(40 + width)
+        xa = rng.uniform(0, 1, size=(23, width))
+        xb = rng.uniform(0, 1, size=(31, width))
+        xb[:4] = xa[:4]
+        if width > 1:
+            # tied columns: two attributes give the same term
+            xa[:, -1] = xa[:, 0]
+            xb[:, -1] = xb[:, 0]
+        for gamma in ORACLE_GAMMAS:
+            p = params(gamma=gamma, tnorm=tnorm)
+            for a, b in ((xa, xb), (xb, xa), (xa, xa)):
+                assert_same_bits(_cross_similarity(a, b, p),
+                                 loop_similarity(a, b, gamma, tnorm))
+
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    def test_gamma_that_zeroes_every_distinct_pair(self, tnorm):
+        # distinct rows on a 1/64 grid differ by at least 1/64 in some
+        # attribute, so gamma 64 zeroes every off-diagonal pair
+        rng = np.random.default_rng(47)
+        x = np.unique(dyadic_matrix(rng, 60, 4, denom=64), axis=0)
+        sim = indiscernibility_matrix(x, params(gamma=64.0, tnorm=tnorm))
+        assert_same_bits(sim, loop_similarity(x, x, 64.0, tnorm))
+        assert_same_bits(sim, np.eye(x.shape[0]))
+
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    @pytest.mark.parametrize("implicator", IMPLICATORS)
+    def test_lower_approx_scores_are_bit_equal(self, tnorm, implicator):
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0, 1, size=(70, 5))
+        labels = np.where(rng.uniform(size=70) < 0.3, 1, -1)
+        for gamma in ORACLE_GAMMAS:
+            p = params(gamma=gamma, tnorm=tnorm, implicator=implicator,
+                       score_mode="lower_approx")
+            got = positive_region_scores(x, labels, p, target_class=-1)
+            assert_same_bits(got.scores, loop_lower_approx_scores(
+                x, labels, -1, gamma, tnorm, implicator))
 
 
 def lower_approx(x, labels, implicator="lukasiewicz"):
