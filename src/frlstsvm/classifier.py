@@ -61,6 +61,7 @@ from .fuzzy_rough import (
     WEIGHT_FLOOR,
     FuzzyParams,
     PositiveRegionScores,
+    check_tau,
     class_weights,
     mean_similarity,
     positive_region_scores,
@@ -102,10 +103,7 @@ class TrainConfig:
             raise ConfigurationError(
                 f"delta must be >= 0, got {self.delta}"
             )
-        if not (np.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
-            raise ConfigurationError(
-                f"tau must be in [0, 1], got {self.tau}"
-            )
+        check_tau(self.tau)
         if self.kernel not in KERNELS:
             raise ConfigurationError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
@@ -456,8 +454,7 @@ class PreparedFold:
                                               target_class=-1)
             return PositiveRegionScores(
                 scores=mean_similarity(self._similarity(fuzzy).sum(axis=1)),
-                mode=fuzzy.score_mode, params=fuzzy,
-                row_indices=self.maj_rows,
+                params=fuzzy, row_indices=self.maj_rows,
             )
         return self._cached(("scores", fuzzy), compute)
 
@@ -537,7 +534,9 @@ def _config_lines(cfg: TrainConfig) -> list[str]:
         f"tau {_fmt(cfg.tau)}",
         f"gamma {_fmt(cfg.fuzzy.gamma)}",
         f"tnorm {cfg.fuzzy.tnorm}",
-        f"implicator {cfg.fuzzy.implicator}",
+        # kept so that the format is unchanged: every implicator gives
+        # the same lower_approx scores (see fuzzy_rough)
+        "implicator lukasiewicz",
         f"score_mode {cfg.fuzzy.score_mode}",
         f"kernel {cfg.kernel}",
         f"sigma {sigma}",
@@ -684,20 +683,29 @@ def load_model(path):
         if len(parts) != 2:
             raise DataError(f"{path}: malformed config line {rd.pos}")
         raw[parts[0]] = parts[1].strip()
+
+    def choice(key: str, allowed: tuple[str, ...]) -> str:
+        if raw[key] not in allowed:
+            raise ValueError(f"config line {key!r} must be one of "
+                             f"{', '.join(allowed)}, got {raw[key]!r}")
+        return raw[key]
+
     try:
+        # files may name either implicator; both give the same model
+        choice("implicator", ("lukasiewicz", "kleene_dienes"))
         fuzzy = FuzzyParams(
             gamma=float(raw["gamma"]), tnorm=raw["tnorm"],
-            implicator=raw["implicator"], score_mode=raw["score_mode"],
+            score_mode=raw["score_mode"],
         )
         sigma = None if raw["sigma"] == "none" else float(raw["sigma"])
         config = TrainConfig(
             c1=float(raw["c1"]), c2=float(raw["c2"]), tau=float(raw["tau"]),
             fuzzy=fuzzy, delta=float(raw["delta"]), kernel=raw["kernel"],
             sigma=sigma,
-            subsample_enabled=raw["subsample"] == "1",
-            weights_enabled=raw["weights"] == "1",
+            subsample_enabled=choice("subsample", ("0", "1")) == "1",
+            weights_enabled=choice("weights", ("0", "1")) == "1",
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigurationError) as exc:
         raise DataError(f"{path}: bad config section ({exc})") from None
     if config.kernel != kind:
         raise DataError(

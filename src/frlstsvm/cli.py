@@ -23,6 +23,7 @@ from .dataset import (
 )
 from .errors import ExperimentError, FrlstsvmError
 from .experiment import (
+    CONFIG_KEYS,
     CvResult,
     _aggregate,
     format_cv_table,
@@ -31,10 +32,9 @@ from .experiment import (
     write_cv_result,
 )
 from .fuzzy_rough import (
-    IMPLICATORS,
-    SCORE_MODES,
     T_NORMS,
     FuzzyParams,
+    check_tau,
     positive_region_scores,
 )
 from .metrics import confusion, csv_line, format_report, report
@@ -65,8 +65,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_fuzzy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--tnorm", choices=T_NORMS, default="minimum")
-    p.add_argument("--implicator", choices=IMPLICATORS,
-                   default="lukasiewicz")
     p.add_argument("--score-mode", type=_score_mode, default="density",
                    help="density or lower-approx")
 
@@ -78,12 +76,14 @@ def _load_labeled(args):
                     args.header)
 
 
+def _fuzzy_from_args(args) -> FuzzyParams:
+    return FuzzyParams(gamma=args.gamma, tnorm=args.tnorm,
+                       score_mode=args.score_mode)
+
+
 def _config_from_args(args) -> TrainConfig:
-    fuzzy = FuzzyParams(gamma=args.gamma, tnorm=args.tnorm,
-                        implicator=args.implicator,
-                        score_mode=args.score_mode)
     return TrainConfig(
-        c1=args.c1, c2=args.c2, tau=args.tau, fuzzy=fuzzy,
+        c1=args.c1, c2=args.c2, tau=args.tau, fuzzy=_fuzzy_from_args(args),
         delta=args.delta, kernel=args.kernel, sigma=args.sigma,
         subsample_enabled=not args.no_subsample,
         weights_enabled=not args.no_weights,
@@ -156,12 +156,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_subsample(args) -> int:
+    check_tau(args.tau)
+    fuzzy = _fuzzy_from_args(args)
     ds = _load_labeled(args)
     scaling = minmax_fit(ds.features)
     xs = minmax_apply(scaling, ds.features)
-    fuzzy = FuzzyParams(gamma=args.gamma, tnorm=args.tnorm,
-                        implicator=args.implicator,
-                        score_mode=args.score_mode)
     scores = positive_region_scores(xs, ds.labels, fuzzy, target_class=-1)
     kept = scores.scores >= args.tau
     lines = ["index,row,score,kept"]
@@ -183,27 +182,10 @@ def cmd_subsample(args) -> int:
     return 0
 
 
-_CV_OVERRIDES = (
-    ("data", "data"), ("format", "format"),
-    ("positive_label", "positive_label"),
-    ("label_column", "label_column"), ("header", "header"),
-    ("tau", "tau"), ("gamma", "gamma"), ("c1", "c1"), ("c2", "c2"),
-    ("sigma", "sigma"), ("delta", "delta"), ("kernel", "kernel"),
-    ("tnorm", "tnorm"), ("implicator", "implicator"),
-    ("score_mode", "score_mode"), ("subsample", "subsample"),
-    ("weights", "weights"), ("untie_c", "untie_c"),
-    ("folds", "folds"), ("inner_folds", "inner_folds"),
-    ("repeats", "repeats"), ("seed", "seed"),
-    ("metric_convention", "convention"), ("workers", "workers"),
-)
-
-
 def cmd_cv(args) -> int:
-    overrides = {}
-    for attr, key in _CV_OVERRIDES:
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = value
+    # each cv flag stores under its config key
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS
+                 if getattr(args, key) is not None}
     config = parse_config(args.config, overrides)
     try:
         result = run_nested_cv(config)
@@ -289,9 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value file")
     p.add_argument("--data", default=None)
     p.add_argument("--format", choices=("csv", "keel"), default=None)
-    p.add_argument("--positive-label", default=None,
-                   dest="positive_label")
-    p.add_argument("--label-column", default=None, dest="label_column")
+    p.add_argument("--positive-label", default=None)
+    p.add_argument("--label-column", default=None)
     p.add_argument("--header", choices=("true", "false"), default=None)
     p.add_argument("--tau", default=None,
                    help="comma-separated grid, e.g. 0,0.2,0.4")
@@ -303,21 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=("linear", "gaussian"),
                    default=None)
     p.add_argument("--tnorm", choices=T_NORMS, default=None)
-    p.add_argument("--implicator", choices=IMPLICATORS, default=None)
-    p.add_argument("--score-mode", type=_score_mode, default=None,
-                   dest="score_mode")
+    p.add_argument("--score-mode", type=_score_mode, default=None)
     p.add_argument("--subsample", choices=("true", "false"),
                    default=None)
     p.add_argument("--weights", choices=("true", "false"), default=None)
-    p.add_argument("--untie-c", choices=("true", "false"), default=None,
-                   dest="untie_c")
+    p.add_argument("--untie-c", choices=("true", "false"), default=None)
     p.add_argument("--folds", default=None)
-    p.add_argument("--inner-folds", default=None, dest="inner_folds")
+    p.add_argument("--inner-folds", default=None)
     p.add_argument("--repeats", default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--metric-convention",
                    choices=("standard", "paper_literal"), default=None,
-                   dest="metric_convention")
+                   dest="convention")
     p.add_argument("--workers", default=None)
     p.add_argument("--out", default=None, help=".csv or .jsonl results")
     p.set_defaults(func=cmd_cv)

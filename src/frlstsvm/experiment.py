@@ -86,7 +86,6 @@ class ExperimentConfig:
     delta: float = 1e-6
     kernel: str = "linear"
     tnorm: str = "minimum"
-    implicator: str = "lukasiewicz"
     score_mode: str = "density"
     subsample_enabled: bool = True
     weights_enabled: bool = True
@@ -106,9 +105,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"kernel must be linear or gaussian, got {self.kernel!r}"
             )
-        # reuse the fuzzy validation for the three enumerations
-        FuzzyParams(gamma=1.0, tnorm=self.tnorm, implicator=self.implicator,
-                    score_mode=self.score_mode)
+        # reuse the fuzzy validation for the two enumerations
+        FuzzyParams(gamma=1.0, tnorm=self.tnorm, score_mode=self.score_mode)
         if self.convention not in CONVENTIONS:
             raise ConfigurationError(
                 f"convention must be one of {CONVENTIONS}, "
@@ -195,7 +193,6 @@ def grid_points(config: ExperimentConfig) -> list[GridPoint]:
 
 def _train_config(config: ExperimentConfig, pt: GridPoint) -> TrainConfig:
     fuzzy = FuzzyParams(gamma=pt.gamma, tnorm=config.tnorm,
-                        implicator=config.implicator,
                         score_mode=config.score_mode)
     return TrainConfig(
         c1=pt.c1, c2=pt.c2, tau=pt.tau, fuzzy=fuzzy, delta=config.delta,
@@ -413,7 +410,6 @@ _SCALAR_KEYS = {
     "delta": ("delta", float),
     "kernel": ("kernel", str),
     "tnorm": ("tnorm", str),
-    "implicator": ("implicator", str),
     "score_mode": ("score_mode", str),
     "subsample": ("subsample_enabled", bool),
     "weights": ("weights_enabled", bool),
@@ -425,6 +421,8 @@ _SCALAR_KEYS = {
     "convention": ("convention", str),
     "workers": ("workers", int),
 }
+# every key a config file (or a `cv` flag of the same name) can set
+CONFIG_KEYS = (*_LIST_KEYS, *_SCALAR_KEYS)
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
@@ -498,7 +496,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None
             field_name, parsed = _parse_scalar(key, text)
             values[field_name] = parsed
         else:
-            known = sorted(set(_LIST_KEYS) | set(_SCALAR_KEYS))
+            known = sorted(CONFIG_KEYS)
             raise ConfigurationError(
                 f"unknown configuration key {key!r} (known keys: "
                 f"{', '.join(known)})"

@@ -14,6 +14,17 @@ is monotone in d, so the smallest term is the term of the largest
 per-attribute form takes; and d*(-gamma) + 1, the in-place form, equals
 1 - gamma*d in IEEE arithmetic. The product and lukasiewicz t-norms
 fold the attribute terms one at a time.
+
+The lower_approx score of a row x is its membership in the fuzzy-rough
+lower approximation of its own crisp class X, inf_y I(R(x,y), [y in X]).
+A crisp concept takes only the values 1 and 0, and every implicator I
+this applies to (Lukasiewicz min(1, 1 - a + b), Kleene-Dienes
+max(1 - a, b), and any other with I(a, 1) = 1 and I(a, 0) = 1 - a)
+gives 1 on same-class rows and 1 - R(x,y) on the rest. So the score is
+min over other-class rows y of 1 - R(x,y), or 1 when there are none.
+That minimum is computed as 1 - max_y R(x,y), with the same bits:
+a -> fl(1 - a) is monotone, so the smallest 1 - a is the one of the
+largest a. Only the target-by-other-class similarity is built.
 """
 
 from __future__ import annotations
@@ -28,16 +39,7 @@ from .errors import ConfigurationError
 WEIGHT_FLOOR = 1e-6
 
 T_NORMS = ("minimum", "product", "lukasiewicz")
-IMPLICATORS = ("lukasiewicz", "kleene_dienes")
 SCORE_MODES = ("density", "lower_approx")
-
-
-def _implicator_pair(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if name == "lukasiewicz":
-        return np.minimum(1.0, 1.0 - a + b)
-    if name == "kleene_dienes":
-        return np.maximum(1.0 - a, b)
-    raise ConfigurationError(f"unknown implicator {name!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,6 @@ class FuzzyParams:
 
     gamma: float
     tnorm: str = "minimum"
-    implicator: str = "lukasiewicz"
     score_mode: str = "density"
 
     def __post_init__(self):
@@ -55,11 +56,6 @@ class FuzzyParams:
         if self.tnorm not in T_NORMS:
             raise ConfigurationError(
                 f"tnorm must be one of {T_NORMS}, got {self.tnorm!r}"
-            )
-        if self.implicator not in IMPLICATORS:
-            raise ConfigurationError(
-                f"implicator must be one of {IMPLICATORS}, "
-                f"got {self.implicator!r}"
             )
         if self.score_mode not in SCORE_MODES:
             raise ConfigurationError(
@@ -71,7 +67,6 @@ class FuzzyParams:
 @dataclass(eq=False)
 class PositiveRegionScores:
     scores: np.ndarray
-    mode: str
     params: FuzzyParams
     row_indices: np.ndarray | None = None
 
@@ -80,8 +75,6 @@ class PositiveRegionScores:
 class SubsampleResult:
     kept_indices: np.ndarray
     removed_indices: np.ndarray
-    scores: PositiveRegionScores
-    tau: float
 
 
 def _attribute_terms(d: np.ndarray, gamma: float) -> np.ndarray:
@@ -155,8 +148,10 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
     density mode scores each instance by its mean similarity to the
     other members of its own class (singleton class scores 1), so
     points in dense regions score high and outliers low. lower_approx
-    mode takes the infimum over all instances of the implication from
-    similarity to the crisp same-class relation.
+    mode scores each instance 1 - its largest similarity to a row of
+    another class (1 when there is none): its membership in the
+    lower approximation of its own crisp class (see the module
+    docstring).
     """
     x_all = np.asarray(x_all, dtype=np.float64)
     labels = np.asarray(labels)
@@ -173,26 +168,28 @@ def positive_region_scores(x_all, labels, params: FuzzyParams,
         block = indiscernibility_matrix(x_all[target_rows], params)
         scores = mean_similarity(block.sum(axis=1))
     else:
-        cross = _cross_similarity(x_all[target_rows], x_all, params)
-        concept = (labels == target_class).astype(np.float64)
-        memberships = _implicator_pair(
-            params.implicator, cross, concept[None, :]
-        )
-        scores = np.clip(memberships.min(axis=1), 0.0, 1.0)
+        other = x_all[labels != target_class]
+        if other.shape[0] == 0:
+            scores = np.ones(target_rows.size)
+        else:
+            scores = 1.0 - _cross_similarity(
+                x_all[target_rows], other, params).max(axis=1)
     return PositiveRegionScores(
-        scores=scores,
-        mode=params.score_mode,
-        params=params,
-        row_indices=target_rows,
+        scores=scores, params=params, row_indices=target_rows,
     )
+
+
+def check_tau(tau: float) -> None:
+    """Reject a subsampling threshold outside [0, 1], or NaN."""
+    if not (np.isfinite(tau) and 0.0 <= tau <= 1.0):
+        raise ConfigurationError(f"tau must be in [0, 1], got {tau}")
 
 
 def subsample_majority(scores: PositiveRegionScores,
                        tau: float) -> SubsampleResult:
     """Keep exactly the instances whose score is >= tau, in original
     order. A score equal to tau is kept."""
-    if not (np.isfinite(tau) and 0.0 <= tau <= 1.0):
-        raise ConfigurationError(f"tau must be in [0, 1], got {tau}")
+    check_tau(tau)
     mask = scores.scores >= tau
     kept = np.flatnonzero(mask)
     removed = np.flatnonzero(~mask)
@@ -201,12 +198,7 @@ def subsample_majority(scores: PositiveRegionScores,
             f"tau={tau:g} removes every majority instance "
             f"(max score {scores.scores.max():.6g}); lower tau"
         )
-    return SubsampleResult(
-        kept_indices=kept,
-        removed_indices=removed,
-        scores=scores,
-        tau=float(tau),
-    )
+    return SubsampleResult(kept_indices=kept, removed_indices=removed)
 
 
 def class_weights(x_class, params: FuzzyParams) -> np.ndarray:

@@ -118,8 +118,11 @@ def loop_similarity(xa: np.ndarray, xb: np.ndarray, gamma: float,
 def loop_lower_approx_scores(x_all: np.ndarray, labels: np.ndarray,
                              target: int, gamma: float, tnorm: str,
                              implicator: str) -> np.ndarray:
-    """lower_approx scores of the target class over loop_similarity,
-    in the library's vectorised arithmetic."""
+    """lower_approx scores of the target class over loop_similarity:
+    the infimum over all rows of the implication from similarity to
+    the crisp class, in vectorised arithmetic, as the library computed
+    them before it reduced them to 1 - the largest similarity to the
+    other class."""
     rows = np.flatnonzero(labels == target)
     cross = loop_similarity(x_all[rows], x_all, gamma, tnorm)
     concept = (labels == target).astype(np.float64)[None, :]

@@ -726,6 +726,27 @@ class TestPreparedFold:
         # one majority and one minority similarity per gamma
         assert sorted(calls) == [1.0, 1.0, 2.0, 2.0]
 
+    def test_lower_approx_blocks_build_no_majority_by_all_block(
+            self, monkeypatch):
+        # lower_approx scores need only the majority-by-minority
+        # similarity; the majority's own similarity is for its weights
+        shapes = []
+        real = fuzzy_rough._cross_similarity
+
+        def counted(xa, xb, params):
+            shapes.append((xa.shape[0], xb.shape[0]))
+            return real(xa, xb, params)
+
+        monkeypatch.setattr(fuzzy_rough, "_cross_similarity", counted)
+        m1, m2 = 8, 30
+        x, y = make_blobs(94, m1=m1, m2=m2, spread=1.2)
+        prep = PreparedFold(x, y)
+        fz = fuzzy(score_mode="lower_approx")
+        tau = float(np.median(prep.scores(fz).scores))
+        blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz))
+        assert 0 < blocks.x2hat.shape[0] < m2
+        assert sorted(shapes) == sorted([(m2, m1), (m2, m2), (m1, m1)])
+
 
 class TestSerialization:
     def linear_model(self):
@@ -892,6 +913,48 @@ class TestSerialization:
         assert back.scaling is None
         xs = minmax_apply(model.scaling, x)
         assert np.array_equal(predict(back, xs), predict(model, x))
+
+    def test_either_implicator_line_loads_the_same_model(self, tmp_path):
+        # files written while the implicator was an option may name
+        # kleene_dienes; it gives the same scores, so the same model
+        model, x = self.linear_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        text = path.read_text()
+        assert "\nimplicator lukasiewicz\n" in text
+        other = tmp_path / "kd.model"
+        other.write_text(text.replace("\nimplicator lukasiewicz\n",
+                                      "\nimplicator kleene_dienes\n"))
+        want = predict(load_model(str(path)), x, return_distances=True)
+        got = predict(load_model(str(other)), x, return_distances=True)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        bad = tmp_path / "godel.model"
+        bad.write_text(text.replace("\nimplicator lukasiewicz\n",
+                                    "\nimplicator godel\n"))
+        with pytest.raises(DataError, match="'implicator'.*'godel'"):
+            load_model(str(bad))
+
+    @pytest.mark.parametrize("line,message", [
+        ("subsample yes", "'subsample' must be one of 0, 1, got 'yes'"),
+        ("subsample 2", "'subsample' must be one of 0, 1, got '2'"),
+        ("weights 2", "'weights' must be one of 0, 1, got '2'"),
+        ("weights true", "'weights' must be one of 0, 1, got 'true'"),
+        ("tnorm max", "tnorm must be one of"),
+        ("c1 -1", "c1 must be > 0"),
+    ])
+    def test_rejects_bad_config_values(self, tmp_path, line, message):
+        # a flag read as anything but 0 or 1 would load as disabled,
+        # and every config check names the file
+        model, _ = self.linear_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        key = line.split()[0]
+        lines = [line if ln.split()[0] == key else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad config section .*{message}"):
+            load_model(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

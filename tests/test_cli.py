@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 
@@ -12,13 +13,16 @@ from frlstsvm.classifier import (
     load_model,
     predict,
 )
-from frlstsvm.cli import main
+from frlstsvm import cli
+from frlstsvm.cli import build_parser, main
 from frlstsvm.dataset import (
     LabeledDataset,
     minmax_apply,
     minmax_fit,
     write_csv,
 )
+from frlstsvm.errors import ExperimentError
+from frlstsvm.experiment import CONFIG_KEYS
 from frlstsvm.metrics import confusion, report
 
 from helpers import make_blobs
@@ -187,11 +191,19 @@ class TestSubsample:
 
     def test_tau_one_on_spread_data_exits_one(self, tiny_csv, capsys):
         code = main(["subsample", "--data", tiny_csv, "--tau", "2.0"])
-        assert code == 0 or code == 1
-        # tau outside [0,1] never reaches scoring: flag is compared
-        # against scores directly here, so 2.0 simply keeps nothing
-        out = capsys.readouterr().out
-        assert "kept 0 of 3" in out
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "tau must be in [0, 1]" in captured.err
+        assert "kept" not in captured.out
+
+    @pytest.mark.parametrize("tau", ["1.5", "-0.5", "nan"])
+    def test_tau_outside_unit_interval_exits_one(self, tiny_csv, capsys,
+                                                 tau):
+        # the same check as train's
+        assert main(["subsample", "--data", tiny_csv, "--tau", tau]) == 1
+        captured = capsys.readouterr()
+        assert "error: tau must be in [0, 1]" in captured.err
+        assert captured.out == ""
 
 
 class TestCv:
@@ -245,6 +257,46 @@ class TestCv:
         ])
         assert code == 1
         assert "every grid point" in capsys.readouterr().err
+
+    def test_every_config_key_has_exactly_one_flag(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = [a.dest for a in sub.choices["cv"]._actions
+                 if a.dest not in ("help", "config", "out")]
+        assert sorted(dests) == sorted(CONFIG_KEYS)
+
+    def test_flags_reach_their_config_fields(self, monkeypatch, capsys):
+        seen = []
+
+        def stop(config):
+            seen.append(config)
+            raise ExperimentError("stopped")
+
+        monkeypatch.setattr(cli, "run_nested_cv", stop)
+        assert main([
+            "cv", "--data", "d.dat", "--format", "keel",
+            "--positive-label", "p", "--label-column", "2",
+            "--header", "true", "--tau", "0.1,0.2", "--gamma", "0.5",
+            "--c1", "2", "--c2", "4", "--sigma", "3", "--delta", "0.01",
+            "--kernel", "gaussian", "--tnorm", "product",
+            "--score-mode", "lower-approx", "--subsample", "false",
+            "--weights", "false", "--untie-c", "true", "--folds", "4",
+            "--inner-folds", "3", "--repeats", "2", "--seed", "7",
+            "--metric-convention", "paper_literal", "--workers", "2",
+        ]) == 1
+        got = seen[0]
+        assert (got.data, got.fmt, got.positive_label, got.label_column,
+                got.has_header) == ("d.dat", "keel", "p", 2, True)
+        assert (got.tau_grid, got.gamma_grid, got.c1_grid, got.c2_grid,
+                got.sigma_grid) == ((0.1, 0.2), (0.5,), (2.0,), (4.0,),
+                                    (3.0,))
+        assert (got.delta, got.kernel, got.tnorm, got.score_mode) == (
+            0.01, "gaussian", "product", "lower_approx")
+        assert (got.subsample_enabled, got.weights_enabled,
+                got.untie_c) == (False, False, True)
+        assert (got.folds, got.inner_folds, got.repeats, got.seed,
+                got.convention, got.workers) == (
+            4, 3, 2, 7, "paper_literal", 2)
 
 
 class TestErrors:

@@ -1,13 +1,14 @@
 """Similarity, positive-region scoring, subsampling, and weights."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from frlstsvm.dataset import ScalingParams, minmax_apply, minmax_fit
 from frlstsvm.errors import ConfigurationError, DataError
 from frlstsvm.fuzzy_rough import (
-    IMPLICATORS,
     T_NORMS,
     WEIGHT_FLOOR,
     FuzzyParams,
@@ -76,7 +77,6 @@ class TestFuzzyParams:
     def test_defaults(self):
         p = FuzzyParams(gamma=2.0)
         assert p.tnorm == "minimum"
-        assert p.implicator == "lukasiewicz"
         assert p.score_mode == "density"
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
@@ -87,8 +87,6 @@ class TestFuzzyParams:
     def test_rejects_unknown_names(self):
         with pytest.raises(ConfigurationError, match="tnorm"):
             FuzzyParams(gamma=1.0, tnorm="max")
-        with pytest.raises(ConfigurationError, match="implicator"):
-            FuzzyParams(gamma=1.0, implicator="godel")
         with pytest.raises(ConfigurationError, match="score_mode"):
             FuzzyParams(gamma=1.0, score_mode="upper")
 
@@ -152,6 +150,10 @@ class TestIndiscernibility:
 
 ORACLE_GAMMAS = (0.05, 0.5, 1.0, 1.7, 3.0)
 
+# the two implicators the lower_approx oracles implement; the library
+# takes none, since both give every lower_approx score the same bits
+IMPLICATORS = ("lukasiewicz", "kleene_dienes")
+
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -193,19 +195,25 @@ class TestSimilarityMatchesLoopOracle:
     @pytest.mark.parametrize("tnorm", T_NORMS)
     @pytest.mark.parametrize("implicator", IMPLICATORS)
     def test_lower_approx_scores_are_bit_equal(self, tnorm, implicator):
+        # 1 - the largest similarity to the other class has the bits of
+        # the infimum of the implication under either implicator, for
+        # both target classes, with tied rows across the classes
         rng = np.random.default_rng(48)
         x = rng.uniform(0, 1, size=(70, 5))
         labels = np.where(rng.uniform(size=70) < 0.3, 1, -1)
+        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == -1)
+        x[pos[:3]] = x[neg[:3]]
         for gamma in ORACLE_GAMMAS:
-            p = params(gamma=gamma, tnorm=tnorm, implicator=implicator,
-                       score_mode="lower_approx")
-            got = positive_region_scores(x, labels, p, target_class=-1)
-            assert_same_bits(got.scores, loop_lower_approx_scores(
-                x, labels, -1, gamma, tnorm, implicator))
+            p = params(gamma=gamma, tnorm=tnorm, score_mode="lower_approx")
+            for target in (-1, 1):
+                got = positive_region_scores(x, labels, p,
+                                             target_class=target)
+                assert_same_bits(got.scores, loop_lower_approx_scores(
+                    x, labels, target, gamma, tnorm, implicator))
 
 
-def lower_approx(x, labels, implicator="lukasiewicz"):
-    p = params(implicator=implicator, score_mode="lower_approx")
+def lower_approx(x, labels):
+    p = params(score_mode="lower_approx")
     return positive_region_scores(np.array(x), np.array(labels), p).scores
 
 
@@ -221,9 +229,11 @@ class TestLowerApproxMembership:
 
     def test_kleene_dienes_takes_minimum(self):
         # similarities 0.6 and 0.3 to rows outside the concept
-        got = lower_approx([[0.0], [0.4], [0.7]], [-1, 1, 1],
-                           "kleene_dienes")
+        x, labels = np.array([[0.0], [0.4], [0.7]]), np.array([-1, 1, 1])
+        got = lower_approx(x, labels)
         assert got[0] == pytest.approx(0.4)
+        assert got.tolist() == brute_lower_approx_scores(
+            x, labels, -1, 1.0, "minimum", "kleene_dienes")
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ConfigurationError):
@@ -267,8 +277,7 @@ class TestPositiveRegionScores:
             x = rng.uniform(0, 1, size=(m, 2))
             labels = np.where(rng.random(m) < 0.4, 1, -1)
             labels[0], labels[1] = -1, 1
-            p = params(gamma=1.3, implicator=implicator,
-                       score_mode="lower_approx")
+            p = params(gamma=1.3, score_mode="lower_approx")
             got = positive_region_scores(x, labels, p)
             want = brute_lower_approx_scores(x, labels, -1, 1.3,
                                              "minimum", implicator)
@@ -293,6 +302,26 @@ class TestPositiveRegionScores:
         )
         assert got.scores[0] == 0.0
 
+    def test_lower_approx_peak_memory_is_the_cross_class_block(self):
+        # an abalone19-sized majority (4142 x 8) against 32 minority
+        # rows: scoring builds the 4142 x 32 similarity (1 MB), not a
+        # majority-by-all-rows one (132 MB)
+        rng = np.random.default_rng(97)
+        m1, m2 = 32, 4142
+        x = np.vstack([rng.uniform(0.4, 0.7, size=(m1, 8)),
+                       rng.uniform(0.0, 1.0, size=(m2, 8))])
+        labels = np.array([1] * m1 + [-1] * m2)
+        p = params(score_mode="lower_approx")
+        tracemalloc.start()
+        try:
+            got = positive_region_scores(x, labels, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.scores.shape == (m2,)
+        assert 0.0 < got.scores.max() and got.scores.min() < 1.0
+        assert peak < 8 * 2 ** 20
+
     def test_lower_approx_single_class_scores_one(self):
         x = np.array([[0.1], [0.4], [0.8]])
         labels = np.array([-1, -1, -1])
@@ -316,7 +345,6 @@ class TestPositiveRegionScores:
 def manual_scores(values):
     return PositiveRegionScores(
         scores=np.asarray(values, dtype=np.float64),
-        mode="density",
         params=params(),
         row_indices=np.arange(len(values)),
     )
