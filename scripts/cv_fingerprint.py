@@ -67,7 +67,8 @@ CONFIGS = {
     "gaussian": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
                      gamma_grid=(1.0,), c1_grid=(1.0,),
                      sigma_grid=(1.0, 2.0), folds=5),
-    "nosubsample_noweights": dict(_LINEAR_GRID, subsample_enabled=False,
+    # tau 0 keeps every majority row: no subsampling
+    "nosubsample_noweights": dict(_LINEAR_GRID, tau_grid=(0.0,),
                                   weights_enabled=False),
     "lower_approx": dict(_LINEAR_GRID, score_mode="lower_approx"),
     "subsampled": _SUBSAMPLED,

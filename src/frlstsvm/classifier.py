@@ -83,7 +83,9 @@ def _fmt(v: float) -> str:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Snapshot of every knob a single fit depends on."""
+    """Snapshot of every knob a single fit depends on. The fit keeps
+    the majority rows whose positive-region score is at least tau; every
+    score is >= 0, so tau 0 keeps every row (no subsampling)."""
 
     c1: float
     c2: float
@@ -92,7 +94,6 @@ class TrainConfig:
     delta: float = 1e-6
     kernel: str = "linear"
     sigma: float | None = None
-    subsample_enabled: bool = True
     weights_enabled: bool = True
 
     def __post_init__(self):
@@ -261,8 +262,7 @@ def _default_config(c1: float, c2: float, delta: float,
                     weighted: bool) -> TrainConfig:
     return TrainConfig(
         c1=c1, c2=c2, tau=0.0, fuzzy=FuzzyParams(gamma=1.0),
-        delta=delta, kernel="linear", sigma=None,
-        subsample_enabled=False, weights_enabled=weighted,
+        delta=delta, kernel="linear", sigma=None, weights_enabled=weighted,
     )
 
 
@@ -412,7 +412,8 @@ class PreparedFold:
     and per (FuzzyParams, tau): the subsample and the kept-majority
     weights. Density scores and kept-majority weights are row means of
     the one majority similarity, so a grid computes it once per gamma.
-    A tau that empties the majority raises the same ConfigurationError
+    Tau 0 keeps every majority row and scores none of them. A tau that
+    empties the majority raises the same ConfigurationError
     on every fit that asks for it.
     """
 
@@ -459,8 +460,9 @@ class PreparedFold:
         return self._cached(("scores", fuzzy), compute)
 
     def _kept(self, config: TrainConfig) -> np.ndarray:
-        """Indices into x2 of the majority rows the fit keeps."""
-        if not config.subsample_enabled:
+        """Indices into x2 of the majority rows the fit keeps. Every
+        score is >= 0, so tau 0 keeps every row without scoring."""
+        if config.tau == 0:
             return np.arange(self.x2.shape[0])
         scores = self.scores(config.fuzzy)
         return self._cached(("kept", config.fuzzy, config.tau), lambda: (
@@ -488,10 +490,9 @@ class PreparedFold:
         d1 = d2 = None
         if config.weights_enabled:
             fuzzy = config.fuzzy
-            tau = config.tau if config.subsample_enabled else None
             d1 = self._cached(("d1", fuzzy),
                               lambda: class_weights(self.x1, fuzzy))
-            d2 = self._cached(("d2", fuzzy, tau),
+            d2 = self._cached(("d2", fuzzy, config.tau),
                               lambda: self._kept_weights(fuzzy, kept))
         return FitBlocks(self.x1, self.x2[kept], d1, d2,
                          self.maj_rows[kept], self.x2.shape[0])
@@ -535,12 +536,13 @@ def _config_lines(cfg: TrainConfig) -> list[str]:
         f"gamma {_fmt(cfg.fuzzy.gamma)}",
         f"tnorm {cfg.fuzzy.tnorm}",
         # kept so that the format is unchanged: every implicator gives
-        # the same lower_approx scores (see fuzzy_rough)
+        # the same lower_approx scores (see fuzzy_rough), and tau 0 is
+        # the fit without subsampling
         "implicator lukasiewicz",
         f"score_mode {cfg.fuzzy.score_mode}",
         f"kernel {cfg.kernel}",
         f"sigma {sigma}",
-        f"subsample {int(cfg.subsample_enabled)}",
+        "subsample 1",
         f"weights {int(cfg.weights_enabled)}",
     ]
 
@@ -691,18 +693,21 @@ def load_model(path):
         return raw[key]
 
     try:
-        # files may name either implicator; both give the same model
+        # files may name either implicator; both give the same model.
+        # A file with subsample 0 kept every majority row, as tau 0 does
         choice("implicator", ("lukasiewicz", "kleene_dienes"))
+        tau = float(raw["tau"])
+        check_tau(tau)
+        if choice("subsample", ("0", "1")) == "0":
+            tau = 0.0
         fuzzy = FuzzyParams(
             gamma=float(raw["gamma"]), tnorm=raw["tnorm"],
             score_mode=raw["score_mode"],
         )
         sigma = None if raw["sigma"] == "none" else float(raw["sigma"])
         config = TrainConfig(
-            c1=float(raw["c1"]), c2=float(raw["c2"]), tau=float(raw["tau"]),
-            fuzzy=fuzzy, delta=float(raw["delta"]), kernel=raw["kernel"],
-            sigma=sigma,
-            subsample_enabled=choice("subsample", ("0", "1")) == "1",
+            c1=float(raw["c1"]), c2=float(raw["c2"]), tau=tau, fuzzy=fuzzy,
+            delta=float(raw["delta"]), kernel=raw["kernel"], sigma=sigma,
             weights_enabled=choice("weights", ("0", "1")) == "1",
         )
     except (KeyError, ValueError, ConfigurationError) as exc:

@@ -85,7 +85,6 @@ def _config_from_args(args) -> TrainConfig:
     return TrainConfig(
         c1=args.c1, c2=args.c2, tau=args.tau, fuzzy=_fuzzy_from_args(args),
         delta=args.delta, kernel=args.kernel, sigma=args.sigma,
-        subsample_enabled=not args.no_subsample,
         weights_enabled=not args.no_weights,
     )
 
@@ -225,14 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model and save it")
     _add_data_flags(p)
     _add_fuzzy_flags(p)
-    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--tau", type=float, default=0.0,
+                   help="keep the majority rows scoring at least tau "
+                        "(default 0: keep every row)")
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--kernel", choices=("linear", "gaussian"),
                    default="linear")
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--no-subsample", action="store_true")
     p.add_argument("--no-weights", action="store_true")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=cmd_train)
@@ -278,17 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid, e.g. 0,0.2,0.4")
     p.add_argument("--gamma", default=None)
     p.add_argument("--c1", default=None)
-    p.add_argument("--c2", default=None)
+    p.add_argument("--c2", default=None,
+                   help="a separate c2 grid (default: c2 = c1)")
     p.add_argument("--sigma", default=None)
     p.add_argument("--delta", default=None)
     p.add_argument("--kernel", choices=("linear", "gaussian"),
                    default=None)
     p.add_argument("--tnorm", choices=T_NORMS, default=None)
     p.add_argument("--score-mode", type=_score_mode, default=None)
-    p.add_argument("--subsample", choices=("true", "false"),
-                   default=None)
     p.add_argument("--weights", choices=("true", "false"), default=None)
-    p.add_argument("--untie-c", choices=("true", "false"), default=None)
     p.add_argument("--folds", default=None)
     p.add_argument("--inner-folds", default=None)
     p.add_argument("--repeats", default=None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -287,17 +286,18 @@ def load_matrix_csv(path, has_header: bool = False) -> np.ndarray:
 def atomic_write(path, text: str) -> None:
     """Write text to path through a temporary file in the same
     directory, so readers see the old file or the new one, never a
-    partial write."""
+    partial write. The file gets the mode a plain open() gives under
+    the umask (mkstemp's would be 0600)."""
     path = str(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
+    tmp = os.path.join(directory, f".out-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -346,24 +346,14 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
             continue
         if lowered.startswith("@attribute"):
             body = text[len("@attribute"):].strip()
-            # name may be followed by a type and an optional bracketed
-            # range, possibly without a separating space
-            for sep in (" ", "\t", "{", "["):
-                cut = body.find(sep)
-                if cut > 0:
-                    name, rest = body[:cut], body[cut:]
-                    break
-            else:
-                name, rest = body, ""
-            rest = rest.strip().lower()
-            if rest.startswith("{"):
-                kind = "nominal"
-            elif rest.startswith(("real", "integer", "numeric")):
-                kind = "numeric"
-            elif not rest:
-                kind = "nominal"
-            else:
-                kind = "nominal"
+            # the name ends at its earliest separator: a type or a
+            # bracketed range may follow without a space
+            cut = min((i for i in map(body.find, (" ", "\t", "{", "["))
+                       if i > 0), default=len(body))
+            name, rest = body[:cut], body[cut:].strip().lower()
+            kind = ("numeric"
+                    if rest.startswith(("real", "integer", "numeric"))
+                    else "nominal")
             attr_names.append(name)
             attr_kinds[name] = kind
         elif lowered.startswith("@inputs") or lowered.startswith("@input"):

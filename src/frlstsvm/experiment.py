@@ -13,9 +13,11 @@ results do not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,12 +84,10 @@ class ExperimentConfig:
     c1_grid: tuple[float, ...] = DEFAULT_C_GRID
     c2_grid: tuple[float, ...] | None = None
     sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
-    untie_c: bool = False
     delta: float = 1e-6
     kernel: str = "linear"
     tnorm: str = "minimum"
     score_mode: str = "density"
-    subsample_enabled: bool = True
     weights_enabled: bool = True
     folds: int = 10
     inner_folds: int | None = None
@@ -116,10 +116,6 @@ class ExperimentConfig:
         _check_grid("gamma", self.gamma_grid, np.nextafter(0, 1), np.inf)
         _check_grid("c1", self.c1_grid, np.nextafter(0, 1), np.inf)
         if self.c2_grid is not None:
-            if not self.untie_c:
-                raise ConfigurationError(
-                    "a separate c2 grid requires untie_c"
-                )
             _check_grid("c2", self.c2_grid, np.nextafter(0, 1), np.inf)
         _check_grid("sigma", self.sigma_grid, np.nextafter(0, 1), np.inf)
         if not (np.isfinite(self.delta) and self.delta >= 0):
@@ -164,31 +160,19 @@ def grid_points(config: ExperimentConfig) -> list[GridPoint]:
     """All hyperparameter combinations in deterministic order
     (tau, gamma, c1, c2, sigma, each ascending).
 
-    With subsampling disabled tau has no effect, so the tau axis
-    collapses to the single value 0. For the linear kernel the sigma
-    slot is None.
+    c2 equals c1 unless a c2 grid is given, which unties the two. A tau
+    of 0 keeps every majority row, so a tau grid of (0,) runs without
+    subsampling. For the linear kernel the sigma slot is None.
     """
-    taus = sorted(set(config.tau_grid)) if config.subsample_enabled else [0.0]
-    gammas = sorted(set(config.gamma_grid))
     c1s = sorted(set(config.c1_grid))
+    penalties = ([(c, c) for c in c1s] if config.c2_grid is None
+                 else itertools.product(c1s, sorted(set(config.c2_grid))))
     sigmas = (sorted(set(config.sigma_grid))
               if config.kernel == "gaussian" else [None])
-    points = []
-    if config.untie_c:
-        c2s = sorted(set(config.c2_grid or config.c1_grid))
-        for t in taus:
-            for g in gammas:
-                for a in c1s:
-                    for b in c2s:
-                        for s in sigmas:
-                            points.append(GridPoint(t, g, a, b, s))
-    else:
-        for t in taus:
-            for g in gammas:
-                for c in c1s:
-                    for s in sigmas:
-                        points.append(GridPoint(t, g, c, c, s))
-    return points
+    return [GridPoint(t, g, c1, c2, s) for t, g, (c1, c2), s in
+            itertools.product(sorted(set(config.tau_grid)),
+                              sorted(set(config.gamma_grid)), penalties,
+                              sigmas)]
 
 
 def _train_config(config: ExperimentConfig, pt: GridPoint) -> TrainConfig:
@@ -197,7 +181,6 @@ def _train_config(config: ExperimentConfig, pt: GridPoint) -> TrainConfig:
     return TrainConfig(
         c1=pt.c1, c2=pt.c2, tau=pt.tau, fuzzy=fuzzy, delta=config.delta,
         kernel=config.kernel, sigma=pt.sigma,
-        subsample_enabled=config.subsample_enabled,
         weights_enabled=config.weights_enabled,
     )
 
@@ -332,7 +315,9 @@ def _aggregate(records: list[FoldRecord]) -> dict[str, tuple[float, float]]:
 def run_nested_cv(config: ExperimentConfig,
                   dataset: LabeledDataset | None = None) -> CvResult:
     """Full nested repeated CV. Raises ExperimentError carrying the
-    completed fold records when any fold has no workable grid point."""
+    fold records before the first fold, in (repeat, fold) order, that
+    has no workable grid point; the same records for any worker
+    count."""
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else load_dataset(config)
     pos, neg = ds.class_counts()
@@ -341,47 +326,22 @@ def run_nested_cv(config: ExperimentConfig,
             f"smallest class has {min(pos, neg)} rows, fewer than "
             f"folds={config.folds}"
         )
-    tasks = [(r, f) for r in range(config.repeats)
-             for f in range(config.folds)]
+    repeats, folds = zip(*itertools.product(range(config.repeats),
+                                            range(config.folds)))
     records: list[FoldRecord] = []
-
-    if config.workers <= 1:
+    # both maps yield in task order; the pool's cancels the pending
+    # tasks when one raises
+    with (ProcessPoolExecutor(max_workers=config.workers)
+          if config.workers > 1 else contextlib.nullcontext()) as pool:
+        tasks = (map if pool is None else pool.map)(
+            _fold_task, itertools.repeat(ds.features),
+            itertools.repeat(ds.labels), itertools.repeat(config),
+            repeats, folds)
         try:
-            for r, f in tasks:
-                records.append(
-                    _fold_task(ds.features, ds.labels, config, r, f)
-                )
+            for record in tasks:
+                records.append(record)
         except ExperimentError as exc:
-            records.sort(key=lambda rec: (rec.repeat, rec.fold))
             raise ExperimentError(str(exc), partial_records=records) from None
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as ex:
-            futures = [
-                ex.submit(_fold_task, ds.features, ds.labels, config, r, f)
-                for r, f in tasks
-            ]
-            wait(futures, return_when=FIRST_EXCEPTION)
-            failure = None
-            for fut in futures:
-                if fut.cancelled():
-                    continue
-                if fut.exception() is not None:
-                    exc = fut.exception()
-                    if isinstance(exc, ExperimentError) and failure is None:
-                        failure = exc
-                        for other in futures:
-                            other.cancel()
-                    elif not isinstance(exc, ExperimentError):
-                        raise exc
-                elif fut.done():
-                    records.append(fut.result())
-            if failure is not None:
-                records.sort(key=lambda rec: (rec.repeat, rec.fold))
-                raise ExperimentError(
-                    str(failure), partial_records=records
-                ) from None
-
-    records.sort(key=lambda rec: (rec.repeat, rec.fold))
     return CvResult(
         records=records,
         aggregates=_aggregate(records),
@@ -411,9 +371,7 @@ _SCALAR_KEYS = {
     "kernel": ("kernel", str),
     "tnorm": ("tnorm", str),
     "score_mode": ("score_mode", str),
-    "subsample": ("subsample_enabled", bool),
     "weights": ("weights_enabled", bool),
-    "untie_c": ("untie_c", bool),
     "folds": ("folds", int),
     "inner_folds": ("inner_folds", int),
     "repeats": ("repeats", int),

@@ -148,7 +148,7 @@ def test_criterion_3_pipeline_reduction():
         ds = LabeledDataset(x, y)
         cfg = TrainConfig(c1=1.0, c2=1.0, tau=0.0,
                           fuzzy=FuzzyParams(gamma=1.0),
-                          subsample_enabled=False, weights_enabled=False)
+                          weights_enabled=False)
         pipeline = fit_frlstsvm(ds, cfg)
         scaling = minmax_fit(ds.features)
         xs = minmax_apply(scaling, ds.features)

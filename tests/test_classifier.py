@@ -471,7 +471,7 @@ class TestPipeline:
     def test_tau_zero_no_weights_reduces_to_baseline(self):
         x, y = make_blobs(70, m1=12, m2=40)
         ds = LabeledDataset(x, y)
-        cfg = config(subsample_enabled=False, weights_enabled=False)
+        cfg = config(weights_enabled=False)
         pipe = fit_frlstsvm(ds, cfg)
         scaling = minmax_fit(ds.features)
         xs = minmax_apply(scaling, ds.features)
@@ -492,6 +492,28 @@ class TestPipeline:
         pipe = fit_frlstsvm(ds, cfg)
         assert pipe.summary.m2_kept == 30
         assert pipe.summary.m2_total == 30
+
+    @pytest.mark.parametrize("score_mode", ["density", "lower_approx"])
+    def test_tau_zero_without_weights_computes_no_similarity(
+            self, monkeypatch, score_mode):
+        # every score is >= 0, so tau 0 keeps every majority row without
+        # scoring one; unweighted, nothing else needs a similarity
+        calls = []
+        for name in ("indiscernibility_matrix", "_cross_similarity"):
+            real = getattr(fuzzy_rough, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(fuzzy_rough, name, counted)
+        x, y = make_blobs(78, m1=10, m2=30, spread=1.2)
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=0.0,
+                          fuzzy=fuzzy(score_mode=score_mode),
+                          weights_enabled=False)
+        model = fit_frlstsvm(LabeledDataset(x, y), cfg)
+        assert model.summary.m2_kept == 30
+        assert calls == []
 
     def test_tau_one_with_spread_majority_fails(self):
         x, y = make_blobs(72)
@@ -585,11 +607,10 @@ class TestPreparedFold:
         kernels = (("linear", None), ("gaussian", 0.5))
         configs = [
             TrainConfig(c1=c, c2=c, tau=tau, fuzzy=fuzzy(gamma=gamma),
-                        kernel=kernel, sigma=sigma,
-                        subsample_enabled=sub, weights_enabled=wts)
-            for gamma, tau, c, sub, wts, (kernel, sigma) in itertools.product(
+                        kernel=kernel, sigma=sigma, weights_enabled=wts)
+            for gamma, tau, c, wts, (kernel, sigma) in itertools.product(
                 (1.0, 2.0), (0.0, 0.72, 1.0), (0.5, 2.0), (True, False),
-                (True, False), kernels)
+                kernels)
         ]
         want = {}
         for cfg in configs:
@@ -601,14 +622,12 @@ class TestPreparedFold:
             want[cfg] = (model_arrays(model),
                          predict(model, probe, return_distances=True))
         kept = {(cfg.fuzzy.gamma, cfg.tau): out[0][-1].size
-                for cfg, out in want.items()
-                if out is not None and cfg.subsample_enabled}
+                for cfg, out in want.items() if out is not None}
         # tau 0.72 keeps a different strict subset at each gamma, and
-        # tau 1 empties the majority whenever subsampling is on
+        # tau 1 empties the majority
         assert 0 < kept[1.0, 0.72] < 30 and 0 < kept[2.0, 0.72] < 30
         assert kept[1.0, 0.72] != kept[2.0, 0.72]
-        empty = {cfg for cfg in configs
-                 if cfg.subsample_enabled and cfg.tau == 1.0}
+        empty = {cfg for cfg in configs if cfg.tau == 1.0}
         assert {cfg for cfg, out in want.items() if out is None} == empty
 
         prep = PreparedFold(x, y)
@@ -934,6 +953,33 @@ class TestSerialization:
                                     "\nimplicator godel\n"))
         with pytest.raises(DataError, match="'implicator'.*'godel'"):
             load_model(str(bad))
+
+    def test_subsample_zero_file_loads_with_tau_zero(self, tmp_path):
+        # files written while subsampling was a switch may say
+        # subsample 0 beside any tau; that fit kept every majority row,
+        # as a tau 0 fit does, and it is saved back as one
+        x, y = make_blobs(83, m1=8, m2=20)
+        model = fit_frlstsvm(LabeledDataset(x, y), config(tau=0.0))
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        text = path.read_text()
+        assert "\ntau 0\n" in text and "\nsubsample 1\n" in text
+        old = tmp_path / "old.model"
+        old.write_text(text.replace("\ntau 0\n", "\ntau 0.3\n")
+                       .replace("\nsubsample 1\n", "\nsubsample 0\n"))
+        back = load_model(str(old))
+        assert back.config.tau == 0.0
+        want = predict(model, x, return_distances=True)
+        got = predict(back, x, return_distances=True)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        resaved = tmp_path / "resaved.model"
+        save_model(back, str(resaved))
+        assert resaved.read_text() == text
+        old.write_text(old.read_text().replace("\ntau 0.3\n",
+                                                "\ntau 1.5\n"))
+        with pytest.raises(DataError, match="tau must be in"):
+            load_model(str(old))
 
     @pytest.mark.parametrize("line,message", [
         ("subsample yes", "'subsample' must be one of 0, 1, got 'yes'"),

@@ -279,8 +279,8 @@ class TestCv:
             "--header", "true", "--tau", "0.1,0.2", "--gamma", "0.5",
             "--c1", "2", "--c2", "4", "--sigma", "3", "--delta", "0.01",
             "--kernel", "gaussian", "--tnorm", "product",
-            "--score-mode", "lower-approx", "--subsample", "false",
-            "--weights", "false", "--untie-c", "true", "--folds", "4",
+            "--score-mode", "lower-approx",
+            "--weights", "false", "--folds", "4",
             "--inner-folds", "3", "--repeats", "2", "--seed", "7",
             "--metric-convention", "paper_literal", "--workers", "2",
         ]) == 1
@@ -292,8 +292,7 @@ class TestCv:
                                     (3.0,))
         assert (got.delta, got.kernel, got.tnorm, got.score_mode) == (
             0.01, "gaussian", "product", "lower_approx")
-        assert (got.subsample_enabled, got.weights_enabled,
-                got.untie_c) == (False, False, True)
+        assert got.weights_enabled is False
         assert (got.folds, got.inner_folds, got.repeats, got.seed,
                 got.convention, got.workers) == (
             4, 3, 2, 7, "paper_literal", 2)

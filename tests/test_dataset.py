@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from frlstsvm.classifier import PreparedFold
 from frlstsvm.dataset import (
     LabeledDataset,
+    atomic_write,
     fold_rows,
     imbalance_ratio,
     load_csv,
@@ -237,6 +239,44 @@ class TestLoadKeel:
         with pytest.warns(UserWarning):
             ds = load_keel(path, positive_label="neg")
         assert np.array_equal(ds.labels, [1, 1, -1])
+
+    @pytest.mark.parametrize("declaration", [
+        "@attribute Class{positive, negative}",
+        "@attribute Class{positive,negative}",
+        "@attribute Class {positive, negative}",
+    ])
+    def test_name_ends_at_its_earliest_separator(self, tmp_path,
+                                                 declaration):
+        text = (KEEL_MINIMAL.replace("@attribute Class {neg, pos}",
+                                     declaration)
+                .replace("neg\n", "negative\n")
+                .replace("pos\n", "positive\n"))
+        ds = load_keel(write(tmp_path, "tiny.dat", text))
+        assert ds.attribute_names == ["A1", "A2"]
+        assert np.array_equal(ds.labels, [-1, -1, 1])
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write(tmp_path / "atomic.txt", "x\n")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("atomic.txt", "plain.txt")]
+        assert modes == [0o666 & ~umask] * 2
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(path, "half \ud800")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "old\n"
 
 
 class TestMinMax:

@@ -1,11 +1,14 @@
 """Grid construction, config parsing, and the nested CV harness."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from frlstsvm import experiment
 from frlstsvm.classifier import fit_frlstsvm
 from frlstsvm.dataset import (
     LabeledDataset,
@@ -19,6 +22,7 @@ from frlstsvm.errors import (
     ExperimentError,
 )
 from frlstsvm.experiment import (
+    CONFIG_KEYS,
     CSV_COLUMNS,
     DEFAULT_C_GRID,
     DEFAULT_GAMMA_GRID,
@@ -86,21 +90,28 @@ class TestGridPoints:
         assert all(p.c1 == p.c2 for p in pts)
         assert all(p.sigma is None for p in pts)
 
-    def test_disabled_subsampling_collapses_tau_axis(self):
-        cfg = ExperimentConfig(
-            tau_grid=(0.0, 0.5, 1.0), gamma_grid=(1.0,), c1_grid=(1.0,),
-            subsample_enabled=False,
-        )
-        pts = grid_points(cfg)
-        assert len(pts) == 1 and pts[0].tau == 0.0
-
     def test_untied_penalties(self):
         cfg = ExperimentConfig(
             tau_grid=(0.0,), gamma_grid=(1.0,), c1_grid=(1.0, 2.0),
-            c2_grid=(8.0,), untie_c=True,
+            c2_grid=(8.0,),
         )
         pts = grid_points(cfg)
         assert [(p.c1, p.c2) for p in pts] == [(1.0, 8.0), (2.0, 8.0)]
+
+    @pytest.mark.parametrize("c2_grid", [None, (8.0, 0.5, 8.0)])
+    def test_order_is_that_of_nested_loops(self, c2_grid):
+        cfg = ExperimentConfig(
+            tau_grid=(0.4, 0.0), gamma_grid=(2.0, 1.0), c1_grid=(4.0, 1.0),
+            c2_grid=c2_grid, sigma_grid=(2.0, 0.5, 2.0), kernel="gaussian",
+        )
+        want = []
+        for t in (0.0, 0.4):
+            for g in (1.0, 2.0):
+                for a in (1.0, 4.0):
+                    for b in (a,) if c2_grid is None else (0.5, 8.0):
+                        for s in (0.5, 2.0):
+                            want.append(GridPoint(t, g, a, b, s))
+        assert grid_points(cfg) == want
 
     def test_gaussian_adds_sigma_axis(self):
         cfg = ExperimentConfig(
@@ -151,7 +162,6 @@ class TestParseConfig:
             "tau = 0.2,0.4\n"
             "gamma = 1.0   # trailing comment\n"
             "folds = 4\n"
-            "subsample = true\n"
             "weights = off\n"
             "score_mode = lower-approx\n"
         )
@@ -159,7 +169,6 @@ class TestParseConfig:
         assert cfg.tau_grid == (0.2, 0.4)
         assert cfg.gamma_grid == (1.0,)
         assert cfg.folds == 4
-        assert cfg.subsample_enabled is True
         assert cfg.weights_enabled is False
         assert cfg.score_mode == "lower_approx"
 
@@ -194,13 +203,20 @@ class TestParseConfig:
 
     def test_bad_boolean(self, tmp_path):
         path = tmp_path / "cv.conf"
-        path.write_text("subsample = maybe\n")
+        path.write_text("weights = maybe\n")
         with pytest.raises(ConfigurationError, match="boolean"):
             parse_config(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             parse_config(str(tmp_path / "none.conf"))
+
+    def test_config_keys_and_fields_match_one_to_one(self):
+        targets = [experiment._LIST_KEYS[key] if key in experiment._LIST_KEYS
+                   else experiment._SCALAR_KEYS[key][0]
+                   for key in CONFIG_KEYS]
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(targets) == sorted(fields)
 
 
 class TestRunNestedCv:
@@ -263,6 +279,29 @@ class TestRunNestedCv:
         cfg = ExperimentConfig(**{**SMALL, "tau_grid": (1.0,)})
         with pytest.raises(ExperimentError, match="every grid point"):
             run_nested_cv(cfg, dataset=blob_dataset(103))
+
+    def test_failing_fold_gives_the_same_partial_records_for_any_workers(
+            self, monkeypatch):
+        # the pool's forked workers inherit the patched module attribute,
+        # and the wrapper pickles under the name of the task it wraps
+        real = experiment._fold_task
+
+        @functools.wraps(real)
+        def failing(features, labels, config, repeat, fold):
+            if fold == 1:
+                raise ExperimentError(f"repeat {repeat} fold {fold} failed")
+            return real(features, labels, config, repeat, fold)
+
+        monkeypatch.setattr(experiment, "_fold_task", failing)
+        partial = {}
+        for workers in (1, 2):
+            cfg = ExperimentConfig(**{**SMALL, "folds": 5, "repeats": 1,
+                                      "workers": workers})
+            with pytest.raises(ExperimentError, match="fold 1 failed") as exc:
+                run_nested_cv(cfg, dataset=blob_dataset())
+            partial[workers] = exc.value.partial_records
+        assert [(r.repeat, r.fold) for r in partial[1]] == [(0, 0)]
+        assert partial[2] == partial[1]
 
     def test_training_side_is_blind_to_test_rows(self):
         """Planting an extreme outlier in the held-out rows must change
