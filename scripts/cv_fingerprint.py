@@ -10,9 +10,10 @@ cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For a
 linear and a gaussian fit it also writes the saved model file and
 predict(..., return_distances=True) on 500 held-out rows. The configs
 are the criterion-5 linear grid (10 outer x 9 inner folds), a small
-gaussian grid, the linear grid without subsampling and weights and in
-lower_approx score mode, and grids without tau 0 for each t-norm and
-score mode.
+gaussian grid, a gaussian grid whose gammas and taus share kept sets
+and whose c values share plane terms, the linear grid without
+subsampling and weights and in lower_approx score mode, and grids
+without tau 0 for each t-norm and score mode.
 
 The library comes from the src/ beside this script. To compare two
 commits, run the script in a checkout of each (copy it into a checkout
@@ -67,6 +68,12 @@ CONFIGS = {
     "gaussian": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
                      gamma_grid=(1.0,), c1_grid=(1.0,),
                      sigma_grid=(1.0, 2.0), folds=5),
+    # at gamma 0.5 every density score is >= 0.5, so tau 0.2 keeps what
+    # tau 0 keeps: one set of blocks, fit once per (c, sigma), with one
+    # set of c-free terms per sigma
+    "gaussian_shared": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
+                            gamma_grid=(0.5, 1.0), c1_grid=(0.25, 1.0),
+                            sigma_grid=(1.0, 2.0), folds=5),
     # tau 0 keeps every majority row: no subsampling
     "nosubsample_noweights": dict(_LINEAR_GRID, tau_grid=(0.0,),
                                   weights_enabled=False),

@@ -32,12 +32,17 @@ a gaussian one; each plane computes it once, when it is built.
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
 that nested CV fits a whole grid from one object per training set;
-fit_frlstsvm is one fit of a fresh PreparedFold.
+fit_frlstsvm is one fit of a fresh PreparedFold. It hands out one
+FitBlocks per distinct (weights, kept set), and FitBlocks.terms gives
+the parts of both systems that do not depend on c1 or c2 (PlaneTerms:
+H'H, G'D2G, G'd2, G'G, H'D1H, H'd1), which fits that differ only in c
+share; each fit still solves its own two systems through spd_solve.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -73,8 +78,11 @@ KERNELS = ("linear", "gaussian")
 
 FORMAT_TAG = "FRLSTSVM/1"
 
-# entries in one row block of the kept x kept similarity (1 MiB)
-_KEPT_BLOCK_ENTRIES = 1 << 17
+# entries in one row block of the kept x kept similarity (256 KiB). At
+# this size two takes gather a block faster than np.ix_ on the pima,
+# yeast3 and abalone19 shapes; at 1 MiB they were 2x slower than np.ix_
+# on abalone19's 4142-row majority
+_KEPT_BLOCK_ENTRIES = 1 << 15
 
 
 def _fmt(v: float) -> str:
@@ -229,26 +237,80 @@ def _checked_blocks(x1, x2, d1=None, d2=None):
             _weights_array(d2, x2.shape[0], "majority"))
 
 
-def _solve_plane(a: np.ndarray, b: np.ndarray, d_b: np.ndarray, c: float,
-                 delta: float) -> tuple[np.ndarray, SpdSolveReport]:
-    """t = (A'A + c B'DB + delta I)^-1 c B'D e: the ridge least-squares
-    fit of At = 0 and Bt = e, with weights cD on the rows of B. The
-    caller applies the sign."""
-    lhs = gram(a) + c * gram(b * np.sqrt(d_b)[:, None])
-    return spd_solve(add_scaled_identity(lhs, delta), c * (b.T @ d_b))
+class PlaneTerms(NamedTuple):
+    """The parts of both planes' normal equations that do not depend on
+    c1 or c2. With H and G the augmented class blocks and D1, D2 their
+    weights, plane 1 solves (H'H + c1 G'D2G + dI) t = c1 G'd2 and plane 2
+    (G'G + c2 H'D1H + dI) t = c2 H'd1; `planes` holds (H'H, G'D2G, G'd2)
+    and then (G'G, H'D1H, H'd1). A gaussian fit also keeps its reference
+    rows and their gram K(Xref, Xref), for the planes' norms.
+
+    FitBlocks.terms gives `planes` as a tuple, which fits that differ
+    only in c1 and c2 share. A fit given no terms reads them from a
+    one-pass iterator that builds each plane's only when it is solved,
+    so a lone gaussian fit holds two of the (m_ref + 1)^2 grams at a
+    time, not four through both solves."""
+
+    m1: int
+    m2: int
+    planes: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    x_ref: np.ndarray | None
+    k_ref: np.ndarray | None
 
 
-def _fit_planes(h: np.ndarray, g: np.ndarray, d1: np.ndarray,
-                d2: np.ndarray, c1: float, c2: float,
+def _weighted_gram(b: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+    return gram(b * np.sqrt(d_b)[:, None])
+
+
+def _plane_terms(x1, x2hat, d1, d2, sigma: float | None) -> PlaneTerms:
+    """The c-free terms of a fit on pre-scaled class matrices and their
+    weights (None: unit weights), with `planes` built as it is read: on
+    H = [X1 | 1] and G = [X2hat | 1] when sigma is None, else on the
+    augmented gaussian kernel blocks H = [K(X1, Xref) | 1] and
+    G = [K(X2hat, Xref) | 1] of width sigma, with Xref the minority
+    rows stacked over the kept majority rows."""
+    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
+    m1 = x1.shape[0]
+    x_ref = k_ref = None
+    if sigma is None:
+        h, g = _augment(x1), _augment(x2hat)
+    else:
+        x_ref = np.vstack([x1, x2hat])
+        k_ref = gaussian_gram(x_ref, x_ref, sigma)
+        h, g = _augment(k_ref[:m1]), _augment(k_ref[m1:])
+
+    def planes():
+        yield gram(h), _weighted_gram(g, d2), g.T @ d2
+        yield gram(g), _weighted_gram(h, d1), h.T @ d1
+
+    return PlaneTerms(m1=m1, m2=x2hat.shape[0], planes=planes(),
+                      x_ref=x_ref, k_ref=k_ref)
+
+
+def _fit_planes(terms: PlaneTerms, c1: float, c2: float,
                 delta: float) -> tuple[np.ndarray, np.ndarray,
                                        TrainingSummary]:
-    """Both weighted planes from the feature-mapped class blocks,
-    H = [phi(X1) | 1] and G = [phi(X2hat) | 1], with phi the identity
-    (linear) or K(., Xref) (kernel). Returns u1, u2 and the summary."""
-    t1, report1 = _solve_plane(h, g, d2, c1, delta)
-    t2, report2 = _solve_plane(g, h, d1, c2, delta)
+    """Both weighted planes from their c-free terms. Plane j solves
+    t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge least-squares fit
+    of At = 0 and Bt = e with weights cD on the rows of B, from
+    (A'A, B'DB, B'D e). Returns u1 = -t1, u2 = t2 and the summary."""
+    solved = []
+    planes = iter(terms.planes)
+    for c in (c1, c2):
+        aa, bdb, bd = next(planes)
+        # c B'DB + A'A in one buffer has the bits of A'A + c B'DB
+        lhs = c * bdb
+        lhs += aa
+        lhs[np.diag_indices_from(lhs)] += delta
+        rhs = c * bd
+        # unshared terms are freed before the solve, and the system
+        # before the next plane's terms are built
+        del aa, bdb, bd
+        solved.append(spd_solve(lhs, rhs))
+        del lhs
+    (t1, report1), (t2, report2) = solved
     summary = TrainingSummary(
-        m1=h.shape[0], m2_kept=g.shape[0], m2_total=g.shape[0],
+        m1=terms.m1, m2_kept=terms.m2, m2_total=terms.m2,
         solver_reports={"plane1": report1, "plane2": report2},
     )
     return -t1, t2, summary
@@ -268,7 +330,8 @@ def _default_config(c1: float, c2: float, delta: float,
 
 def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
                delta: float = 1e-6, scaling: ScalingParams | None = None,
-               config: TrainConfig | None = None) -> TwinPlaneModel:
+               config: TrainConfig | None = None,
+               terms: PlaneTerms | None = None) -> TwinPlaneModel:
     """Fit both weighted hyperplanes from pre-scaled class matrices.
 
     Parameters
@@ -283,12 +346,15 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
         None means inputs to predict are taken as already scaled.
     config : full config snapshot to carry on the model; a minimal one
         is synthesized when omitted.
+    terms : the c-free terms of these blocks, as FitBlocks.terms gives
+        them to fits that differ only in c1 and c2; None computes them
+        for this fit alone.
     """
-    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
     if config is None:
         config = _default_config(c1, c2, delta, weighted=True)
-    u1, u2, summary = _fit_planes(_augment(x1), _augment(x2hat), d1, d2,
-                                  c1, c2, delta)
+    if terms is None:
+        terms = _plane_terms(x1, x2hat, d1, d2, None)
+    u1, u2, summary = _fit_planes(terms, c1, c2, delta)
     return TwinPlaneModel(
         plane1=_unpack(u1), plane2=_unpack(u2),
         scaling=scaling, config=config, summary=summary,
@@ -366,33 +432,35 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
 
 
 def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
-               scaling: ScalingParams | None = None) -> TwinPlaneModel:
+               scaling: ScalingParams | None = None,
+               terms: PlaneTerms | None = None) -> TwinPlaneModel:
     """Fit the Gaussian-kernel variant from pre-scaled class matrices.
 
     The reference set stacks the minority rows over the kept majority
     rows; the plane algebra of fit_linear is applied to the augmented
-    kernel blocks P and Q against that reference set.
+    kernel blocks P and Q against that reference set. `terms` is as in
+    fit_linear, at config.sigma.
     """
     if config.kernel != "gaussian":
         raise ConfigurationError(
             f"fit_kernel requires a gaussian config, got {config.kernel!r}"
         )
-    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
-    m1 = x1.shape[0]
-    x_ref = np.vstack([x1, x2hat])
-    k_ref = gaussian_gram(x_ref, x_ref, config.sigma)
-    u1, u2, summary = _fit_planes(_augment(k_ref[:m1]), _augment(k_ref[m1:]),
-                                  d1, d2, config.c1, config.c2, config.delta)
+    if terms is None:
+        terms = _plane_terms(x1, x2hat, d1, d2, config.sigma)
+    u1, u2, summary = _fit_planes(terms, config.c1, config.c2, config.delta)
     return TwinPlaneModel(
-        plane1=_unpack(u1, k_ref), plane2=_unpack(u2, k_ref),
-        scaling=scaling, config=config, summary=summary, x_ref=x_ref,
+        plane1=_unpack(u1, terms.k_ref), plane2=_unpack(u2, terms.k_ref),
+        scaling=scaling, config=config, summary=summary, x_ref=terms.x_ref,
     )
 
 
-class FitBlocks(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class FitBlocks:
     """What one fit solves from: the scaled minority rows, the kept
     majority rows, their instance weights (None for unit weights), the
-    kept rows' indices into the training set and the majority size."""
+    kept rows' indices into the training set and the majority size.
+    Compared and hashed by identity: a PreparedFold hands out one
+    object per distinct (weights, kept set)."""
 
     x1: np.ndarray
     x2hat: np.ndarray
@@ -401,20 +469,32 @@ class FitBlocks(NamedTuple):
     kept_rows: np.ndarray
     m2_total: int
 
+    def terms(self, sigma: float | None = None) -> PlaneTerms:
+        """The c-free terms of a fit on these blocks, to share across
+        fits that differ only in c1 and c2; sigma None for the linear
+        kernel."""
+        terms = _plane_terms(self.x1, self.x2hat, self.d1, self.d2, sigma)
+        return terms._replace(planes=tuple(terms.planes))
+
 
 class PreparedFold:
     """One training set made ready for any number of fits.
 
     Min-max scaling is fit on these rows only and the scaled rows are
     split by class. The fuzzy-rough steps of the pipeline are memoised
-    for the life of the object, per FuzzyParams: the majority's m2 x m2
-    similarity, its positive-region scores and the minority weights;
-    and per (FuzzyParams, tau): the subsample and the kept-majority
-    weights. Density scores and kept-majority weights are row means of
-    the one majority similarity, so a grid computes it once per gamma.
+    per FuzzyParams: the majority's m2 x m2 similarity, its
+    positive-region scores and the minority weights; per (FuzzyParams,
+    tau): the subsample. Density scores and kept-majority weights are
+    row means of the one majority similarity, so a grid computes it
+    once per gamma, and `release` drops it once that gamma is done.
     Tau 0 keeps every majority row and scores none of them. A tau that
-    empties the majority raises the same ConfigurationError
-    on every fit that asks for it.
+    empties the majority raises the same ConfigurationError on every
+    fit that asks for it.
+
+    The blocks, with their kept-majority weights, are memoised per
+    (the weights' FuzzyParams, or None without weights; the kept set),
+    so taus and gammas that keep the same rows with the same weights
+    get one FitBlocks object.
     """
 
     def __init__(self, features, labels):
@@ -464,9 +544,9 @@ class PreparedFold:
         score is >= 0, so tau 0 keeps every row without scoring."""
         if config.tau == 0:
             return np.arange(self.x2.shape[0])
-        scores = self.scores(config.fuzzy)
         return self._cached(("kept", config.fuzzy, config.tau), lambda: (
-            subsample_majority(scores, config.tau).kept_indices))
+            subsample_majority(self.scores(config.fuzzy),
+                               config.tau).kept_indices))
 
     def _kept_weights(self, fuzzy: FuzzyParams,
                       kept: np.ndarray) -> np.ndarray:
@@ -479,7 +559,7 @@ class PreparedFold:
             return mean_similarity(sim.sum(axis=1), WEIGHT_FLOOR)
         step = max(1, _KEPT_BLOCK_ENTRIES // kept.size)
         sums = np.concatenate([
-            sim[np.ix_(kept[i:i + step], kept)].sum(axis=1)
+            sim.take(kept[i:i + step], axis=0).take(kept, axis=1).sum(axis=1)
             for i in range(0, kept.size, step)
         ])
         return mean_similarity(sums, WEIGHT_FLOOR)
@@ -487,29 +567,41 @@ class PreparedFold:
     def blocks(self, config: TrainConfig) -> FitBlocks:
         """Subsample the majority at tau and weight both classes."""
         kept = self._kept(config)
-        d1 = d2 = None
-        if config.weights_enabled:
-            fuzzy = config.fuzzy
-            d1 = self._cached(("d1", fuzzy),
-                              lambda: class_weights(self.x1, fuzzy))
-            d2 = self._cached(("d2", fuzzy, config.tau),
-                              lambda: self._kept_weights(fuzzy, kept))
-        return FitBlocks(self.x1, self.x2[kept], d1, d2,
-                         self.maj_rows[kept], self.x2.shape[0])
+        fuzzy = config.fuzzy if config.weights_enabled else None
+
+        def compute():
+            d1 = d2 = None
+            if fuzzy is not None:
+                d1 = self._cached(("d1", fuzzy),
+                                  lambda: class_weights(self.x1, fuzzy))
+                d2 = self._kept_weights(fuzzy, kept)
+            return FitBlocks(self.x1, self.x2[kept], d1, d2,
+                             self.maj_rows[kept], self.x2.shape[0])
+        return self._cached(("blocks", fuzzy, kept.tobytes()), compute)
+
+    def release(self, fuzzy: FuzzyParams) -> None:
+        """Drop the majority similarity and scores of `fuzzy`, the
+        object's only m2 x m2 arrays, once no new tau will be asked of
+        it; a later call that needs them computes them again."""
+        self._memo.pop(("similarity", fuzzy), None)
+        self._memo.pop(("scores", fuzzy), None)
 
 
 def fit_blocks(blocks: FitBlocks, config: TrainConfig,
-               scaling: ScalingParams | None = None):
+               scaling: ScalingParams | None = None,
+               terms: PlaneTerms | None = None):
     """Run the linear or kernel solver on prepared blocks. Returns a
     TwinPlaneModel carrying `scaling` (None: predict takes scaled rows),
-    whose summary records how many majority rows survived."""
+    whose summary records how many majority rows survived. `terms` is
+    blocks.terms(config.sigma), shared by fits that differ only in c1
+    and c2, or None to compute it for this fit alone."""
     if config.kernel == "gaussian":
         model = fit_kernel(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
-                           config, scaling=scaling)
+                           config, scaling=scaling, terms=terms)
     else:
         model = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
                            config.c1, config.c2, config.delta,
-                           scaling=scaling, config=config)
+                           scaling=scaling, config=config, terms=terms)
     model.summary.m2_total = blocks.m2_total
     model.summary.kept_majority_rows = blocks.kept_rows
     return model

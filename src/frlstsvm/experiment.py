@@ -6,7 +6,9 @@ outer plan for repeat r is seeded with seed + r. Inside each outer
 training part, a stratified (k-1)-fold grid search picks the
 hyperparameters with the best mean G-mean (ties resolved by grid
 order: tau, gamma, c1, c2, sigma ascending), the winner is refit on
-the whole outer training part and scored on the held-out fold. Every
+the whole outer training part and scored on the held-out fold. Grid
+points that keep the same majority rows with the same weights are fit
+once per inner fold and (c1, c2, sigma), and share their G-mean. Every
 fold task is a pure function of (dataset, config, repeat, fold), so
 results do not depend on the worker count.
 """
@@ -24,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
+    FitBlocks,
+    PlaneTerms,
     PreparedFold,
     TrainConfig,
     fit_blocks,
@@ -238,9 +242,21 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     again. Each inner fold fits every point through one PreparedFold,
     so its fuzzy-rough steps are shared across the grid, and scales its
     validation rows once; the grid's models carry no scaling.
+
+    Points whose blocks are one object (the same weights and kept set)
+    differ only in c1, c2 and sigma, so each inner fold fits and scores
+    one (blocks, c1, c2, sigma) once and copies its G-mean, or its
+    failure, to every point that shares it; fits of one (blocks, sigma)
+    share its c-free plane terms. The fold is walked gamma by gamma,
+    and each gamma's majority similarity is released once that gamma's
+    blocks are built, so one is live at a time. Results are stored by
+    point index, so no mean, flag or tie-break depends on the walk.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
     configs = [_train_config(config, pt) for pt in points]
+    by_fuzzy: dict[FuzzyParams, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        by_fuzzy.setdefault(cfg.fuzzy, []).append(i)
     sums = np.zeros(len(points))
     alive = np.ones(len(points), dtype=bool)
     for f in range(inner_k):
@@ -248,18 +264,48 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
         prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr])
         x_va = minmax_apply(prep.scaling, train_ds.features[va])
         y_va = train_ds.labels[va]
-        for i, cfg in enumerate(configs):
-            if not alive[i]:
-                continue
-            try:
-                pred = predict(fit_blocks(prep.blocks(cfg), cfg), x_va)
-                rep = report(confusion(y_va, pred), config.convention)
-            except (ConfigurationError, SingularSystemError,
-                    DegenerateModelError):
-                alive[i] = False
-                continue
-            sums[i] += rep.gmean
+        # (blocks, c1, c2, sigma) -> G-mean, or None if the fit failed
+        gmeans: dict[tuple, float | None] = {}
+        for fuzzy, group in by_fuzzy.items():
+            # (blocks, sigma) -> its live points, in grid order
+            fits: dict[tuple, list[int]] = {}
+            for i in group:
+                if not alive[i]:
+                    continue
+                try:
+                    blocks = prep.blocks(configs[i])
+                except ConfigurationError:
+                    alive[i] = False
+                    continue
+                fits.setdefault((blocks, points[i].sigma), []).append(i)
+            prep.release(fuzzy)
+            for (blocks, sigma), members in fits.items():
+                terms = None
+                for i in members:
+                    cfg = configs[i]
+                    key = (blocks, cfg.c1, cfg.c2, sigma)
+                    if key not in gmeans:
+                        if terms is None:
+                            terms = blocks.terms(sigma)
+                        gmeans[key] = _inner_gmean(blocks, cfg, terms, x_va,
+                                                   y_va, config.convention)
+                    if gmeans[key] is None:
+                        alive[i] = False
+                    else:
+                        sums[i] += gmeans[key]
     return sums / inner_k, alive
+
+
+def _inner_gmean(blocks: FitBlocks, cfg: TrainConfig, terms: PlaneTerms,
+                 x_va: np.ndarray, y_va: np.ndarray,
+                 convention: str) -> float | None:
+    """G-mean of one grid fit on the validation rows; None when the
+    system is singular or the model degenerate."""
+    try:
+        pred = predict(fit_blocks(blocks, cfg, terms=terms), x_va)
+    except (SingularSystemError, DegenerateModelError):
+        return None
+    return report(confusion(y_va, pred), convention).gmean
 
 
 def _fold_task(features: np.ndarray, labels: np.ndarray,
@@ -288,8 +334,15 @@ def _fold_task(features: np.ndarray, labels: np.ndarray,
         )
 
     winner = points[best]
-    model = fit_frlstsvm(train_ds, _train_config(config, winner))
-    pred = predict(model, ds.features[test_rows])
+    try:
+        model = fit_frlstsvm(train_ds, _train_config(config, winner))
+        pred = predict(model, ds.features[test_rows])
+    except (ConfigurationError, SingularSystemError,
+            DegenerateModelError) as exc:
+        raise ExperimentError(
+            f"repeat {repeat} fold {fold}: refitting the winner {winner} "
+            f"on the outer training part failed: {exc}"
+        ) from None
     rep = report(confusion(ds.labels[test_rows], pred), config.convention)
     return FoldRecord(
         repeat=repeat, fold=fold,

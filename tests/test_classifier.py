@@ -335,6 +335,21 @@ def scaled_split(x, y):
 
 
 class TestKernelFit:
+    def test_one_fit_holds_one_planes_terms_at_a_time(self):
+        # the four (m_ref + 1)^2 grams of the c-free terms plus the
+        # reference gram, all live, would take the peak past 7 of them
+        rng = np.random.default_rng(99)
+        x1, x2 = rng.random((80, 8)), rng.random((720, 8))
+        d1, d2 = rng.uniform(0.5, 1, 80), rng.uniform(0.5, 1, 720)
+        cfg = config(kernel="gaussian", sigma=1.0)
+        tracemalloc.start()
+        try:
+            fit_kernel(x1, x2, d1, d2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 801 ** 2 * 8
+
     def test_circles_need_the_kernel(self):
         x, y = make_circles(50)
         x1, x2, scaling = scaled_split(x, y)
@@ -630,10 +645,12 @@ class TestPreparedFold:
         empty = {cfg for cfg in configs if cfg.tau == 1.0}
         assert {cfg for cfg, out in want.items() if out is None} == empty
 
+        # the second pass shares each (blocks, sigma)'s c-free terms
         prep = PreparedFold(x, y)
         rng = np.random.default_rng(4)
         raised = 0
-        for _ in range(2):
+        shared_terms = {}
+        for shared in (False, True):
             for i in rng.permutation(len(configs)):
                 cfg = configs[i]
                 if want[cfg] is None:
@@ -641,7 +658,14 @@ class TestPreparedFold:
                         prep.blocks(cfg)
                     raised += 1
                     continue
-                model = fit_blocks(prep.blocks(cfg), cfg, prep.scaling)
+                blocks = prep.blocks(cfg)
+                terms = None
+                if shared:
+                    key = (blocks, cfg.sigma)
+                    if key not in shared_terms:
+                        shared_terms[key] = blocks.terms(cfg.sigma)
+                    terms = shared_terms[key]
+                model = fit_blocks(blocks, cfg, prep.scaling, terms=terms)
                 arrays, outputs = want[cfg]
                 for got, exp in zip(model_arrays(model) + list(
                         predict(model, probe, return_distances=True)),
@@ -649,7 +673,66 @@ class TestPreparedFold:
                     assert got.dtype == exp.dtype
                     assert got.tobytes() == exp.tobytes()
         assert raised == 2 * len(empty)
+        # the kept sets at tau 0 and 0.72 differ at both gammas, and
+        # without weights tau 0 is one kept set for both gammas
+        assert len({blocks for blocks, _ in shared_terms}) == 2 * 2 * 2 - 1
 
+    def test_duplicate_kept_sets_share_one_blocks_object(self):
+        # under the minimum t-norm every density score is >= 1 - gamma,
+        # so at gamma 0.5 tau 0.3 keeps every row, as tau 0 does
+        x, y = make_blobs(97, m1=8, m2=30, spread=1.2)
+        prep = PreparedFold(x, y)
+
+        def blocks(tau, gamma, weights=True):
+            return prep.blocks(TrainConfig(
+                c1=1.0, c2=1.0, tau=tau, fuzzy=fuzzy(gamma=gamma),
+                weights_enabled=weights))
+
+        tau_subset = float(np.median(prep.scores(fuzzy(gamma=2.0)).scores))
+        assert blocks(0.3, 0.5) is blocks(0.0, 0.5)
+        assert blocks(0.3, 0.5).x2hat.shape[0] == 30
+        # the same rows under other weights, or none, are other blocks
+        assert blocks(0.0, 2.0) is not blocks(0.0, 0.5)
+        assert blocks(0.0, 0.5, False) is not blocks(0.0, 0.5)
+        # without weights the kept set alone is the key
+        assert blocks(0.0, 0.5, False) is blocks(0.3, 2.0 / 3, False)
+        assert blocks(0.0, 0.5, False) is blocks(0.0, 2.0, False)
+        sub = blocks(tau_subset, 2.0)
+        assert 0 < sub.x2hat.shape[0] < 30
+        assert sub is blocks(tau_subset, 2.0) and sub is not blocks(0.0, 2.0)
+        assert blocks(tau_subset, 2.0, False) is not blocks(0.0, 2.0, False)
+
+    def test_released_similarity_is_computed_again(self, monkeypatch):
+        calls = []
+        real = fuzzy_rough.indiscernibility_matrix
+
+        def counted(x, params):
+            calls.append(params.gamma)
+            return real(x, params)
+
+        monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix", counted)
+        x, y = make_blobs(98, m1=8, m2=30, spread=1.2)
+        fz = fuzzy(gamma=2.0)
+        scores = PreparedFold(x, y).scores(fz).scores
+        taus = (float(np.quantile(scores, 0.5)),
+                float(np.quantile(scores, 0.25)))
+        prep = PreparedFold(x, y)
+        first = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=taus[0],
+                                        fuzzy=fz))
+        prep.release(fz)
+        calls.clear()
+        # memoised blocks need no similarity; a new tau computes it
+        # again, with the same bits as a fresh PreparedFold
+        assert prep.blocks(TrainConfig(c1=4.0, c2=1.0, tau=taus[0],
+                                       fuzzy=fz)) is first
+        assert calls == []
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=taus[1], fuzzy=fz)
+        got, want = prep.blocks(cfg), PreparedFold(x, y).blocks(cfg)
+        assert calls.count(2.0) == 3
+        assert got.x2hat.shape[0] > first.x2hat.shape[0]
+        for name in ("x2hat", "d1", "d2", "kept_rows"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes())
 
     def test_steps_are_bit_equal_to_the_fuzzy_rough_functions(self):
         # scores and kept-majority weights are read off one memoised

@@ -44,3 +44,20 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
 def test_usage_without_an_output_directory(capsys):
     assert load_script().main([]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_gaussian_grid_shares_kept_sets_and_plane_terms(tmp_path):
+    # every density score is >= 1 - gamma under the minimum t-norm, so
+    # each tau of the grid keeps every row at its smallest gamma, and
+    # every (kept set, sigma) serves more than one c
+    script = load_script()
+    fields = script.CONFIGS["gaussian_shared"]
+    assert fields["kernel"] == "gaussian" and fields["folds"] == 5
+    assert max(fields["tau_grid"]) <= 1 - min(fields["gamma_grid"])
+    assert len(fields["tau_grid"]) > 1 and len(fields["c1_grid"]) > 1
+    assert len(fields["sigma_grid"]) > 1
+    smoke = {"smoke": dict(fields, folds=3, inner_folds=2)}
+    script.write_fingerprint(tmp_path / "out", smoke)
+    csv = (tmp_path / "out" / "smoke.csv").read_text().splitlines()
+    sigmas = {float(ln.split(",")[6]) for ln in csv[1:4]}
+    assert sigmas <= set(fields["sigma_grid"])

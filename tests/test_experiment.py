@@ -4,12 +4,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from frlstsvm import experiment
-from frlstsvm.classifier import fit_frlstsvm
+from frlstsvm import classifier, experiment
+from frlstsvm.classifier import fit_frlstsvm, predict
 from frlstsvm.dataset import (
     LabeledDataset,
     fold_rows,
@@ -19,7 +20,9 @@ from frlstsvm.dataset import (
 from frlstsvm.errors import (
     ConfigurationError,
     DataError,
+    DegenerateModelError,
     ExperimentError,
+    SingularSystemError,
 )
 from frlstsvm.experiment import (
     CONFIG_KEYS,
@@ -40,6 +43,7 @@ from frlstsvm.experiment import (
     write_cv_result,
 )
 from frlstsvm.fuzzy_rough import FuzzyParams
+from frlstsvm.metrics import confusion, report
 
 from helpers import make_blobs
 
@@ -303,6 +307,40 @@ class TestRunNestedCv:
         assert [(r.repeat, r.fold) for r in partial[1]] == [(0, 0)]
         assert partial[2] == partial[1]
 
+    @pytest.mark.parametrize("site, error", [
+        ("fit_frlstsvm", SingularSystemError),
+        ("fit_frlstsvm", ConfigurationError),
+        ("predict", DegenerateModelError),
+    ])
+    def test_failed_refit_gives_partial_records_for_any_workers(
+            self, monkeypatch, site, error):
+        # the refit of the winner on the outer training part, or its
+        # predict on the held-out rows, fails on fold 1 only
+        ds = blob_dataset()
+        fold1_train, fold1_test = fold_rows(stratified_kfold(ds, 5, 0), 1)
+        marked = (ds.features[fold1_train] if site == "fit_frlstsvm"
+                  else ds.features[fold1_test])
+        real = getattr(experiment, site)
+
+        @functools.wraps(real)
+        def failing(first, *args):
+            rows = first.features if site == "fit_frlstsvm" else args[0]
+            if np.array_equal(rows, marked):
+                raise error("injected")
+            return real(first, *args)
+
+        monkeypatch.setattr(experiment, site, failing)
+        partial = {}
+        for workers in (1, 2):
+            cfg = ExperimentConfig(**{**SMALL, "folds": 5, "repeats": 1,
+                                      "workers": workers})
+            with pytest.raises(ExperimentError,
+                               match="repeat 0 fold 1: .*injected") as exc:
+                run_nested_cv(cfg, dataset=ds)
+            partial[workers] = exc.value.partial_records
+        assert [(r.repeat, r.fold) for r in partial[1]] == [(0, 0)]
+        assert partial[2] == partial[1]
+
     def test_training_side_is_blind_to_test_rows(self):
         """Planting an extreme outlier in the held-out rows must change
         neither the fold's winning hyperparameters nor its kept count."""
@@ -342,6 +380,143 @@ class TestRunNestedCv:
         assert a.plane1.b == b.plane1.b
         assert np.array_equal(a.plane2.w, b.plane2.w)
         assert a.plane2.b == b.plane2.b
+
+
+def reference_grid_search(train_ds, config, points, inner_k, inner_seed):
+    """The grid search as a plain loop: every live point is fit through
+    a fresh pipeline on every inner fold."""
+    plan = stratified_kfold(train_ds, inner_k, inner_seed)
+    sums = np.zeros(len(points))
+    alive = np.ones(len(points), dtype=bool)
+    for f in range(inner_k):
+        tr, va = fold_rows(plan, f)
+        fold_ds = subset(train_ds, tr)
+        for i, pt in enumerate(points):
+            if not alive[i]:
+                continue
+            try:
+                model = fit_frlstsvm(fold_ds,
+                                     experiment._train_config(config, pt))
+                pred = predict(model, train_ds.features[va])
+            except (ConfigurationError, SingularSystemError,
+                    DegenerateModelError):
+                alive[i] = False
+                continue
+            sums[i] += report(confusion(train_ds.labels[va], pred),
+                              config.convention).gmean
+    return sums / inner_k, alive
+
+
+# tau 0.45 keeps every row at gamma 0.5 (scores >= 1 - gamma), about
+# half of them at gamma 4, and tau 1 empties the majority at both
+GRID = dict(tau_grid=(0.0, 0.45, 1.0), gamma_grid=(0.5, 4.0),
+            c1_grid=(0.5, 2.0), folds=2)
+
+
+def grid_dataset():
+    return blob_dataset(110, m1=12, m2=36)
+
+
+class TestGridSearch:
+    @pytest.mark.parametrize("fields", [
+        dict(GRID),
+        dict(GRID, weights_enabled=False, c2_grid=(1.0, 4.0)),
+        dict(GRID, kernel="gaussian", sigma_grid=(0.5, 1.0)),
+    ], ids=["linear", "unweighted_untied", "gaussian"])
+    def test_matches_a_per_point_reference_loop(self, fields):
+        cfg = ExperimentConfig(**fields)
+        ds = grid_dataset()
+        points = grid_points(cfg)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        dead = {pt.tau for pt, ok in zip(points, got[1]) if not ok}
+        assert dead == {1.0} and got[1].sum() == len(points) * 2 // 3
+
+    def test_a_failed_fit_kills_every_point_that_shares_it(
+            self, monkeypatch):
+        # singular exactly for the blocks weighted at gamma 0.5 (the one
+        # kept set of that gamma here) at c1 = 2: points (0, 0.5, 2) and
+        # (0.45, 0.5, 2)
+        real = classifier.fit_linear
+        raised = []
+
+        def singular_at(x1, x2hat, d1, d2, c1, c2, *args, **kwargs):
+            if kwargs["config"].fuzzy.gamma == 0.5 and c1 == 2.0:
+                raised.append(x2hat.shape[0])
+                raise SingularSystemError("injected")
+            return real(x1, x2hat, d1, d2, c1, c2, *args, **kwargs)
+
+        monkeypatch.setattr(classifier, "fit_linear", singular_at)
+        cfg = ExperimentConfig(**GRID)
+        ds = grid_dataset()
+        points = grid_points(cfg)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        assert len(raised) == 1
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert len(raised) == 3
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        dead = {(pt.tau, pt.gamma, pt.c1)
+                for pt, ok in zip(points, got[1]) if not ok and pt.tau < 1}
+        assert dead == {(0.0, 0.5, 2.0), (0.45, 0.5, 2.0)}
+
+    @pytest.mark.parametrize("weights", [True, False])
+    def test_one_fit_per_distinct_kept_set_and_penalties(
+            self, monkeypatch, weights):
+        cfg = ExperimentConfig(**GRID, c2_grid=(1.0, 4.0),
+                               weights_enabled=weights)
+        ds = grid_dataset()
+        points = grid_points(cfg)
+        inner_k, seed = 3, 7
+        plan = stratified_kfold(ds, inner_k, seed)
+        distinct = 0
+        for f in range(inner_k):
+            fold_ds = subset(ds, fold_rows(plan, f)[0])
+            fits = set()
+            for pt in points:
+                train = experiment._train_config(cfg, pt)
+                try:
+                    kept = fit_frlstsvm(fold_ds, train).summary \
+                        .kept_majority_rows
+                except ConfigurationError:
+                    continue
+                fits.add((pt.gamma if weights else None, kept.tobytes(),
+                          pt.c1, pt.c2))
+            distinct += len(fits)
+
+        real = classifier.fit_linear
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4:6])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "fit_linear", counted)
+        experiment._grid_search(ds, cfg, points, inner_k, seed)
+        assert len(calls) == distinct
+        # gamma 0.5 keeps every row at tau 0 and 0.45; without weights
+        # that set is shared with tau 0 at gamma 4
+        per_fold = 3 if weights else 2
+        assert distinct == inner_k * per_fold * 4
+
+    def test_one_similarity_is_live_at_a_time(self):
+        # each gamma's 1000 x 1000 majority similarity (7.6 MiB) is
+        # released once its points are done
+        ds = blob_dataset(111, m1=40, m2=2000)
+        cfg = ExperimentConfig(tau_grid=(0.0, 0.5),
+                               gamma_grid=(0.5, 1.0, 1.5, 2.0),
+                               c1_grid=(1.0,), folds=2)
+        points = grid_points(cfg)
+        tracemalloc.start()
+        try:
+            _, alive = experiment._grid_search(ds, cfg, points, 2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alive.all()
+        assert peak < 1000 * 1000 * 8 + 4 * 2 ** 20
 
 
 class TestResultFiles:

@@ -21,6 +21,11 @@ class TestGram:
         g = gram(rng.normal(size=(5, 3)))
         assert np.array_equal(g, g.T)
 
+    def test_bits_of_the_symmetrized_product(self):
+        a = np.random.default_rng(2).normal(size=(40, 30))
+        raw = a.T @ a
+        assert gram(a).tobytes() == ((raw + raw.T) * 0.5).tobytes()
+
     def test_quadratic_form_nonnegative(self):
         rng = np.random.default_rng(1)
         g = gram(rng.normal(size=(6, 4)))
