@@ -32,7 +32,8 @@ a gaussian one; each plane computes it once, when it is built.
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
 that nested CV fits a whole grid from one object per training set;
-fit_frlstsvm is one fit of a fresh PreparedFold. It hands out one
+fit_frlstsvm is one fit of a fresh PreparedFold. It holds one majority
+similarity at a time, for the FuzzyParams last asked, and hands out one
 FitBlocks per distinct (weights, kept set), and FitBlocks.terms gives
 the parts of both systems that do not depend on c1 or c2 (PlaneTerms:
 H'H, G'D2G, G'd2, G'G, H'D1H, H'd1), which fits that differ only in c
@@ -482,14 +483,15 @@ class PreparedFold:
 
     Min-max scaling is fit on these rows only and the scaled rows are
     split by class. The fuzzy-rough steps of the pipeline are memoised
-    per FuzzyParams: the majority's m2 x m2 similarity, its
-    positive-region scores and the minority weights; per (FuzzyParams,
-    tau): the subsample. Density scores and kept-majority weights are
-    row means of the one majority similarity, so a grid computes it
-    once per gamma, and `release` drops it once that gamma is done.
-    Tau 0 keeps every majority row and scores none of them. A tau that
-    empties the majority raises the same ConfigurationError on every
-    fit that asks for it.
+    per FuzzyParams: the majority's positive-region scores and the
+    minority weights; per (FuzzyParams, tau): the subsample. Density
+    scores and kept-majority weights are row means of the majority's
+    m2 x m2 similarity, the object's only m2 x m2 array. It has one
+    slot: asking for other FuzzyParams drops the held similarity before
+    building the new one, so a grid asked gamma by gamma computes each
+    once and never holds two. Tau 0 keeps every majority row and scores
+    none of them. A tau that empties the majority raises the same
+    ConfigurationError on every fit that asks for it.
 
     The blocks, with their kept-majority weights, are memoised per
     (the weights' FuzzyParams, or None without weights; the kept set),
@@ -509,22 +511,29 @@ class PreparedFold:
         self.x1 = self.xs[min_rows]
         self.x2 = self.xs[self.maj_rows]
         self._memo: dict = {}
+        self._sim: tuple[FuzzyParams, np.ndarray] | None = None
 
     def _cached(self, key, compute):
         if key not in self._memo:
             try:
                 self._memo[key] = compute()
             except ConfigurationError as exc:
-                self._memo[key] = exc
+                self._memo[key] = exc.with_traceback(None)
         hit = self._memo[key]
         if isinstance(hit, ConfigurationError):
-            raise hit.with_traceback(None)
+            # a fresh error each time: a memoised one would keep the
+            # frames it is raised through, and this object, alive until
+            # the garbage collector breaks the cycle
+            raise ConfigurationError(*hit.args)
         return hit
 
     def _similarity(self, fuzzy: FuzzyParams) -> np.ndarray:
-        # looked up on the module, where the benchmark's tracer wraps it
-        return self._cached(("similarity", fuzzy), lambda: (
-            fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy)))
+        if self._sim is None or self._sim[0] != fuzzy:
+            self._sim = None  # so two are never live
+            # looked up on the module, where the benchmark's tracer wraps it
+            self._sim = (fuzzy,
+                         fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
+        return self._sim[1]
 
     def scores(self, fuzzy: FuzzyParams) -> PositiveRegionScores:
         """The majority's positive_region_scores; in density mode, the
@@ -578,13 +587,6 @@ class PreparedFold:
             return FitBlocks(self.x1, self.x2[kept], d1, d2,
                              self.maj_rows[kept], self.x2.shape[0])
         return self._cached(("blocks", fuzzy, kept.tobytes()), compute)
-
-    def release(self, fuzzy: FuzzyParams) -> None:
-        """Drop the majority similarity and scores of `fuzzy`, the
-        object's only m2 x m2 arrays, once no new tau will be asked of
-        it; a later call that needs them computes them again."""
-        self._memo.pop(("similarity", fuzzy), None)
-        self._memo.pop(("scores", fuzzy), None)
 
 
 def fit_blocks(blocks: FitBlocks, config: TrainConfig,
@@ -744,13 +746,15 @@ def load_model(path):
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    if not lines:
+        raise DataError(f"{path}: empty file")
     rd = _Reader(lines, path)
 
     head = rd.next().split()
     if len(head) != 2 or head[0] != FORMAT_TAG:
         raise DataError(
             f"{path}: not a {FORMAT_TAG} model file (first line "
-            f"{lines[0][:40]!r})" if lines else f"{path}: empty file"
+            f"{lines[0][:40]!r})"
         )
     kind = head[1]
     if kind not in KERNELS:

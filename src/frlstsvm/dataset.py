@@ -170,6 +170,48 @@ def _parse_value(cell: str, line_no: int, col_no: int,
     return value
 
 
+def _read_rows(path: str, has_header: bool
+               ) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """The header's cells (None without one) and each data row's line
+    number and cells, split on commas and stripped; blank lines are
+    skipped, and a file with no data row is refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    header: list[str] | None = None
+    rows: list[tuple[int, list[str]]] = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if has_header and header is None:
+            header = cells
+            continue
+        rows.append((line_no, cells))
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, rows
+
+
+def _parse_rows(rows: list[tuple[int, list[str]]], path: str,
+                skip: int | None = None) -> np.ndarray:
+    """The rows' cells as floats, all but column `skip`, row by row;
+    every row must be as wide as the first."""
+    width = len(rows[0][1])
+    values: list[list[float]] = []
+    for line_no, cells in rows:
+        if len(cells) != width:
+            raise DataError(
+                f"{path}: line {line_no} has {len(cells)} columns, "
+                f"expected {width}"
+            )
+        values.append([_parse_value(cell, line_no, col + 1, path)
+                       for col, cell in enumerate(cells) if col != skip])
+    return np.asarray(values)
+
+
 def load_csv(path, label_column: int | str = -1,
              positive_label: str | None = None,
              has_header: bool = False) -> LabeledDataset:
@@ -182,26 +224,7 @@ def load_csv(path, label_column: int | str = -1,
     smaller class is used.
     """
     path = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if has_header and header is None:
-            header = cells
-            continue
-        rows.append((line_no, cells))
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
+    header, rows = _read_rows(path, has_header)
     width = len(rows[0][1])
     if width < 2:
         raise DataError(f"{path}: rows need at least 2 columns")
@@ -226,61 +249,20 @@ def load_csv(path, label_column: int | str = -1,
                 f"{width} columns"
             )
 
-    feats: list[list[float]] = []
-    raw_labels: list[str] = []
-    for line_no, cells in rows:
-        if len(cells) != width:
-            raise DataError(
-                f"{path}: line {line_no} has {len(cells)} columns, "
-                f"expected {width}"
-            )
-        row_vals = []
-        for col, cell in enumerate(cells):
-            if col == label_idx:
-                raw_labels.append(cell.strip())
-            else:
-                row_vals.append(_parse_value(cell, line_no, col + 1, path))
-        feats.append(row_vals)
-
+    feats = _parse_rows(rows, path, skip=label_idx)
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]
+    # a header wider than the rows can name a column past them: no labels
+    raw_labels = [c for _, cells in rows for c in cells[label_idx:][:1]]
     labels = _finish_labels(raw_labels, positive_label, path)
-    return LabeledDataset(np.asarray(feats), labels, attribute_names=names)
+    return LabeledDataset(feats, labels, attribute_names=names)
 
 
 def load_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a label-free delimited numeric file as a feature matrix."""
     path = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    rows: list[list[float]] = []
-    width = None
-    skipped_header = not has_header
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if not skipped_header:
-            skipped_header = True
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(
-                f"{path}: line {line_no} has {len(cells)} columns, "
-                f"expected {width}"
-            )
-        rows.append([
-            _parse_value(cell, line_no, col + 1, path)
-            for col, cell in enumerate(cells)
-        ])
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.asarray(rows)
+    return _parse_rows(_read_rows(path, has_header)[1], path)
 
 
 def atomic_write(path, text: str) -> None:

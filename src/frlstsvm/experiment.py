@@ -243,20 +243,21 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     so its fuzzy-rough steps are shared across the grid, and scales its
     validation rows once; the grid's models carry no scaling.
 
-    Points whose blocks are one object (the same weights and kept set)
-    differ only in c1, c2 and sigma, so each inner fold fits and scores
-    one (blocks, c1, c2, sigma) once and copies its G-mean, or its
-    failure, to every point that shares it; fits of one (blocks, sigma)
-    share its c-free plane terms. The fold is walked gamma by gamma,
-    and each gamma's majority similarity is released once that gamma's
-    blocks are built, so one is live at a time. Results are stored by
-    point index, so no mean, flag or tie-break depends on the walk.
+    Each inner fold runs in two phases. The first builds every live
+    point's blocks, gamma by gamma (grid order within a gamma), so the
+    PreparedFold builds each majority similarity once, and then drops
+    the PreparedFold. Points whose blocks are one object (the same
+    weights and kept set) differ only in c1, c2 and sigma, so the
+    second phase fits and scores each (blocks, c1, c2, sigma) once and
+    adds its G-mean, or its failure, to every point that shares it.
+    Fits of one (blocks, sigma) share its c-free plane terms, which are
+    freed before the next (blocks, sigma)'s are built. Results are
+    stored by point index, so no mean, flag or tie-break depends on the
+    walk.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
     configs = [_train_config(config, pt) for pt in points]
-    by_fuzzy: dict[FuzzyParams, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        by_fuzzy.setdefault(cfg.fuzzy, []).append(i)
+    by_gamma = sorted(range(len(points)), key=lambda i: points[i].gamma)
     sums = np.zeros(len(points))
     alive = np.ones(len(points), dtype=bool)
     for f in range(inner_k):
@@ -264,35 +265,33 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
         prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr])
         x_va = minmax_apply(prep.scaling, train_ds.features[va])
         y_va = train_ds.labels[va]
-        # (blocks, c1, c2, sigma) -> G-mean, or None if the fit failed
-        gmeans: dict[tuple, float | None] = {}
-        for fuzzy, group in by_fuzzy.items():
-            # (blocks, sigma) -> its live points, in grid order
-            fits: dict[tuple, list[int]] = {}
-            for i in group:
-                if not alive[i]:
-                    continue
-                try:
-                    blocks = prep.blocks(configs[i])
-                except ConfigurationError:
+        # (blocks, sigma) -> its live points, in the order built
+        fits: dict[tuple, list[int]] = {}
+        for i in by_gamma:
+            if not alive[i]:
+                continue
+            try:
+                blocks = prep.blocks(configs[i])
+            except ConfigurationError:
+                alive[i] = False
+                continue
+            fits.setdefault((blocks, points[i].sigma), []).append(i)
+        del prep
+        for (blocks, sigma), members in fits.items():
+            terms = blocks.terms(sigma)
+            # (c1, c2) -> G-mean, or None if the fit failed
+            gmeans: dict[tuple[float, float], float | None] = {}
+            for i in members:
+                cfg = configs[i]
+                key = (cfg.c1, cfg.c2)
+                if key not in gmeans:
+                    gmeans[key] = _inner_gmean(blocks, cfg, terms, x_va,
+                                               y_va, config.convention)
+                if gmeans[key] is None:
                     alive[i] = False
-                    continue
-                fits.setdefault((blocks, points[i].sigma), []).append(i)
-            prep.release(fuzzy)
-            for (blocks, sigma), members in fits.items():
-                terms = None
-                for i in members:
-                    cfg = configs[i]
-                    key = (blocks, cfg.c1, cfg.c2, sigma)
-                    if key not in gmeans:
-                        if terms is None:
-                            terms = blocks.terms(sigma)
-                        gmeans[key] = _inner_gmean(blocks, cfg, terms, x_va,
-                                                   y_va, config.convention)
-                    if gmeans[key] is None:
-                        alive[i] = False
-                    else:
-                        sums[i] += gmeans[key]
+                else:
+                    sums[i] += gmeans[key]
+            del terms
     return sums / inner_k, alive
 
 
@@ -322,18 +321,12 @@ def _fold_task(features: np.ndarray, labels: np.ndarray,
     points = grid_points(config)
     means, alive = _grid_search(train_ds, config, points, inner_k,
                                 derive_fold_seed(config.seed, repeat, fold))
-    best = None
-    best_mean = -np.inf
-    for i in range(len(points)):
-        if alive[i] and means[i] > best_mean:
-            best = i
-            best_mean = float(means[i])
-    if best is None:
+    if not alive.any():
         raise ExperimentError(
             f"repeat {repeat} fold {fold}: every grid point failed"
         )
-
-    winner = points[best]
+    # argmax takes the first of tied means, the earliest in grid order
+    winner = points[int(np.argmax(np.where(alive, means, -np.inf)))]
     try:
         model = fit_frlstsvm(train_ds, _train_config(config, winner))
         pred = predict(model, ds.features[test_rows])
@@ -373,11 +366,19 @@ def run_nested_cv(config: ExperimentConfig,
     count."""
     t0 = time.perf_counter()
     ds = dataset if dataset is not None else load_dataset(config)
-    pos, neg = ds.class_counts()
-    if min(pos, neg) < config.folds:
+    smallest = min(ds.class_counts())
+    if smallest < config.folds:
         raise DataError(
-            f"smallest class has {min(pos, neg)} rows, fewer than "
+            f"smallest class has {smallest} rows, fewer than "
             f"folds={config.folds}"
+        )
+    # an outer test fold takes at most ceil(smallest / folds) of its rows
+    part = smallest - -(-smallest // config.folds)
+    if config.inner_folds is not None and part < config.inner_folds:
+        raise DataError(
+            f"smallest class has {smallest} rows, {part} in the smallest "
+            f"outer training part, fewer than "
+            f"inner_folds={config.inner_folds}"
         )
     repeats, folds = zip(*itertools.product(range(config.repeats),
                                             range(config.folds)))

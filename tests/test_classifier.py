@@ -1,9 +1,11 @@
 """Plane fits, kernel fits, the decision rule, and serialization."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -702,37 +704,56 @@ class TestPreparedFold:
         assert sub is blocks(tau_subset, 2.0) and sub is not blocks(0.0, 2.0)
         assert blocks(tau_subset, 2.0, False) is not blocks(0.0, 2.0, False)
 
-    def test_released_similarity_is_computed_again(self, monkeypatch):
+    def test_one_slot_similarity_is_rebuilt_with_the_same_bits(
+            self, monkeypatch):
         calls = []
         real = fuzzy_rough.indiscernibility_matrix
 
         def counted(x, params):
-            calls.append(params.gamma)
+            calls.append((params.gamma, x.shape[0]))
             return real(x, params)
 
         monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix", counted)
         x, y = make_blobs(98, m1=8, m2=30, spread=1.2)
-        fz = fuzzy(gamma=2.0)
-        scores = PreparedFold(x, y).scores(fz).scores
+        fa, fb = fuzzy(gamma=2.0), fuzzy(gamma=1.0)
+        scores = PreparedFold(x, y).scores(fa).scores
         taus = (float(np.quantile(scores, 0.5)),
                 float(np.quantile(scores, 0.25)))
         prep = PreparedFold(x, y)
-        first = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=taus[0],
-                                        fuzzy=fz))
-        prep.release(fz)
         calls.clear()
-        # memoised blocks need no similarity; a new tau computes it
-        # again, with the same bits as a fresh PreparedFold
+        first = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=taus[0],
+                                        fuzzy=fa))
+        prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=0.0, fuzzy=fb))
+        # memoised blocks need no similarity; a new tau at gamma A after
+        # gamma B builds A's again, with the bits of a fresh PreparedFold
         assert prep.blocks(TrainConfig(c1=4.0, c2=1.0, tau=taus[0],
-                                       fuzzy=fz)) is first
-        assert calls == []
-        cfg = TrainConfig(c1=1.0, c2=1.0, tau=taus[1], fuzzy=fz)
-        got, want = prep.blocks(cfg), PreparedFold(x, y).blocks(cfg)
-        assert calls.count(2.0) == 3
+                                       fuzzy=fa)) is first
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=taus[1], fuzzy=fa)
+        got = prep.blocks(cfg)
+        assert [g for g, rows in calls if rows == 30] == [2.0, 1.0, 2.0]
+        want = PreparedFold(x, y).blocks(cfg)
         assert got.x2hat.shape[0] > first.x2hat.shape[0]
         for name in ("x2hat", "d1", "d2", "kept_rows"):
             assert (getattr(got, name).tobytes()
                     == getattr(want, name).tobytes())
+
+    def test_memoised_failure_keeps_no_reference_to_the_fold(self):
+        # a tau that empties the majority fails on every ask; the
+        # PreparedFold, and the similarity in its slot, must still go
+        # with its last name, not wait for the garbage collector
+        x, y = make_blobs(99, m1=8, m2=30, spread=1.2)
+        prep = PreparedFold(x, y)
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=1.0, fuzzy=fuzzy(gamma=2.0))
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                prep.blocks(cfg)
+        gone = weakref.ref(prep)
+        gc.disable()
+        try:
+            del prep
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_steps_are_bit_equal_to_the_fuzzy_rough_functions(self):
         # scores and kept-majority weights are read off one memoised
@@ -923,6 +944,12 @@ class TestSerialization:
         path = tmp_path / "bad.model"
         path.write_text("SOMETHING/2 linear\n")
         with pytest.raises(DataError):
+            load_model(str(path))
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.model"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
             load_model(str(path))
 
     def test_rejects_truncated_file(self, tmp_path):

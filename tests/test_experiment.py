@@ -274,6 +274,27 @@ class TestRunNestedCv:
         with pytest.raises(DataError, match="folds"):
             run_nested_cv(cfg, dataset=blob_dataset(m1=6, m2=60))
 
+    def test_inner_folds_the_smallest_class_cannot_fill_is_rejected(
+            self, monkeypatch):
+        # 5 minority rows over 5 outer folds leave 4 in each training
+        # part: 4 inner folds fit, 5 are refused before any fold runs
+        ds = blob_dataset(m1=5, m2=40)
+        ran = []
+        real = experiment._fold_task
+
+        def counted(*args):
+            ran.append(args[3:])
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "_fold_task", counted)
+        cfg = ExperimentConfig(**{**SMALL, "folds": 5, "repeats": 1,
+                                  "inner_folds": 5})
+        with pytest.raises(DataError, match="inner_folds=5"):
+            run_nested_cv(cfg, dataset=ds)
+        assert ran == []
+        run_nested_cv(dataclasses.replace(cfg, inner_folds=4), dataset=ds)
+        assert len(ran) == 5
+
     def test_impossible_tau_is_skipped_not_fatal(self):
         cfg = ExperimentConfig(**{**SMALL, "tau_grid": (0.0, 1.0)})
         result = run_nested_cv(cfg, dataset=blob_dataset(102))
