@@ -21,17 +21,36 @@ that predates it) and compare the two directories byte for byte:
 
     diff -r OUT_PARENT OUT_CHANGE && echo identical
 
-It uses one process; set OMP_NUM_THREADS=1 (or the BLAS library's own
-thread variable) on both sides, since a different BLAS thread count
-can change the last bits of a solve.
+It uses one process and, run as a script, one BLAS thread: it sets
+the thread variables of perfbench/child.py to 1 before numpy is
+imported, since a different BLAS thread count can change the last bits
+of a solve.
 """
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py, imported by path: perfbench is not a
+    package."""
+    path = REPO_ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+if __name__ == "__main__":
+    # child.py imports only the standard library, so numpy is not yet
+    # loaded here
+    os.environ.update(dict.fromkeys(_perfbench("child").THREAD_VARS, "1"))
+
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from frlstsvm.classifier import (  # noqa: E402
@@ -88,23 +107,13 @@ CONFIGS = {
 FITS = {"fit_linear": ("linear", None), "fit_gaussian": ("gaussian", 1.0)}
 
 
-def _datagen():
-    """perfbench/datagen.py, imported by path: perfbench is not a
-    package."""
-    path = REPO_ROOT / "perfbench" / "datagen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_datagen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def write_fingerprint(outdir, configs=None) -> list[Path]:
     """Write every fingerprint file into outdir (created if absent) and
     return their paths. configs maps a name to ExperimentConfig fields;
     None means CONFIGS."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    datagen = _datagen()
+    datagen = _perfbench("datagen")
     ds = LabeledDataset(*datagen.make_dataset(SHAPE, SEED))
     probe, _ = datagen.make_batch(SHAPE, SEED, PROBE_ROWS)
     written = []

@@ -79,12 +79,6 @@ KERNELS = ("linear", "gaussian")
 
 FORMAT_TAG = "FRLSTSVM/1"
 
-# entries in one row block of the kept x kept similarity (256 KiB). At
-# this size two takes gather a block faster than np.ix_ on the pima,
-# yeast3 and abalone19 shapes; at 1 MiB they were 2x slower than np.ix_
-# on abalone19's 4142-row majority
-_KEPT_BLOCK_ENTRIES = 1 << 15
-
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
@@ -543,7 +537,7 @@ class PreparedFold:
                 return positive_region_scores(self.xs, self.labels, fuzzy,
                                               target_class=-1)
             return PositiveRegionScores(
-                scores=mean_similarity(self._similarity(fuzzy).sum(axis=1)),
+                scores=mean_similarity(self._similarity(fuzzy)),
                 params=fuzzy, row_indices=self.maj_rows,
             )
         return self._cached(("scores", fuzzy), compute)
@@ -557,22 +551,6 @@ class PreparedFold:
             subsample_majority(self.scores(config.fuzzy),
                                config.tau).kept_indices))
 
-    def _kept_weights(self, fuzzy: FuzzyParams,
-                      kept: np.ndarray) -> np.ndarray:
-        """class_weights of the kept majority rows, read off the whole
-        majority's similarity without copying its kept x kept block:
-        each row block of that block holds the same contiguous rows, so
-        its row sums, and the weights, have the same bits."""
-        sim = self._similarity(fuzzy)
-        if kept.size == sim.shape[0]:
-            return mean_similarity(sim.sum(axis=1), WEIGHT_FLOOR)
-        step = max(1, _KEPT_BLOCK_ENTRIES // kept.size)
-        sums = np.concatenate([
-            sim.take(kept[i:i + step], axis=0).take(kept, axis=1).sum(axis=1)
-            for i in range(0, kept.size, step)
-        ])
-        return mean_similarity(sums, WEIGHT_FLOOR)
-
     def blocks(self, config: TrainConfig) -> FitBlocks:
         """Subsample the majority at tau and weight both classes."""
         kept = self._kept(config)
@@ -583,7 +561,8 @@ class PreparedFold:
             if fuzzy is not None:
                 d1 = self._cached(("d1", fuzzy),
                                   lambda: class_weights(self.x1, fuzzy))
-                d2 = self._kept_weights(fuzzy, kept)
+                d2 = mean_similarity(self._similarity(fuzzy), kept,
+                                     WEIGHT_FLOOR)
             return FitBlocks(self.x1, self.x2[kept], d1, d2,
                              self.maj_rows[kept], self.x2.shape[0])
         return self._cached(("blocks", fuzzy, kept.tobytes()), compute)

@@ -241,6 +241,12 @@ def load_csv(path, label_column: int | str = -1,
             raise DataError(
                 f"{path}: no column named {label_column!r} in header"
             ) from None
+        if label_idx >= width:
+            raise DataError(
+                f"{path}: label column {label_column!r} is column "
+                f"{label_idx + 1} of the header, but the data rows have "
+                f"{width} columns"
+            )
     else:
         label_idx = label_column if label_column >= 0 else width + label_column
         if not 0 <= label_idx < width:
@@ -253,8 +259,7 @@ def load_csv(path, label_column: int | str = -1,
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]
-    # a header wider than the rows can name a column past them: no labels
-    raw_labels = [c for _, cells in rows for c in cells[label_idx:][:1]]
+    raw_labels = [cells[label_idx] for _, cells in rows]
     labels = _finish_labels(raw_labels, positive_label, path)
     return LabeledDataset(feats, labels, attribute_names=names)
 

@@ -365,6 +365,11 @@ def run_nested_cv(config: ExperimentConfig,
     has no workable grid point; the same records for any worker
     count."""
     t0 = time.perf_counter()
+    if config.inner_folds is None and config.folds < 3:
+        raise ConfigurationError(
+            f"folds={config.folds} leaves inner_folds at its default, "
+            f"folds - 1 = {config.folds - 1}; set inner_folds >= 2"
+        )
     ds = dataset if dataset is not None else load_dataset(config)
     smallest = min(ds.class_counts())
     if smallest < config.folds:

@@ -58,14 +58,16 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     if t.size == 0:
         raise DataError("cannot build a confusion matrix from no pairs")
     for name, arr in (("y_true", t), ("y_pred", p)):
-        bad = set(np.unique(arr).tolist()) - {1, -1}
-        if bad:
-            raise DataError(f"{name} contains labels outside ±1: {sorted(bad)}")
-    tp = int(np.sum((t == 1) & (p == 1)))
-    fn = int(np.sum((t == 1) & (p == -1)))
-    fp = int(np.sum((t == -1) & (p == 1)))
-    tn = int(np.sum((t == -1) & (p == -1)))
-    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
+        bad = arr[(arr != 1) & (arr != -1)]
+        if bad.size:
+            raise DataError(f"{name} contains labels outside ±1: "
+                            f"{np.unique(bad).tolist()}")
+    # every label is now ±1, so -1 is "not +1"
+    true_pos, pred_pos = t == 1, p == 1
+    tp = int(np.count_nonzero(true_pos & pred_pos))
+    fn = int(np.count_nonzero(true_pos)) - tp
+    fp = int(np.count_nonzero(pred_pos)) - tp
+    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=t.size - tp - fn - fp)
 
 
 def _ratio(num: int, den: int) -> tuple[float, bool]:

@@ -12,7 +12,6 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
-    _KEPT_BLOCK_ENTRIES,
     Hyperplane,
     PreparedFold,
     TrainConfig,
@@ -35,6 +34,7 @@ from frlstsvm.errors import (
 )
 from frlstsvm import fuzzy_rough
 from frlstsvm.fuzzy_rough import (
+    _KEPT_BLOCK_ENTRIES,
     FuzzyParams,
     class_weights,
     positive_region_scores,

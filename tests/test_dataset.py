@@ -106,6 +106,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cls"):
             load_csv(path, label_column="cls", has_header=True)
 
+    @pytest.mark.parametrize("rows", ["1,2,3\n4,5,6\n7,8,3\n",
+                                      "x,y,a\nz,w,b\nv,u,a\n"])
+    def test_header_name_past_the_row_width(self, tmp_path, rows):
+        path = write(tmp_path, "t.csv", "a,b,c,d\n" + rows)
+        with pytest.raises(DataError, match=r"label column 'd' is column "
+                           r"4 of the header.*rows have 3 columns"):
+            load_csv(path, label_column="d", has_header=True)
+
     def test_label_index_out_of_range(self, tmp_path):
         path = write(tmp_path, "t.csv", "1,2,a\n3,4,b\n")
         with pytest.raises(DataError):

@@ -295,6 +295,25 @@ class TestRunNestedCv:
         run_nested_cv(dataclasses.replace(cfg, inner_folds=4), dataset=ds)
         assert len(ran) == 5
 
+    def test_two_folds_need_inner_folds(self, monkeypatch):
+        # the default inner_folds, folds - 1, is a single inner fold
+        ds = blob_dataset(m1=8, m2=40)
+        ran = []
+        real = experiment._fold_task
+
+        def counted(*args):
+            ran.append(args[3:])
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "_fold_task", counted)
+        cfg = ExperimentConfig(**{**SMALL, "folds": 2, "repeats": 1,
+                                  "inner_folds": None})
+        with pytest.raises(ConfigurationError, match="inner_folds"):
+            run_nested_cv(cfg, dataset=ds)
+        assert ran == []
+        run_nested_cv(dataclasses.replace(cfg, inner_folds=2), dataset=ds)
+        assert len(ran) == 2
+
     def test_impossible_tau_is_skipped_not_fatal(self):
         cfg = ExperimentConfig(**{**SMALL, "tau_grid": (0.0, 1.0)})
         result = run_nested_cv(cfg, dataset=blob_dataset(102))

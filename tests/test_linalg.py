@@ -1,12 +1,39 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from frlstsvm.errors import SingularSystemError
 from frlstsvm.linalg import (
+    RESIDUAL_RTOL,
+    RIDGE_STEPS,
     add_scaled_identity,
     gram,
     spd_solve,
 )
+
+
+def checked_cholesky_ladder(a, b):
+    """The ridge ladder through scipy's checked cho_factor/cho_solve on
+    a symmetrised copy of A: (x, ridge, attempts), or None when no
+    attempt meets the residual threshold."""
+    a = (a + a.T) * 0.5
+    n = a.shape[0]
+    trace = float(np.trace(a))
+    ridge_unit = trace / n if trace > 0 else 1.0
+    b2 = b.reshape(n, -1)
+    threshold = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(b2)))
+    for attempts, step in enumerate((0.0,) + RIDGE_STEPS, start=1):
+        ridge = step * ridge_unit
+        a_try = a if ridge == 0.0 else add_scaled_identity(a, ridge)
+        try:
+            factor = scipy.linalg.cho_factor(a_try, lower=True)
+        except scipy.linalg.LinAlgError:
+            continue
+        x = scipy.linalg.cho_solve(factor, b2)
+        if (np.all(np.isfinite(x))
+                and np.linalg.norm(a_try @ x - b2) <= threshold):
+            return x.reshape(b.shape), ridge, attempts
+    return None
 
 
 class TestGram:
@@ -109,3 +136,40 @@ class TestSpdSolve:
     def test_rejects_bad_rhs_length(self):
         with pytest.raises(ValueError, match="incompatible"):
             spd_solve(np.eye(2), np.ones(3))
+
+    def test_bits_of_scipy_cholesky_on_random_spd_systems(self):
+        rng = np.random.default_rng(6)
+        for trial in range(1200):
+            n = int(rng.integers(1, 41))
+            m = rng.normal(size=(n + int(rng.integers(0, 5)), n))
+            a = gram(m) + 1e-3 * np.eye(n)
+            b = rng.normal(size=n if trial % 2 else (n, 3))
+            x, rep = spd_solve(a, b)
+            expected = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(a, lower=True), b)
+            assert x.shape == b.shape
+            assert x.tobytes() == expected.tobytes()
+            assert rep.ridge_added == 0.0
+            assert rep.factorization_attempts == 1
+
+    def test_rank_deficient_gram_escalates_like_the_checked_ladder(self):
+        rng = np.random.default_rng(7)
+        escalated = 0
+        for rank, n in ((1, 4), (2, 6), (3, 8), (5, 12)):
+            a = gram(rng.normal(size=(rank, n)))
+            for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                expected = checked_cholesky_ladder(a, b)
+                assert expected is not None
+                x_ref, ridge, attempts = expected
+                x, rep = spd_solve(a, b)
+                assert rep.ridge_added == ridge
+                assert rep.factorization_attempts == attempts
+                assert x.tobytes() == x_ref.tobytes()
+                escalated += attempts > 1
+        assert escalated == 8
+
+    def test_rejects_one_ulp_of_asymmetry(self):
+        a = gram(np.random.default_rng(8).normal(size=(5, 3)))
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        with pytest.raises(ValueError, match="not symmetric"):
+            spd_solve(a, np.ones(3))

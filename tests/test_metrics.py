@@ -42,6 +42,22 @@ class TestConfusion:
             confusion([1, 0], [1, -1])
         with pytest.raises(DataError):
             confusion([1, -1], [1, 2])
+        with pytest.raises(DataError, match=r"y_pred contains labels "
+                           r"outside ±1: \[0, 2\]"):
+            confusion([1, -1, 1, -1], [2, -1, 0, 2])
+
+    def test_counts_match_a_loop_on_random_labels(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 100, 1001):
+            t = rng.choice([-1, 1], size=n)
+            p = rng.choice([-1, 1], size=n)
+            cells = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+            for truth, pred in zip(t.tolist(), p.tolist()):
+                cells[truth, pred] += 1
+            cm = confusion(t, p)
+            assert (cm.tp, cm.fn, cm.fp, cm.tn) == (
+                cells[1, 1], cells[1, -1], cells[-1, 1], cells[-1, -1])
+            assert all(type(c) is int for c in (cm.tp, cm.fn, cm.fp, cm.tn))
 
     def test_negative_count_rejected(self):
         with pytest.raises(DataError):
