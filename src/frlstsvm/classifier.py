@@ -27,7 +27,11 @@ row's features f are the scaled row itself (linear) or its kernel
 values K(row, Xref) (gaussian), and its distance to plane j is
 |f'w_j + b_j| / ||w_j||. The norm is Euclidean for a linear plane and
 sqrt(w_j' K(Xref, Xref) w_j), the length in the reproducing space, for
-a gaussian one; each plane computes it once, when it is built.
+a gaussian one; each plane computes it once, when it is built. A
+gaussian predict works in row blocks of about 2^17 kernel values, so it
+never holds the batch x m_ref kernel matrix; the rows per block are a
+multiple of 64, because the BLAS's gemv bits depend on the rows per
+call and such blocks give the bits of one whole-batch pass.
 
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
@@ -189,15 +193,15 @@ def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
     """Rectangular Gaussian kernel matrix between two row sets. The self
     matrix gaussian_gram(x, x, sigma) is exactly symmetric with an exact
     unit diagonal, since cdist sums (a - b)^2 = (b - a)^2 per pair."""
-    if sigma <= 0:
-        raise ConfigurationError(f"sigma must be > 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigurationError(
+            f"sigma must be finite and > 0, got {sigma}")
     xa = linalg.as_matrix(xa, "left rows")
     xb = linalg.as_matrix(xb, "right rows")
-    # in place, one buffer: the same operations as
-    # np.exp(-d / (2 sigma^2)), so the same bits
+    # in place, one buffer, and the bits of np.exp(-d / (2 sigma^2)):
+    # IEEE division is sign-symmetric, so d / -(2 sigma^2) == -d / (2 sigma^2)
     d = cdist(xa, xb, metric="sqeuclidean")
-    np.negative(d, out=d)
-    np.divide(d, 2.0 * sigma * sigma, out=d)
+    np.divide(d, -(2.0 * sigma * sigma), out=d)
     np.exp(d, out=d)
     return d
 
@@ -402,6 +406,29 @@ def _prepare_features(model, x) -> tuple[np.ndarray, bool]:
     return x2, single
 
 
+# Rows per block of a gaussian predict: about 2^17 kernel entries
+# (1 MiB), so each block's passes run in cache and no batch x m_ref
+# array is built. Not a knob: the rows are a multiple of 64 because
+# OpenBLAS's gemv takes rows in groups and sums a short group in
+# another order, so its bits depend on the rows per call. Blocks of 4,
+# 8, 64, 96 or 128 rows give the bits of one whole-batch call; blocks
+# of 1, 2, 3, 5, 45 or 90 rows do not (OpenBLAS 0.3.31, Haswell kernels).
+_PREDICT_BLOCK_ENTRIES = 1 << 17
+
+
+def _block_rows(m_ref: int) -> int:
+    """Rows per gaussian predict block against m_ref reference rows."""
+    return max(64, _PREDICT_BLOCK_ENTRIES // m_ref // 64 * 64)
+
+
+def _distances(f: np.ndarray, plane: Hyperplane) -> np.ndarray:
+    """|f'w + b| / norm for each row of features f; a degenerate plane
+    (norm 0) is infinitely far from every row."""
+    if plane.norm == 0.0:
+        return np.full(f.shape[0], np.inf)
+    return np.abs(f @ plane.w + plane.b) / plane.norm
+
+
 def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     """Label each row by its nearer plane; ties go to +1.
 
@@ -411,15 +438,30 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     degenerate is an error. A 1-D input is treated as a single point
     and scalar results are returned. With return_distances, per-plane
     distances come back too.
+
+    A gaussian model maps rows to kernel values and measures both
+    distances one block of rows at a time (see _block_rows), so it holds
+    the kernel values of a block, never of the whole batch. The rows per
+    block are a multiple of 64, which gives the bits of one whole-batch
+    pass.
     """
     xs, single = _prepare_features(model, x)
-    planes = (model.plane1, model.plane2)
-    if planes[0].norm == 0.0 and planes[1].norm == 0.0:
+    p1, p2 = model.plane1, model.plane2
+    if p1.norm == 0.0 and p2.norm == 0.0:
         raise DegenerateModelError("both planes are degenerate")
-    if model.x_ref is not None:
-        xs = gaussian_gram(xs, model.x_ref, model.config.sigma)
-    d1, d2 = (np.full(xs.shape[0], np.inf) if p.norm == 0.0
-              else np.abs(xs @ p.w + p.b) / p.norm for p in planes)
+    if model.x_ref is None:
+        d1, d2 = _distances(xs, p1), _distances(xs, p2)
+    else:
+        n, step = xs.shape[0], _block_rows(model.x_ref.shape[0])
+        d1, d2 = np.empty(n), np.empty(n)
+        # numpy takes a one-row product to dot, not gemv, and dot sums
+        # in another order: a lone last row joins the block before it
+        stops = [*range(step, n - 1, step), n]
+        for start, stop in zip([0, *stops], stops):
+            kx = gaussian_gram(xs[start:stop], model.x_ref,
+                               model.config.sigma)
+            d1[start:stop] = _distances(kx, p1)
+            d2[start:stop] = _distances(kx, p2)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
     if single:
         labels, d1, d2 = int(labels[0]), float(d1[0]), float(d2[0])

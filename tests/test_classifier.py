@@ -12,6 +12,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
+    _block_rows,
     Hyperplane,
     PreparedFold,
     TrainConfig,
@@ -125,8 +126,8 @@ class TestGaussianKernel:
                 )
 
     def test_rejects_bad_sigma(self):
-        for sigma in (0.0, -1.0):
-            with pytest.raises(ConfigurationError):
+        for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="sigma"):
                 gaussian_gram([[0.0]], [[1.0]], sigma)
 
     def test_self_gram_is_exactly_symmetric_with_unit_diagonal(self):
@@ -482,6 +483,84 @@ class TestKernelFit:
         )
         with pytest.raises(DegenerateModelError):
             predict(model, np.array([0.5]))
+
+
+def whole_batch_predict(model, x):
+    """predict's arithmetic on the whole batch at once: every kernel
+    value, then |f'w + b| / norm per plane (inf for a degenerate one)."""
+    xs = minmax_apply(model.scaling, np.atleast_2d(x))
+    f = gaussian_gram(xs, model.x_ref, model.config.sigma)
+    d1, d2 = (np.full(xs.shape[0], np.inf) if p.norm == 0.0
+              else np.abs(f @ p.w + p.b) / p.norm
+              for p in (model.plane1, model.plane2))
+    return np.where(d1 <= d2, 1, -1), d1, d2
+
+
+class TestGaussianPredictBlocks:
+    def fitted(self):
+        rng = np.random.default_rng(70)
+        x = rng.random((300, 8))
+        scaling = minmax_fit(x)
+        xs = minmax_apply(scaling, x)
+        model = fit_kernel(xs[:60], xs[60:], rng.uniform(0.5, 1, 60),
+                           rng.uniform(0.5, 1, 240),
+                           config(kernel="gaussian", sigma=0.8),
+                           scaling=scaling)
+        assert model.x_ref.shape[0] == 300
+        return model
+
+    def test_block_rows_are_a_multiple_of_64(self):
+        for m_ref in (1, 300, 1455, 2048, 2049, 10 ** 6):
+            rows = _block_rows(m_ref)
+            assert rows >= 64 and rows % 64 == 0
+            assert rows == 64 or rows * m_ref <= 2 ** 17
+
+    def test_bits_equal_the_whole_batch_at_block_boundaries(self):
+        model = self.fitted()
+        k = gaussian_gram(model.x_ref, model.x_ref, model.config.sigma)
+        one_zero_plane = TwinPlaneModel(
+            plane1=Hyperplane(w=np.zeros(300), b=0.5, gram=k),
+            plane2=model.plane2, scaling=model.scaling,
+            config=model.config, x_ref=model.x_ref,
+        )
+        rows = _block_rows(300)
+        assert rows == 384
+        rng = np.random.default_rng(71)
+        for n in (0, 1, 3, rows - 1, rows, rows + 1, 2 * rows + 3, 10000):
+            x = rng.uniform(-0.1, 1.1, size=(n, 8))
+            for m in (model, one_zero_plane):
+                got = predict(m, x, return_distances=True)
+                want = whole_batch_predict(m, x)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            # the zero plane is infinitely far from every row
+            assert np.all(np.isinf(got[1])) and np.all(got[0] == -1)
+        point = rng.uniform(0, 1, size=8)
+        label, d1, d2 = predict(model, point, return_distances=True)
+        want = whole_batch_predict(model, point)
+        assert isinstance(label, int) and isinstance(d1, float)
+        assert (label, d1, d2) == (want[0][0], want[1][0], want[2][0])
+
+    def test_predict_holds_one_block(self):
+        # the whole 10k x 1000 kernel matrix would take 80 MB
+        rng = np.random.default_rng(72)
+        m_ref, n = 1000, 10000
+        x_ref = rng.random((m_ref, 8))
+        model = TwinPlaneModel(
+            plane1=Hyperplane(w=rng.standard_normal(m_ref), b=0.1),
+            plane2=Hyperplane(w=rng.standard_normal(m_ref), b=-0.2),
+            scaling=minmax_fit(x_ref),
+            config=config(kernel="gaussian", sigma=1.0), x_ref=x_ref,
+        )
+        batch = rng.random((n, 8))
+        tracemalloc.start()
+        try:
+            predict(model, batch, return_distances=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _block_rows(m_ref) * m_ref * 8
+        assert peak < 2 * block + 3 * n * 8 + 4 * 2 ** 20
 
 
 class TestPipeline:
