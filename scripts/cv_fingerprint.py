@@ -8,7 +8,9 @@ On the seeded pima-shaped data of perfbench/datagen.py (seed 1) it
 writes, for each config in CONFIGS, the nested-CV result files
 cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For a
 linear and a gaussian fit it also writes the saved model file and
-predict(..., return_distances=True) on 500 held-out rows. The configs
+predict(..., return_distances=True) on 500 held-out rows of the model
+that load_model reads back from it, so the predictions pin the reader's
+bits as well as the fit's. The configs
 are the criterion-5 linear grid (10 outer x 9 inner folds), a small
 gaussian grid, a gaussian grid whose gammas and taus share kept sets
 and whose c values share plane terms, the linear grid without
@@ -56,6 +58,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from frlstsvm.classifier import (  # noqa: E402
     TrainConfig,
     fit_frlstsvm,
+    load_model,
     predict,
     save_model,
 )
@@ -132,9 +135,11 @@ def write_fingerprint(outdir, configs=None) -> list[Path]:
         model = fit_frlstsvm(ds, TrainConfig(
             c1=1.0, c2=1.0, tau=0.2, fuzzy=FuzzyParams(gamma=1.0),
             kernel=kernel, sigma=sigma))
-        save_model(model, outdir / f"{name}.model")
-        written.append(outdir / f"{name}.model")
-        labels, d1, d2 = predict(model, probe, return_distances=True)
+        path = outdir / f"{name}.model"
+        save_model(model, path)
+        written.append(path)
+        labels, d1, d2 = predict(load_model(path), probe,
+                                 return_distances=True)
         write(f"{name}.predict", "".join(
             f"{label} {a!r} {b!r}\n"
             for label, a, b in zip(labels.tolist(), d1.tolist(),

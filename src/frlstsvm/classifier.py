@@ -27,7 +27,8 @@ row's features f are the scaled row itself (linear) or its kernel
 values K(row, Xref) (gaussian), and its distance to plane j is
 |f'w_j + b_j| / ||w_j||. The norm is Euclidean for a linear plane and
 sqrt(w_j' K(Xref, Xref) w_j), the length in the reproducing space, for
-a gaussian one; each plane computes it once, when it is built. A
+a gaussian one; each plane computes it once, when it is built, and a
+gaussian model file stores it, so loading one builds no gram. A
 gaussian predict works in row blocks of about 2^17 kernel values, so it
 never holds the batch x m_ref kernel matrix; the rows per block are a
 multiple of 64, because the BLAS's gemv bits depend on the rows per
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +82,10 @@ from .linalg import SpdSolveReport, add_scaled_identity, gram, spd_solve
 
 KERNELS = ("linear", "gaussian")
 
-FORMAT_TAG = "FRLSTSVM/1"
+FORMAT_TAG = "FRLSTSVM/2"
+
+# every tag load_model reads, with the format version it names
+_FORMAT_VERSIONS = {"FRLSTSVM/1": 1, FORMAT_TAG: 2}
 
 
 def _fmt(v: float) -> str:
@@ -134,19 +138,24 @@ class Hyperplane:
     """The plane w'f + b = 0 over a row's features f. Distances to it
     divide by `norm`, the length of w: Euclidean, or sqrt(w'Kw) when
     built with the gram K(Xref, Xref) of a gaussian model, which is not
-    kept. A plane of norm 0 is degenerate."""
+    kept, or the norm given, as a model file stores it. A plane of
+    norm 0 is degenerate."""
 
     w: np.ndarray
     b: float
     gram: InitVar[np.ndarray | None] = None
-    norm: float = field(init=False)
+    norm: float | None = None
 
     def __post_init__(self, gram):
         self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
         self.b = float(self.b)
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise ValueError("hyperplane coefficients must be finite")
-        if gram is None:
+        if self.norm is not None:
+            self.norm = float(self.norm)
+            if not (math.isfinite(self.norm) and self.norm >= 0):
+                raise ValueError("hyperplane norm must be finite and >= 0")
+        elif gram is None:
             # np.linalg.norm's arithmetic for a real vector, so its bits,
             # without its call overhead
             self.norm = math.sqrt(float(self.w.dot(self.w)))
@@ -189,15 +198,23 @@ class TwinPlaneModel:
         return self.x_ref.shape[1]
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigurationError(
+            f"sigma must be finite and > 0, got {sigma}")
+
+
 def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
     """Rectangular Gaussian kernel matrix between two row sets. The self
     matrix gaussian_gram(x, x, sigma) is exactly symmetric with an exact
     unit diagonal, since cdist sums (a - b)^2 = (b - a)^2 per pair."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ConfigurationError(
-            f"sigma must be finite and > 0, got {sigma}")
-    xa = linalg.as_matrix(xa, "left rows")
-    xb = linalg.as_matrix(xb, "right rows")
+    _check_sigma(sigma)
+    return _kernel(linalg.as_matrix(xa, "left rows"),
+                   linalg.as_matrix(xb, "right rows"), sigma)
+
+
+def _kernel(xa: np.ndarray, xb: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_gram on rows and a sigma already checked."""
     # in place, one buffer, and the bits of np.exp(-d / (2 sigma^2)):
     # IEEE division is sign-symmetric, so d / -(2 sigma^2) == -d / (2 sigma^2)
     d = cdist(xa, xb, metric="sqeuclidean")
@@ -443,7 +460,8 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     distances one block of rows at a time (see _block_rows), so it holds
     the kernel values of a block, never of the whole batch. The rows per
     block are a multiple of 64, which gives the bits of one whole-batch
-    pass.
+    pass. The reference rows and sigma are checked once per batch, not
+    per block.
     """
     xs, single = _prepare_features(model, x)
     p1, p2 = model.plane1, model.plane2
@@ -452,14 +470,16 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     if model.x_ref is None:
         d1, d2 = _distances(xs, p1), _distances(xs, p2)
     else:
-        n, step = xs.shape[0], _block_rows(model.x_ref.shape[0])
+        sigma = model.config.sigma
+        _check_sigma(sigma)
+        x_ref = linalg.as_matrix(model.x_ref, "reference rows")
+        n, step = xs.shape[0], _block_rows(x_ref.shape[0])
         d1, d2 = np.empty(n), np.empty(n)
         # numpy takes a one-row product to dot, not gemv, and dot sums
         # in another order: a lone last row joins the block before it
         stops = [*range(step, n - 1, step), n]
         for start, stop in zip([0, *stops], stops):
-            kx = gaussian_gram(xs[start:stop], model.x_ref,
-                               model.config.sigma)
+            kx = _kernel(xs[start:stop], x_ref, sigma)
             d1[start:stop] = _distances(kx, p1)
             d2[start:stop] = _distances(kx, p2)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
@@ -643,21 +663,16 @@ def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
 def _config_lines(cfg: TrainConfig) -> list[str]:
     sigma = _fmt(cfg.sigma) if cfg.sigma is not None else "none"
     return [
-        "config 12",
+        "config 10",
         f"c1 {_fmt(cfg.c1)}",
         f"c2 {_fmt(cfg.c2)}",
         f"delta {_fmt(cfg.delta)}",
         f"tau {_fmt(cfg.tau)}",
         f"gamma {_fmt(cfg.fuzzy.gamma)}",
         f"tnorm {cfg.fuzzy.tnorm}",
-        # kept so that the format is unchanged: every implicator gives
-        # the same lower_approx scores (see fuzzy_rough), and tau 0 is
-        # the fit without subsampling
-        "implicator lukasiewicz",
         f"score_mode {cfg.fuzzy.score_mode}",
         f"kernel {cfg.kernel}",
         f"sigma {sigma}",
-        "subsample 1",
         f"weights {int(cfg.weights_enabled)}",
     ]
 
@@ -667,7 +682,15 @@ def _vector_line(tag: str, v: np.ndarray) -> str:
 
 
 def save_model(model: TwinPlaneModel, path) -> None:
-    """Write the versioned text format; the write is atomic."""
+    """Write the FRLSTSVM/2 text format; the write is atomic.
+
+    A header line names the format and kernel, and length-prefixed
+    sections follow: scaling (`none`, or `min` and `range` rows), the 10
+    config lines, then `planes 4` (w1, b1, w2, b2) for a linear model.
+    A gaussian model writes its reference rows (`xref` and one row a
+    line) and `coefficients 6`: w1, b1, n1, w2, b2, n2, with n_j plane
+    j's norm, so that loading needs no gram. Numbers are written at 17
+    significant digits, which read back to the same bits."""
     if not isinstance(model, TwinPlaneModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     lines = [f"{FORMAT_TAG} {model.config.kernel}"]
@@ -685,9 +708,11 @@ def save_model(model: TwinPlaneModel, path) -> None:
     else:
         lines.append(f"xref {model.x_ref.shape[0]}")
         lines += [" ".join(_fmt(v) for v in row) for row in model.x_ref]
-        lines.append("coefficients 4")
+        lines.append("coefficients 6")
     for j, plane in (("1", model.plane1), ("2", model.plane2)):
         lines += [_vector_line(f"w{j}", plane.w), f"b{j} {_fmt(plane.b)}"]
+        if model.x_ref is not None:
+            lines.append(f"n{j} {_fmt(plane.norm)}")
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -747,6 +772,35 @@ class _Reader:
     def tagged_floats(self, tag: str) -> np.ndarray:
         return np.asarray(self.floats(self.tagged(tag), tag))
 
+    def norm(self, tag: str) -> float:
+        """A stored plane norm: one finite value, at least 0."""
+        values = self.tagged_floats(tag)
+        if values.size != 1 or values[0] < 0:
+            raise DataError(f"{self.path}: {tag!r} at line {self.pos} must "
+                            "be one value >= 0")
+        return values[0]
+
+    def reference_rows(self) -> np.ndarray:
+        """The xref section's rows, parsed in one pass. numpy reads a
+        string as float64 with float()'s accept set; a block that fails
+        that pass, or is ragged, short or not finite, is read again line
+        by line, so that the error names its line."""
+        n = self.section("xref")
+        block = self.lines[self.pos:self.pos + n]
+        try:
+            rows = np.array([line.split() for line in block],
+                            dtype=np.float64)
+        except ValueError:
+            rows = None
+        if (rows is not None and len(block) == n and rows.ndim == 2
+                and np.isfinite(rows).all()):
+            self.pos += n
+            return rows
+        rows = [self.floats(self.next().split()) for _ in range(n)]
+        if len({len(row) for row in rows}) != 1:
+            raise DataError(f"{self.path}: ragged or empty reference rows")
+        return np.asarray(rows)
+
 
 def _check_width(path: str, section: str, width: int,
                  scaling: ScalingParams | None) -> None:
@@ -760,7 +814,14 @@ def _check_width(path: str, section: str, width: int,
 
 
 def load_model(path):
-    """Read a model file written by save_model."""
+    """Read a model file written by save_model, in the FRLSTSVM/2 format
+    or the FRLSTSVM/1 format before it.
+
+    A gaussian /2 file stores both planes' norms. A /1 file has two
+    more config lines, `implicator` (either name gives the same model)
+    and `subsample` (0 reads as tau 0), and no norms: they come from
+    the gram of its reference rows, the one case in which a load builds
+    that gram."""
     path = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -772,10 +833,11 @@ def load_model(path):
     rd = _Reader(lines, path)
 
     head = rd.next().split()
-    if len(head) != 2 or head[0] != FORMAT_TAG:
+    version = _FORMAT_VERSIONS.get(head[0]) if len(head) == 2 else None
+    if version is None:
         raise DataError(
-            f"{path}: not a {FORMAT_TAG} model file (first line "
-            f"{lines[0][:40]!r})"
+            f"{path}: not a {' or '.join(_FORMAT_VERSIONS)} model file "
+            f"(first line {lines[0][:40]!r})"
         )
     kind = head[1]
     if kind not in KERNELS:
@@ -789,15 +851,19 @@ def load_model(path):
     elif n_scaling == 2:
         mins = rd.tagged_floats("min")
         ranges = rd.tagged_floats("range")
-        scaling = ScalingParams(mins=mins, ranges=ranges)
+        try:
+            scaling = ScalingParams(mins=mins, ranges=ranges)
+        except DataError as exc:
+            raise DataError(f"{path}: bad scaling section at lines "
+                            f"{rd.pos - 1}-{rd.pos} ({exc})") from None
     else:
         raise DataError(f"{path}: malformed scaling section")
 
-    n_cfg = rd.section("config")
-    if n_cfg != 12:
-        raise DataError(f"{path}: config section must have 12 lines")
+    n_cfg = 12 if version == 1 else 10
+    if rd.section("config") != n_cfg:
+        raise DataError(f"{path}: config section must have {n_cfg} lines")
     raw: dict[str, str] = {}
-    for _ in range(12):
+    for _ in range(n_cfg):
         parts = rd.next().split(None, 1)
         if len(parts) != 2:
             raise DataError(f"{path}: malformed config line {rd.pos}")
@@ -810,13 +876,15 @@ def load_model(path):
         return raw[key]
 
     try:
-        # files may name either implicator; both give the same model.
-        # A file with subsample 0 kept every majority row, as tau 0 does
-        choice("implicator", ("lukasiewicz", "kleene_dienes"))
         tau = float(raw["tau"])
         check_tau(tau)
-        if choice("subsample", ("0", "1")) == "0":
-            tau = 0.0
+        if version == 1:
+            # either implicator gives the same lower_approx scores (see
+            # fuzzy_rough), and a fit with subsample 0 kept every
+            # majority row, as tau 0 does
+            choice("implicator", ("lukasiewicz", "kleene_dienes"))
+            if choice("subsample", ("0", "1")) == "0":
+                tau = 0.0
         fuzzy = FuzzyParams(
             gamma=float(raw["gamma"]), tnorm=raw["tnorm"],
             score_mode=raw["score_mode"],
@@ -836,32 +904,29 @@ def load_model(path):
         )
 
     x_ref = None
-    section = "planes"
+    section, n_lines = "planes", 4
     if kind == "gaussian":
-        rows = [rd.floats(rd.next().split())
-                for _ in range(rd.section("xref"))]
-        if len({len(row) for row in rows}) != 1:
-            raise DataError(f"{path}: ragged or empty reference rows")
-        x_ref = np.asarray(rows)
+        x_ref = rd.reference_rows()
         _check_width(path, "xref", x_ref.shape[1], scaling)
-        section = "coefficients"
-    if rd.section(section) != 4:
-        raise DataError(f"{path}: {section} section must have 4 lines")
-    w1 = rd.tagged_floats("w1")
-    b1 = rd.tagged_floats("b1")
-    w2 = rd.tagged_floats("w2")
-    b2 = rd.tagged_floats("b2")
+        section, n_lines = "coefficients", (4 if version == 1 else 6)
+    if rd.section(section) != n_lines:
+        raise DataError(
+            f"{path}: {section} section must have {n_lines} lines")
+    w1, b1 = rd.tagged_floats("w1"), rd.tagged_floats("b1")
+    n1 = rd.norm("n1") if n_lines == 6 else None
+    w2, b2 = rd.tagged_floats("w2"), rd.tagged_floats("b2")
+    n2 = rd.norm("n2") if n_lines == 6 else None
     width = w1.size if x_ref is None else x_ref.shape[0]
     if (b1.size != 1 or b2.size != 1
             or w1.size != width or w2.size != width):
         raise DataError(f"{path}: malformed {section} section")
     if x_ref is None:
         _check_width(path, section, width, scaling)
-    # the gram only gives the two norms; it is not kept
-    gram = (None if x_ref is None
-            else gaussian_gram(x_ref, x_ref, config.sigma))
+    # a /1 gaussian file's norms come from the gram, which is not kept
+    gram = (gaussian_gram(x_ref, x_ref, config.sigma)
+            if x_ref is not None and version == 1 else None)
     return TwinPlaneModel(
-        plane1=Hyperplane(w=w1, b=b1[0], gram=gram),
-        plane2=Hyperplane(w=w2, b=b2[0], gram=gram),
+        plane1=Hyperplane(w=w1, b=b1[0], gram=gram, norm=n1),
+        plane2=Hyperplane(w=w2, b=b2[0], gram=gram, norm=n2),
         scaling=scaling, config=config, x_ref=x_ref,
     )

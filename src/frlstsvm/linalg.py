@@ -36,15 +36,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def gram(a) -> np.ndarray:
-    """Return A^T A, symmetrized so the result is exactly its own
-    transpose regardless of how the BLAS accumulates."""
-    a = as_matrix(a)
-    g = a.T @ a
-    # (g + g.T) * 0.5 with one temporary fewer, so the same bits
-    sym = g + g.T
-    del g
-    sym *= 0.5
-    return sym
+    """Return A^T A, exactly its own transpose. On one C-contiguous
+    buffer numpy takes A^T A to the BLAS's syrk, which computes one
+    triangle, and copies it into the other; a strided A can go to gemm,
+    whose two triangles need not agree in the last bit, so A is made
+    contiguous first."""
+    a = np.ascontiguousarray(as_matrix(a))
+    return a.T @ a
 
 
 def add_scaled_identity(a, delta: float) -> np.ndarray:

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from frlstsvm.errors import (
     DataError,
     DegenerateModelError,
 )
-from frlstsvm import fuzzy_rough
+from frlstsvm import classifier, fuzzy_rough
 from frlstsvm.fuzzy_rough import (
     _KEPT_BLOCK_ENTRIES,
     FuzzyParams,
@@ -950,6 +951,154 @@ class TestPreparedFold:
         assert sorted(shapes) == sorted([(m2, m1), (m2, m2), (m1, m1)])
 
 
+# FRLSTSVM/1 files, written by save_model before the /2 format (commit
+# 1578b1e) from the fits that v1_fit repeats
+V1_MODELS = {
+    kind: Path(__file__).resolve().parent / "data" / f"{kind}_v1.model"
+    for kind in ("linear", "gaussian")
+}
+
+
+def v1_fit(kind: str):
+    """The fit saved as V1_MODELS[kind], and its training rows."""
+    if kind == "linear":
+        x, y = make_blobs(83, m1=8, m2=20)
+        cfg = config(tau=0.0)
+    else:
+        x, y = make_circles(81, m1=10, m2=20)
+        cfg = config(tau=0.2, kernel="gaussian", sigma=0.3)
+    return fit_frlstsvm(LabeledDataset(x, y), cfg), x
+
+
+def assert_same_bits(a: TwinPlaneModel, b: TwinPlaneModel, x) -> None:
+    for pa, pb in ((a.plane1, b.plane1), (a.plane2, b.plane2)):
+        assert pa.w.tobytes() == pb.w.tobytes()
+        assert pa.b == pb.b and pa.norm == pb.norm
+    for got, want in zip(predict(a, x, return_distances=True),
+                         predict(b, x, return_distances=True)):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestFormatVersions:
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_v1_file_loads_the_bits_of_its_fit(self, kind):
+        model, x = v1_fit(kind)
+        back = load_model(V1_MODELS[kind])
+        assert back.config == model.config
+        assert_same_bits(back, model, x)
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_v1_file_is_saved_back_as_v2(self, tmp_path, kind):
+        model, x = v1_fit(kind)
+        path = tmp_path / "resaved.model"
+        save_model(load_model(V1_MODELS[kind]), path)
+        assert path.read_text().startswith(f"FRLSTSVM/2 {kind}\n")
+        assert_same_bits(load_model(path), model, x)
+        fresh = tmp_path / "fresh.model"
+        save_model(model, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_v2_sections(self, tmp_path):
+        # config loses the constant implicator and subsample lines; a
+        # gaussian model's coefficients carry each plane's norm
+        model, _ = v1_fit("gaussian")
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        cfg = lines.index("config 10")
+        assert [ln.split()[0] for ln in lines[cfg + 1:cfg + 11]] == [
+            "c1", "c2", "delta", "tau", "gamma", "tnorm", "score_mode",
+            "kernel", "sigma", "weights"]
+        assert lines[-7] == "coefficients 6"
+        assert [ln.split()[0] for ln in lines[-6:]] == [
+            "w1", "b1", "n1", "w2", "b2", "n2"]
+        assert float(lines[-4].split()[1]) == model.plane1.norm
+        assert float(lines[-1].split()[1]) == model.plane2.norm
+
+    def test_v2_gaussian_load_builds_no_gram(self, tmp_path, monkeypatch):
+        model, x = v1_fit("gaussian")
+        path = tmp_path / "m.model"
+        save_model(model, path)
+
+        def refused(*args):
+            raise AssertionError("gaussian_gram called")
+
+        monkeypatch.setattr(classifier, "gaussian_gram", refused)
+        back = load_model(path)
+        monkeypatch.undo()
+        assert_same_bits(back, model, x)
+
+    def test_stored_zero_norm_is_a_degenerate_plane(self, tmp_path):
+        model, x = v1_fit("gaussian")
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines[-4] = "n1 0"
+        path.write_text("\n".join(lines) + "\n")
+        back = load_model(path)
+        assert back.plane1.norm == 0.0
+        labels, d1, _ = predict(back, x, return_distances=True)
+        assert np.all(d1 == np.inf) and np.all(labels == -1)
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda lines: lines.pop(-4),
+                     r"expected 'n1' at line \d+, got 'w2", id="missing"),
+        pytest.param(lambda lines: lines.pop(), "truncated model file",
+                     id="missing-last"),
+        pytest.param(lambda lines: lines.__setitem__(-4, "n1 abc"),
+                     r"non-numeric value under 'n1' at line \d+$",
+                     id="non-numeric"),
+        pytest.param(lambda lines: lines.__setitem__(-1, "n2 nan"),
+                     r"non-finite value under 'n2' at line \d+$", id="nan"),
+        pytest.param(lambda lines: lines.__setitem__(-1, "n2 inf"),
+                     r"non-finite value under 'n2' at line \d+$", id="inf"),
+        pytest.param(lambda lines: lines.__setitem__(-4, "n1 -0.5"),
+                     r"'n1' at line \d+ must be one value >= 0$",
+                     id="negative"),
+        pytest.param(lambda lines: lines.__setitem__(-1, "n2 1 2"),
+                     r"'n2' at line \d+ must be one value >= 0$",
+                     id="two-values"),
+        pytest.param(lambda lines: lines.__setitem__(-1, "n2"),
+                     r"'n2' at line \d+ must be one value >= 0$",
+                     id="no-value"),
+        pytest.param(lambda lines: lines.__setitem__(-7, "coefficients 4"),
+                     "coefficients section must have 6 lines",
+                     id="section-count"),
+    ])
+    def test_rejects_bad_norm_lines(self, tmp_path, edit, message):
+        model, _ = v1_fit("gaussian")
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_v1_gaussian_file_has_no_norm_lines(self, tmp_path):
+        # a /1 file's coefficients section has 4 lines, a /2 file's 6
+        text = V1_MODELS["gaussian"].read_text()
+        path = tmp_path / "m.model"
+        path.write_text(text.replace("coefficients 4", "coefficients 6"))
+        with pytest.raises(DataError,
+                           match="coefficients section must have 4 lines"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_config_length_follows_the_version(self, tmp_path, version):
+        text = V1_MODELS["linear"].read_text()
+        if version == "2":
+            save_model(v1_fit("linear")[0], tmp_path / "v2.model")
+            text = (tmp_path / "v2.model").read_text()
+        n = "12" if version == "1" else "10"
+        other = "10" if version == "1" else "12"
+        path = tmp_path / "m.model"
+        path.write_text(text.replace(f"config {n}\n", f"config {other}\n"))
+        with pytest.raises(DataError,
+                           match=f"config section must have {n} lines"):
+            load_model(path)
+
+
 class TestSerialization:
     def linear_model(self):
         x, y = make_blobs(80, m1=8, m2=20)
@@ -989,7 +1138,7 @@ class TestSerialization:
         assert np.array_equal(back.x_ref, model.x_ref)
         assert np.array_equal(back.plane1.w, model.plane1.w)
         assert np.array_equal(back.plane2.w, model.plane2.w)
-        # the norms are recomputed from the reference rows on load
+        # the norms are stored, at 17 digits, and read back exactly
         assert back.plane1.norm == model.plane1.norm
         assert back.plane2.norm == model.plane2.norm
         assert back.config.sigma == model.config.sigma
@@ -1014,10 +1163,12 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_names_format_and_kernel(self, tmp_path):
+        path = V1_MODELS["linear"]
+        assert path.read_text().splitlines()[0] == "FRLSTSVM/1 linear"
         model, _ = self.linear_model()
         path = tmp_path / "m.model"
         save_model(model, str(path))
-        assert path.read_text().splitlines()[0] == "FRLSTSVM/1 linear"
+        assert path.read_text().splitlines()[0] == "FRLSTSVM/2 linear"
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.model"
@@ -1051,6 +1202,20 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="reference rows"):
             load_model(str(path))
+
+    def test_reference_rows_accept_what_float_accepts(self, tmp_path):
+        # the one-pass parse of the xref block reads a sign, padding and
+        # digit separators as float() does
+        model, _ = self.kernel_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        row = lines.index(f"xref {model.x_ref.shape[0]}") + 1
+        lines[row] = "  +1_0   -0.25e1 "
+        path.write_text("\n".join(lines) + "\n")
+        back = load_model(str(path))
+        assert back.x_ref[0].tolist() == [10.0, -2.5]
+        assert np.array_equal(back.x_ref[1:], model.x_ref[1:])
 
     @pytest.mark.parametrize("kind,tag", [
         ("linear", "min"), ("linear", "range"), ("linear", "w1"),
@@ -1122,12 +1287,31 @@ class TestSerialization:
         xs = minmax_apply(model.scaling, x)
         assert np.array_equal(predict(back, xs), predict(model, x))
 
+    @pytest.mark.parametrize("tag,values,message", [
+        ("range", "0 1", "scaling ranges must be positive"),
+        ("range", "-1 1", "scaling ranges must be positive"),
+        ("min", "0", "scaling parameters must be matching 1-D arrays"),
+        ("min", "0 0 0", "scaling parameters must be matching 1-D arrays"),
+    ])
+    def test_bad_scaling_section_names_file_and_lines(self, tmp_path, tag,
+                                                      values, message):
+        model, _ = self.linear_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        assert [ln.split()[0] for ln in lines[2:4]] == ["min", "range"]
+        lines[2 if tag == "min" else 3] = f"{tag} {values}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_model(str(path))
+        assert str(err.value) == (
+            f"{path}: bad scaling section at lines 3-4 ({message})")
+
     def test_either_implicator_line_loads_the_same_model(self, tmp_path):
         # files written while the implicator was an option may name
         # kleene_dienes; it gives the same scores, so the same model
-        model, x = self.linear_model()
-        path = tmp_path / "m.model"
-        save_model(model, str(path))
+        path = V1_MODELS["linear"]
+        _, x = v1_fit("linear")
         text = path.read_text()
         assert "\nimplicator lukasiewicz\n" in text
         other = tmp_path / "kd.model"
@@ -1147,11 +1331,9 @@ class TestSerialization:
         # files written while subsampling was a switch may say
         # subsample 0 beside any tau; that fit kept every majority row,
         # as a tau 0 fit does, and it is saved back as one
-        x, y = make_blobs(83, m1=8, m2=20)
-        model = fit_frlstsvm(LabeledDataset(x, y), config(tau=0.0))
-        path = tmp_path / "m.model"
-        save_model(model, str(path))
-        text = path.read_text()
+        model, x = v1_fit("linear")
+        assert model.config.tau == 0.0
+        text = V1_MODELS["linear"].read_text()
         assert "\ntau 0\n" in text and "\nsubsample 1\n" in text
         old = tmp_path / "old.model"
         old.write_text(text.replace("\ntau 0\n", "\ntau 0.3\n")
@@ -1164,7 +1346,9 @@ class TestSerialization:
             assert a.tobytes() == b.tobytes()
         resaved = tmp_path / "resaved.model"
         save_model(back, str(resaved))
-        assert resaved.read_text() == text
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        assert resaved.read_text() == path.read_text()
         old.write_text(old.read_text().replace("\ntau 0.3\n",
                                                 "\ntau 1.5\n"))
         with pytest.raises(DataError, match="tau must be in"):
@@ -1180,13 +1364,17 @@ class TestSerialization:
     ])
     def test_rejects_bad_config_values(self, tmp_path, line, message):
         # a flag read as anything but 0 or 1 would load as disabled,
-        # and every config check names the file
-        model, _ = self.linear_model()
+        # and every config check names the file; the subsample flag is
+        # only in FRLSTSVM/1 files
         path = tmp_path / "m.model"
-        save_model(model, str(path))
         key = line.split()[0]
+        if key == "subsample":
+            text = V1_MODELS["linear"].read_text()
+        else:
+            save_model(self.linear_model()[0], str(path))
+            text = path.read_text()
         lines = [line if ln.split()[0] == key else ln
-                 for ln in path.read_text().splitlines()]
+                 for ln in text.splitlines()]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"bad config section .*{message}"):
             load_model(str(path))

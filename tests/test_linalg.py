@@ -53,6 +53,28 @@ class TestGram:
         raw = a.T @ a
         assert gram(a).tobytes() == ((raw + raw.T) * 0.5).tobytes()
 
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 64, 301])
+    @pytest.mark.parametrize("cols", [1, 2, 5, 33, 257])
+    def test_every_layout_is_exactly_symmetric(self, rows, cols):
+        # A^T A with no symmetrising pass: C-ordered, F-ordered and
+        # strided inputs alike give the bits of (g + g^T) / 2 on the
+        # contiguous copy, and their own transpose
+        rng = np.random.default_rng(rows * 1000 + cols)
+        wide = rng.normal(size=(rows, 2 * cols + 1))
+        layouts = {
+            "C": np.ascontiguousarray(wide[:, :cols]),
+            "F": np.asfortranarray(wide[:, :cols]),
+            "column slice": wide[:, :cols],
+            "column step": wide[:, ::2][:, :cols],
+            "row step": np.repeat(wide[:, :cols], 2, axis=0)[::2],
+        }
+        for name, a in layouts.items():
+            c = np.ascontiguousarray(a)
+            raw = c.T @ c
+            g = gram(a)
+            assert np.array_equal(g, (raw + raw.T) * 0.5), name
+            assert np.array_equal(g, g.T), name
+
     def test_quadratic_form_nonnegative(self):
         rng = np.random.default_rng(1)
         g = gram(rng.normal(size=(6, 4)))
