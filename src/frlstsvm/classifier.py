@@ -37,12 +37,19 @@ call and such blocks give the bits of one whole-batch pass.
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
 that nested CV fits a whole grid from one object per training set;
-fit_frlstsvm is one fit of a fresh PreparedFold. It holds one majority
-similarity at a time, for the FuzzyParams last asked, and hands out one
-FitBlocks per distinct (weights, kept set), and FitBlocks.terms gives
-the parts of both systems that do not depend on c1 or c2 (PlaneTerms:
-H'H, G'D2G, G'd2, G'G, H'D1H, H'd1), which fits that differ only in c
-share; each fit still solves its own two systems through spd_solve.
+fit_frlstsvm is one fit of a fresh PreparedFold. It holds one m2 x m2
+majority array, under the minimum t-norm the Chebyshev distance that
+every gamma's similarity is read from, and hands out one FitBlocks per
+distinct (weights, kept set). FitBlocks.terms gives the parts of both
+systems that do not depend on c1 or c2 (PlaneTerms: H'H, G'D2G, G'd2,
+G'G, H'D1H, H'd1), which fits that differ only in c share.
+
+Models leave through fit_blocks, whose planes are solved by spd_solve.
+A grid search only needs each fit's G-mean on its validation rows:
+score_fits gives it for every c of one (blocks, sigma) group from one
+set of terms, with the bits of predict and report on the model but
+without building one, and spd_solve is asked only for the systems the
+unridged attempt misses.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     DegenerateModelError,
+    SingularSystemError,
 )
 from .fuzzy_rough import (
     WEIGHT_FLOOR,
@@ -74,11 +82,13 @@ from .fuzzy_rough import (
     PositiveRegionScores,
     check_tau,
     class_weights,
-    mean_similarity,
     positive_region_scores,
+    row_means,
+    row_sums,
     subsample_majority,
 )
 from .linalg import SpdSolveReport, add_scaled_identity, gram, spd_solve
+from .metrics import gmean
 
 KERNELS = ("linear", "gaussian")
 
@@ -155,12 +165,18 @@ class Hyperplane:
             self.norm = float(self.norm)
             if not (math.isfinite(self.norm) and self.norm >= 0):
                 raise ValueError("hyperplane norm must be finite and >= 0")
-        elif gram is None:
-            # np.linalg.norm's arithmetic for a real vector, so its bits,
-            # without its call overhead
-            self.norm = math.sqrt(float(self.w.dot(self.w)))
         else:
-            self.norm = math.sqrt(max(float(self.w @ gram @ self.w), 0.0))
+            self.norm = _norm(self.w, gram)
+
+
+def _norm(w: np.ndarray, gram: np.ndarray | None) -> float:
+    """The Euclidean length of w (gram None), or sqrt(w'Kw) over the
+    gram K of a gaussian model's reference rows."""
+    if gram is None:
+        # np.linalg.norm's arithmetic for a real vector, so its bits,
+        # without its call overhead
+        return math.sqrt(float(w.dot(w)))
+    return math.sqrt(max(float(w @ gram @ w), 0.0))
 
 
 @dataclass(eq=False)
@@ -275,7 +291,7 @@ class PlaneTerms(NamedTuple):
 
 
 def _weighted_gram(b: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-    return gram(b * np.sqrt(d_b)[:, None])
+    return gram(b * np.sqrt(d_b)[:, None], checked=True)
 
 
 def _plane_terms(x1, x2hat, d1, d2, sigma: float | None) -> PlaneTerms:
@@ -285,7 +301,14 @@ def _plane_terms(x1, x2hat, d1, d2, sigma: float | None) -> PlaneTerms:
     augmented gaussian kernel blocks H = [K(X1, Xref) | 1] and
     G = [K(X2hat, Xref) | 1] of width sigma, with Xref the minority
     rows stacked over the kept majority rows."""
-    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
+    return _block_terms(*_checked_blocks(x1, x2hat, d1, d2), sigma)
+
+
+def _block_terms(x1: np.ndarray, x2hat: np.ndarray, d1: np.ndarray,
+                 d2: np.ndarray, sigma: float | None) -> PlaneTerms:
+    """_plane_terms of blocks that _checked_blocks would pass as they
+    are: finite float64 matrices of one width, and weight vectors of
+    their lengths, finite and > 0."""
     m1 = x1.shape[0]
     x_ref = k_ref = None
     if sigma is None:
@@ -296,11 +319,22 @@ def _plane_terms(x1, x2hat, d1, d2, sigma: float | None) -> PlaneTerms:
         h, g = _augment(k_ref[:m1]), _augment(k_ref[m1:])
 
     def planes():
-        yield gram(h), _weighted_gram(g, d2), g.T @ d2
-        yield gram(g), _weighted_gram(h, d1), h.T @ d1
+        yield gram(h, checked=True), _weighted_gram(g, d2), g.T @ d2
+        yield gram(g, checked=True), _weighted_gram(h, d1), h.T @ d1
 
     return PlaneTerms(m1=m1, m2=x2hat.shape[0], planes=planes(),
                       x_ref=x_ref, k_ref=k_ref)
+
+
+def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
+                  c: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The system (A'A + c B'DB + delta I) t = c B'D e of one plane."""
+    # c B'DB + A'A in one buffer has the bits of A'A + c B'DB, and the
+    # strided diagonal those of lhs[np.diag_indices_from(lhs)]
+    lhs = c * bdb
+    lhs += aa
+    lhs.flat[::lhs.shape[0] + 1] += delta
+    return lhs, c * bd
 
 
 def _fit_planes(terms: PlaneTerms, c1: float, c2: float,
@@ -313,15 +347,9 @@ def _fit_planes(terms: PlaneTerms, c1: float, c2: float,
     solved = []
     planes = iter(terms.planes)
     for c in (c1, c2):
-        aa, bdb, bd = next(planes)
-        # c B'DB + A'A in one buffer has the bits of A'A + c B'DB
-        lhs = c * bdb
-        lhs += aa
-        lhs[np.diag_indices_from(lhs)] += delta
-        rhs = c * bd
+        lhs, rhs = _plane_system(*next(planes), c, delta)
         # unshared terms are freed before the solve, and the system
         # before the next plane's terms are built
-        del aa, bdb, bd
         solved.append(spd_solve(lhs, rhs))
         del lhs
     (t1, report1), (t2, report2) = solved
@@ -438,12 +466,29 @@ def _block_rows(m_ref: int) -> int:
     return max(64, _PREDICT_BLOCK_ENTRIES // m_ref // 64 * 64)
 
 
-def _distances(f: np.ndarray, plane: Hyperplane) -> np.ndarray:
+def _distances(f: np.ndarray, w: np.ndarray, b: float,
+               norm: float) -> np.ndarray:
     """|f'w + b| / norm for each row of features f; a degenerate plane
     (norm 0) is infinitely far from every row."""
-    if plane.norm == 0.0:
+    if norm == 0.0:
         return np.full(f.shape[0], np.inf)
-    return np.abs(f @ plane.w + plane.b) / plane.norm
+    # in place, with the bits of np.abs(f @ w + b) / norm
+    d = f @ w
+    d += b
+    np.abs(d, out=d)
+    d /= norm
+    return d
+
+
+def _kernel_blocks(xs: np.ndarray, x_ref: np.ndarray, sigma: float):
+    """(start, stop, K(xs[start:stop], x_ref)) over the row blocks of a
+    gaussian predict (see _block_rows)."""
+    n, step = xs.shape[0], _block_rows(x_ref.shape[0])
+    # numpy takes a one-row product to dot, not gemv, and dot sums in
+    # another order: a lone last row joins the block before it
+    stops = [*range(step, n - 1, step), n]
+    for start, stop in zip([0, *stops], stops):
+        yield start, stop, _kernel(xs[start:stop], x_ref, sigma)
 
 
 def predict(model: TwinPlaneModel, x, return_distances: bool = False):
@@ -468,20 +513,16 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     if p1.norm == 0.0 and p2.norm == 0.0:
         raise DegenerateModelError("both planes are degenerate")
     if model.x_ref is None:
-        d1, d2 = _distances(xs, p1), _distances(xs, p2)
+        d1 = _distances(xs, p1.w, p1.b, p1.norm)
+        d2 = _distances(xs, p2.w, p2.b, p2.norm)
     else:
         sigma = model.config.sigma
         _check_sigma(sigma)
         x_ref = linalg.as_matrix(model.x_ref, "reference rows")
-        n, step = xs.shape[0], _block_rows(x_ref.shape[0])
-        d1, d2 = np.empty(n), np.empty(n)
-        # numpy takes a one-row product to dot, not gemv, and dot sums
-        # in another order: a lone last row joins the block before it
-        stops = [*range(step, n - 1, step), n]
-        for start, stop in zip([0, *stops], stops):
-            kx = _kernel(xs[start:stop], x_ref, sigma)
-            d1[start:stop] = _distances(kx, p1)
-            d2[start:stop] = _distances(kx, p2)
+        d1, d2 = np.empty(xs.shape[0]), np.empty(xs.shape[0])
+        for start, stop, kx in _kernel_blocks(xs, x_ref, sigma):
+            d1[start:stop] = _distances(kx, p1.w, p1.b, p1.norm)
+            d2[start:stop] = _distances(kx, p2.w, p2.b, p2.norm)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
     if single:
         labels, d1, d2 = int(labels[0]), float(d1[0]), float(d2[0])
@@ -529,8 +570,11 @@ class FitBlocks:
     def terms(self, sigma: float | None = None) -> PlaneTerms:
         """The c-free terms of a fit on these blocks, to share across
         fits that differ only in c1 and c2; sigma None for the linear
-        kernel."""
-        terms = _plane_terms(self.x1, self.x2hat, self.d1, self.d2, sigma)
+        kernel. The blocks are a PreparedFold's, so they are not checked
+        again."""
+        d1, d2 = ((np.ones(x.shape[0]) if d is None else d) for x, d in
+                  ((self.x1, self.d1), (self.x2hat, self.d2)))
+        terms = _block_terms(self.x1, self.x2hat, d1, d2, sigma)
         return terms._replace(planes=tuple(terms.planes))
 
 
@@ -539,14 +583,18 @@ class PreparedFold:
 
     Min-max scaling is fit on these rows only and the scaled rows are
     split by class. The fuzzy-rough steps of the pipeline are memoised
-    per FuzzyParams: the majority's positive-region scores and the
-    minority weights; per (FuzzyParams, tau): the subsample. Density
-    scores and kept-majority weights are row means of the majority's
-    m2 x m2 similarity, the object's only m2 x m2 array. It has one
-    slot: asking for other FuzzyParams drops the held similarity before
-    building the new one, so a grid asked gamma by gamma computes each
-    once and never holds two. Tau 0 keeps every majority row and scores
-    none of them. A tau that empties the majority raises the same
+    per FuzzyParams: the majority's positive-region scores, its
+    similarity row sums and the minority weights; per (FuzzyParams,
+    tau): the subsample. Density scores and kept-majority weights are
+    row means of the majority's m2 x m2 similarity, read off the
+    object's only m2 x m2 array (see _majority_pairs). In density mode
+    under the minimum t-norm that array is the majority's Chebyshev
+    distance, computed once and mapped to each gamma's similarity one
+    row block at a time. Otherwise it is the similarity of one
+    FuzzyParams: asking for other FuzzyParams drops it before building
+    the new one, so a grid asked gamma by gamma builds each once and
+    never holds two. Tau 0 keeps every majority row and scores none of
+    them. A tau that empties the majority raises the same
     ConfigurationError on every fit that asks for it.
 
     The blocks, with their kept-majority weights, are memoised per
@@ -567,7 +615,7 @@ class PreparedFold:
         self.x1 = self.xs[min_rows]
         self.x2 = self.xs[self.maj_rows]
         self._memo: dict = {}
-        self._sim: tuple[FuzzyParams, np.ndarray] | None = None
+        self._pairs: tuple[FuzzyParams | None, np.ndarray] | None = None
 
     def _cached(self, key, compute):
         if key not in self._memo:
@@ -583,13 +631,34 @@ class PreparedFold:
             raise ConfigurationError(*hit.args)
         return hit
 
-    def _similarity(self, fuzzy: FuzzyParams) -> np.ndarray:
-        if self._sim is None or self._sim[0] != fuzzy:
-            self._sim = None  # so two are never live
-            # looked up on the module, where the benchmark's tracer wraps it
-            self._sim = (fuzzy,
-                         fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
-        return self._sim[1]
+    def _majority_pairs(self, fuzzy: FuzzyParams
+                        ) -> tuple[np.ndarray, float | None]:
+        """The m2 x m2 array that fuzzy's majority similarity is read
+        from, and the gamma for fuzzy_rough.row_sums: the Chebyshev
+        distances and fuzzy's gamma in density mode under the minimum
+        t-norm, where they serve every gamma; else the similarity itself
+        and None. lower_approx scores come from the cross-class
+        similarity, so that mode's majority array is for its weights
+        alone, and stays per FuzzyParams."""
+        by_distance = (fuzzy.tnorm == "minimum"
+                       and fuzzy.score_mode == "density")
+        key = None if by_distance else fuzzy
+        if self._pairs is None or self._pairs[0] != key:
+            self._pairs = None  # so two are never live
+            # looked up on the module, where the benchmark's tracer wraps
+            # the similarity
+            self._pairs = (key, fuzzy_rough.chebyshev_distances(self.x2)
+                           if by_distance else
+                           fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
+        return self._pairs[1], fuzzy.gamma if by_distance else None
+
+    def _row_sums(self, fuzzy: FuzzyParams) -> np.ndarray:
+        """Every majority row's similarity sum; the density scores and
+        the weights of every tau that keeps every row share it."""
+        def compute():
+            pairs, gamma = self._majority_pairs(fuzzy)
+            return row_sums(pairs, gamma=gamma)
+        return self._cached(("sums", fuzzy), compute)
 
     def scores(self, fuzzy: FuzzyParams) -> PositiveRegionScores:
         """The majority's positive_region_scores; in density mode, the
@@ -599,7 +668,7 @@ class PreparedFold:
                 return positive_region_scores(self.xs, self.labels, fuzzy,
                                               target_class=-1)
             return PositiveRegionScores(
-                scores=mean_similarity(self._similarity(fuzzy)),
+                scores=row_means(self._row_sums(fuzzy)),
                 params=fuzzy, row_indices=self.maj_rows,
             )
         return self._cached(("scores", fuzzy), compute)
@@ -623,8 +692,12 @@ class PreparedFold:
             if fuzzy is not None:
                 d1 = self._cached(("d1", fuzzy),
                                   lambda: class_weights(self.x1, fuzzy))
-                d2 = mean_similarity(self._similarity(fuzzy), kept,
-                                     WEIGHT_FLOOR)
+                if kept.size == self.x2.shape[0]:
+                    sums = self._row_sums(fuzzy)
+                else:
+                    pairs, gamma = self._majority_pairs(fuzzy)
+                    sums = row_sums(pairs, kept, gamma)
+                d2 = row_means(sums, WEIGHT_FLOOR)
             return FitBlocks(self.x1, self.x2[kept], d1, d2,
                              self.maj_rows[kept], self.x2.shape[0])
         return self._cached(("blocks", fuzzy, kept.tobytes()), compute)
@@ -650,10 +723,67 @@ def fit_blocks(blocks: FitBlocks, config: TrainConfig,
     return model
 
 
+def _solve_planes(terms: PlaneTerms, config: TrainConfig
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """u1 and u2 of the fit at config from its shared terms, with the
+    bits of _fit_planes but no reports: each system gets spd_solve's
+    unridged attempt alone (linalg.solve_unridged) and goes to
+    spd_solve itself on any miss, so its ridges, bits and errors are
+    spd_solve's."""
+    t = []
+    for planes, c in zip(terms.planes, (config.c1, config.c2)):
+        lhs, rhs = _plane_system(*planes, c, config.delta)
+        x = linalg.solve_unridged(lhs, rhs)
+        # looked up on the module, where the benchmark's tracer wraps it
+        t.append(spd_solve(lhs, rhs)[0] if x is None else x)
+    return -t[0], t[1]
+
+
+def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
+               x_va: np.ndarray, y_va: np.ndarray,
+               convention: str) -> list[float | None]:
+    """The G-mean on scaled validation rows of the fit of `blocks` at
+    each config, which differ only in c1 and c2; None where the system
+    is singular or both planes degenerate. Each value has the bits of
+    report(confusion(y_va, predict(fit_blocks(blocks, config), x_va)),
+    convention).gmean, but no model is built: the configs share one
+    set of c-free terms, each plane comes from _solve_planes, and the
+    rows are labelled and counted with predict's and confusion's
+    arithmetic. A gaussian group maps the rows to kernel values once,
+    in predict's row blocks, for all of its configs."""
+    sigma = configs[0].sigma
+    terms = blocks.terms(sigma)
+    n = x_va.shape[0]
+    feats = (None if sigma is None
+             else list(_kernel_blocks(x_va, terms.x_ref, sigma)))
+    true_pos = y_va == 1
+    out: list[float | None] = []
+    for config in configs:
+        try:
+            u1, u2 = _solve_planes(terms, config)
+        except SingularSystemError:
+            out.append(None)
+            continue
+        planes = [(u[:-1], float(u[-1]), _norm(u[:-1], terms.k_ref))
+                  for u in (u1, u2)]
+        if planes[0][2] == 0.0 and planes[1][2] == 0.0:
+            out.append(None)
+            continue
+        if sigma is None:
+            d1, d2 = (_distances(x_va, *plane) for plane in planes)
+        else:
+            d1, d2 = np.empty(n), np.empty(n)
+            for start, stop, f in feats:
+                d1[start:stop] = _distances(f, *planes[0])
+                d2[start:stop] = _distances(f, *planes[1])
+        out.append(gmean(true_pos, d1 <= d2, convention))
+    return out
+
+
 def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
     """Full training pipeline on one training set: one fit of a fresh
-    PreparedFold. The PreparedFold, and with it the majority similarity,
-    is released before the solve starts."""
+    PreparedFold. The PreparedFold, and with it its m2 x m2 majority
+    array, is released before the solve starts."""
     prep = PreparedFold(ds.features, ds.labels)
     blocks, scaling = prep.blocks(config), prep.scaling
     del prep

@@ -461,9 +461,9 @@ def stratified_kfold(ds: LabeledDataset, k: int, seed: int) -> FoldPlan:
             raise DataError(
                 f"{name} class has {rows.size} rows, fewer than k={k}"
             )
+        # the row dealt n-th, rows[order[n]], goes to fold n % k
         order = rng.permutation(rows.size)
-        for dealt, j in enumerate(order):
-            assignments[rows[j]] = dealt % k
+        assignments[rows[order]] = np.arange(rows.size) % k
     return FoldPlan(assignments=assignments, k=k, seed=seed)
 
 

@@ -26,13 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
-    FitBlocks,
-    PlaneTerms,
     PreparedFold,
     TrainConfig,
-    fit_blocks,
     fit_frlstsvm,
     predict,
+    score_fits,
 )
 from .dataset import (
     LabeledDataset,
@@ -239,25 +237,28 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
 
     A point that fails on any inner fold (tau empties the majority,
     singular system, degenerate model) is marked invalid and not fit
-    again. Each inner fold fits every point through one PreparedFold,
-    so its fuzzy-rough steps are shared across the grid, and scales its
-    validation rows once; the grid's models carry no scaling.
+    again. Each inner fold prepares every point through one
+    PreparedFold, so its fuzzy-rough steps are shared across the grid,
+    and scales its validation rows once.
 
-    Each inner fold runs in two phases. The first builds every live
-    point's blocks, gamma by gamma (grid order within a gamma), so the
-    PreparedFold builds each majority similarity once, and then drops
-    the PreparedFold. Points whose blocks are one object (the same
-    weights and kept set) differ only in c1, c2 and sigma, so the
-    second phase fits and scores each (blocks, c1, c2, sigma) once and
-    adds its G-mean, or its failure, to every point that shares it.
-    Fits of one (blocks, sigma) share its c-free plane terms, which are
-    freed before the next (blocks, sigma)'s are built. Results are
-    stored by point index, so no mean, flag or tie-break depends on the
-    walk.
+    Each inner fold runs in two phases. The first builds the blocks of
+    every (tau, gamma) with a live point, gamma by gamma, so a
+    PreparedFold that holds a similarity per gamma builds each once,
+    and then drops the PreparedFold. Points whose blocks are one object
+    (the same weights and kept set) differ only in c1, c2 and sigma, so
+    the second phase scores each (blocks, sigma) group with one
+    score_fits call, which solves each distinct (c1, c2) once from the
+    group's c-free plane terms, and adds its G-mean, or its failure,
+    to every point that shares it. Results are stored by point index,
+    so no mean, flag or tie-break depends on the walk.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
     configs = [_train_config(config, pt) for pt in points]
-    by_gamma = sorted(range(len(points)), key=lambda i: points[i].gamma)
+    # (tau, gamma) -> its points, whose configs differ only in c1, c2
+    # and sigma and so share their blocks; gamma by gamma
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i in sorted(range(len(points)), key=lambda i: points[i].gamma):
+        groups.setdefault(points[i][:2], []).append(i)
     sums = np.zeros(len(points))
     alive = np.ones(len(points), dtype=bool)
     for f in range(inner_k):
@@ -267,44 +268,35 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
         y_va = train_ds.labels[va]
         # (blocks, sigma) -> its live points, in the order built
         fits: dict[tuple, list[int]] = {}
-        for i in by_gamma:
-            if not alive[i]:
+        for group in groups.values():
+            live = [i for i in group if alive[i]]
+            if not live:
                 continue
             try:
-                blocks = prep.blocks(configs[i])
+                blocks = prep.blocks(configs[live[0]])
             except ConfigurationError:
-                alive[i] = False
+                alive[live] = False
                 continue
-            fits.setdefault((blocks, points[i].sigma), []).append(i)
+            for i in live:
+                fits.setdefault((blocks, points[i].sigma), []).append(i)
         del prep
-        for (blocks, sigma), members in fits.items():
-            terms = blocks.terms(sigma)
-            # (c1, c2) -> G-mean, or None if the fit failed
-            gmeans: dict[tuple[float, float], float | None] = {}
+        for (blocks, _), members in fits.items():
+            # (c1, c2) -> the first member's config, then its G-mean or
+            # None if the fit failed
+            penalties: dict[tuple[float, float], TrainConfig] = {}
             for i in members:
-                cfg = configs[i]
-                key = (cfg.c1, cfg.c2)
-                if key not in gmeans:
-                    gmeans[key] = _inner_gmean(blocks, cfg, terms, x_va,
-                                               y_va, config.convention)
-                if gmeans[key] is None:
+                penalties.setdefault((configs[i].c1, configs[i].c2),
+                                     configs[i])
+            gmeans = dict(zip(penalties, score_fits(
+                blocks, list(penalties.values()), x_va, y_va,
+                config.convention)))
+            for i in members:
+                g = gmeans[configs[i].c1, configs[i].c2]
+                if g is None:
                     alive[i] = False
                 else:
-                    sums[i] += gmeans[key]
-            del terms
+                    sums[i] += g
     return sums / inner_k, alive
-
-
-def _inner_gmean(blocks: FitBlocks, cfg: TrainConfig, terms: PlaneTerms,
-                 x_va: np.ndarray, y_va: np.ndarray,
-                 convention: str) -> float | None:
-    """G-mean of one grid fit on the validation rows; None when the
-    system is singular or the model degenerate."""
-    try:
-        pred = predict(fit_blocks(blocks, cfg, terms=terms), x_va)
-    except (SingularSystemError, DegenerateModelError):
-        return None
-    return report(confusion(y_va, pred), convention).gmean
 
 
 def _fold_task(features: np.ndarray, labels: np.ndarray,

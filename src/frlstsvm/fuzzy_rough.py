@@ -12,8 +12,10 @@ approximate. Each rounded step, d -> gamma*d -> 1 - gamma*d -> max(0, .),
 is monotone in d, so the smallest term is the term of the largest
 |ax - ay|; cdist takes that maximum over the same IEEE differences the
 per-attribute form takes; and d*(-gamma) + 1, the in-place form, equals
-1 - gamma*d in IEEE arithmetic. The product and lukasiewicz t-norms
-fold the attribute terms one at a time.
+1 - gamma*d in IEEE arithmetic. So one distance matrix serves every
+gamma: chebyshev_distances computes it, and row_sums maps it to one
+gamma's similarity a row block at a time as it sums. The product and
+lukasiewicz t-norms fold the attribute terms one at a time.
 
 The lower_approx score of a row x is its membership in the fuzzy-rough
 lower approximation of its own crisp class X, inf_y I(R(x,y), [y in X]).
@@ -137,29 +139,75 @@ def indiscernibility_matrix(x, params: FuzzyParams) -> np.ndarray:
     return _cross_similarity(x, x, params)
 
 
-def mean_similarity(sim: np.ndarray, rows: np.ndarray | None = None,
-                    floor: float = 0.0) -> np.ndarray:
-    """Each row's mean similarity to the other rows of the p x p
-    self-similarity with a unit diagonal that `sim` restricts to `rows`
-    (ascending distinct indices into sim; None: every row):
-    (row sum - 1) / (p - 1), clipped to [floor, 1]; a single row gets 1.
+def chebyshev_distances(x) -> np.ndarray:
+    """max_a |ax - ay| for every pair of rows of one scaled instance
+    set: the one distance d that each gamma's minimum-t-norm similarity
+    max(0, 1 - gamma d) is a function of (see the module docstring), so
+    row_sums can read every gamma's similarity off one such matrix. It
+    is 0 everywhere for rows without attributes."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1] == 0:
+        return np.zeros((x.shape[0], x.shape[0]))
+    return cdist(x, x, "chebyshev")
 
-    A strict subset of the rows is summed in row blocks of the
-    restricted matrix, never copied whole: each block holds the same
-    contiguous rows, so its row sums, and the means, have the bits of
-    the copy's."""
-    if rows is None or rows.size == sim.shape[0]:
-        sums = sim.sum(axis=1)
-    else:
-        step = max(1, _KEPT_BLOCK_ENTRIES // rows.size)
-        sums = np.concatenate([
-            sim.take(rows[i:i + step], axis=0).take(rows, axis=1).sum(axis=1)
-            for i in range(0, rows.size, step)
-        ])
+
+def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
+             gamma: float | None = None) -> np.ndarray:
+    """Row sums of the p x p self-similarity that `pairs` restricts to
+    `rows` (ascending distinct indices into pairs; None: every row).
+    `pairs` is the similarity itself, or, with gamma, the Chebyshev
+    distances d it is under the minimum t-norm, each mapped to
+    max(0, 1 - gamma d) in the in-place arithmetic of the similarity.
+
+    Distances, and a strict subset of the rows, are summed one row
+    block of about 2^15 entries of the restricted matrix at a time,
+    mapped in one reused buffer, so neither a kept x kept copy nor a
+    second p x p array is made. Each block holds the same contiguous
+    rows as the whole restricted similarity, so its row sums have the
+    whole's bits."""
+    if rows is not None and rows.size == pairs.shape[0]:
+        rows = None
+    if rows is None and gamma is None:
+        return pairs.sum(axis=1)
+    p = pairs.shape[0] if rows is None else rows.size
+    step = max(1, _KEPT_BLOCK_ENTRIES // p)
+    buf = np.empty((min(step, p), p)) if rows is None else None
+    # rounding is monotone, so when gamma times the largest distance
+    # rounds to at most 1, every 1 - gamma d is >= 0 and the clip at 0
+    # changes no bit
+    clip = gamma is not None and gamma * pairs.max() > 1.0
+    sums = np.empty(p)
+    for i in range(0, p, step):
+        if rows is None:
+            block = np.multiply(pairs[i:i + step], -gamma,
+                                out=buf[:min(step, p - i)])
+        else:
+            block = pairs.take(rows[i:i + step], axis=0).take(rows, axis=1)
+            if gamma is not None:
+                block *= -gamma
+        if gamma is not None:
+            block += 1.0
+        if clip:
+            np.maximum(block, 0.0, out=block)
+        block.sum(axis=1, out=sums[i:i + step])
+    return sums
+
+
+def row_means(sums: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Each row's mean similarity to the other rows of a p x p
+    self-similarity with a unit diagonal, from its row sums:
+    (sum - 1) / (p - 1), clipped to [floor, 1]; a single row gets 1."""
     p = sums.shape[0]
     if p == 1:
         return np.ones(1)
     return np.clip((sums - 1.0) / (p - 1), floor, 1.0)
+
+
+def mean_similarity(sim: np.ndarray, rows: np.ndarray | None = None,
+                    floor: float = 0.0) -> np.ndarray:
+    """row_means of the self-similarity `sim` restricted to `rows`
+    (see row_sums)."""
+    return row_means(row_sums(sim, rows), floor)
 
 
 def positive_region_scores(x_all, labels, params: FuzzyParams,

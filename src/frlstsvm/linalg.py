@@ -10,6 +10,7 @@ plane solvers build, is exactly symmetric too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def gram(a) -> np.ndarray:
+def gram(a, *, checked: bool = False) -> np.ndarray:
     """Return A^T A, exactly its own transpose. On one C-contiguous
     buffer numpy takes A^T A to the BLAS's syrk, which computes one
     triangle, and copies it into the other; a strided A can go to gemm,
     whose two triangles need not agree in the last bit, so A is made
-    contiguous first."""
-    a = np.ascontiguousarray(as_matrix(a))
+    contiguous first. `checked` says that A is already a finite 2-D
+    float64 array, so it is not coerced and checked again."""
+    a = np.ascontiguousarray(a if checked else as_matrix(a))
     return a.T @ a
 
 
@@ -52,7 +54,9 @@ def add_scaled_identity(a, delta: float) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     out = a.copy()
-    out[np.diag_indices_from(out)] += delta
+    # the strided diagonal: the bits of out[np.diag_indices_from(out)],
+    # in a fraction of its time on small orders
+    out.flat[::out.shape[0] + 1] += delta
     return out
 
 
@@ -63,6 +67,33 @@ class SpdSolveReport:
     ridge_added: float
     residual_norm: float
     factorization_attempts: int
+
+
+def _frobenius(v: np.ndarray) -> float:
+    """np.linalg.norm(v), the Frobenius norm, by its own arithmetic (the
+    square root of the dot of v flattened in memory order with itself)
+    and so with its bits, without its call overhead."""
+    v = v.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
+
+
+def _threshold(b2: np.ndarray) -> float:
+    """The residual gate of a system with right-hand sides b2."""
+    return RESIDUAL_RTOL * max(1.0, _frobenius(b2))
+
+
+def _attempt(a: np.ndarray, b2: np.ndarray
+             ) -> tuple[np.ndarray | None, float]:
+    """One Cholesky factor and solve of A X = b2 (b2 2-D): X and its
+    residual ||A X - b2||_F, or None and inf when A does not factor or
+    X is not finite."""
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        return None, np.inf
+    x, _ = dpotrs(factor, b2, lower=1)
+    if not np.isfinite(x).all():
+        return None, np.inf
+    return x, _frobenius(a @ x - b2)
 
 
 def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
@@ -116,7 +147,7 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
 
     trace = float(np.trace(a))
     ridge_unit = trace / n if n > 0 and trace > 0 else 1.0
-    threshold = RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(b2)))
+    threshold = _threshold(b2)
 
     attempts = 0
     last_residual = np.inf
@@ -124,13 +155,9 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
         ridge = step * ridge_unit
         attempts += 1
         a_try = a if ridge == 0.0 else add_scaled_identity(a, ridge)
-        factor, info = dpotrf(a_try, lower=1, clean=0)
-        if info != 0:
+        x, residual = _attempt(a_try, b2)
+        if x is None:
             continue
-        x, _ = dpotrs(factor, b2, lower=1)
-        if not np.all(np.isfinite(x)):
-            continue
-        residual = float(np.linalg.norm(a_try @ x - b2))
         last_residual = residual
         if residual <= threshold:
             report = SpdSolveReport(
@@ -151,3 +178,21 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
             factorization_attempts=attempts,
         ),
     )
+
+
+def solve_unridged(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """spd_solve's first attempt alone, for callers that solve many
+    small systems and need no report: the solution of A x = b for a
+    vector b when A, checked as spd_solve checks it, factors with no
+    ridge and x meets spd_solve's residual gate; else None, and the
+    caller asks spd_solve, which repeats this attempt before it
+    escalates or raises. The x it returns has spd_solve's bits."""
+    n = a.shape[0]
+    if not (a.shape == (n, n) and b.shape == (n,) and np.isfinite(a).all()
+            and (a == a.T).all() and np.isfinite(b).all()):
+        return None
+    b2 = b.reshape(n, 1)
+    x, residual = _attempt(a, b2)
+    if x is None or not residual <= _threshold(b2):
+        return None
+    return x.reshape(-1)

@@ -63,11 +63,16 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
             raise DataError(f"{name} contains labels outside ±1: "
                             f"{np.unique(bad).tolist()}")
     # every label is now ±1, so -1 is "not +1"
-    true_pos, pred_pos = t == 1, p == 1
+    return ConfusionMatrix(*_outcomes(t == 1, p == 1))
+
+
+def _outcomes(true_pos: np.ndarray, pred_pos: np.ndarray
+              ) -> tuple[int, int, int, int]:
+    """(tp, fn, fp, tn) of two boolean masks of the +1 rows."""
     tp = int(np.count_nonzero(true_pos & pred_pos))
     fn = int(np.count_nonzero(true_pos)) - tp
     fp = int(np.count_nonzero(pred_pos)) - tp
-    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=t.size - tp - fn - fp)
+    return tp, fn, fp, true_pos.size - tp - fn - fp
 
 
 def _ratio(num: int, den: int) -> tuple[float, bool]:
@@ -81,12 +86,7 @@ def report(cm: ConfusionMatrix, convention: str = "standard") -> MetricReport:
         raise DataError(
             f"convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    if convention == "standard":
-        sen, d1 = _ratio(cm.tp, cm.tp + cm.fn)
-        spe, d2 = _ratio(cm.tn, cm.tn + cm.fp)
-    else:
-        sen, d1 = _ratio(cm.tp, cm.tp + cm.fp)
-        spe, d2 = _ratio(cm.tn, cm.tn + cm.fn)
+    (sen, d1), (spe, d2) = _rates(cm.tp, cm.fn, cm.fp, cm.tn, convention)
     acc = (cm.tp + cm.tn) / cm.total
     return MetricReport(
         sensitivity=sen,
@@ -96,6 +96,24 @@ def report(cm: ConfusionMatrix, convention: str = "standard") -> MetricReport:
         convention=convention,
         degenerate=d1 or d2,
     )
+
+
+def _rates(tp: int, fn: int, fp: int, tn: int, convention: str
+           ) -> tuple[tuple[float, bool], tuple[float, bool]]:
+    """Sensitivity and specificity, each with its degenerate flag."""
+    if convention == "standard":
+        return _ratio(tp, tp + fn), _ratio(tn, tn + fp)
+    return _ratio(tp, tp + fp), _ratio(tn, tn + fn)
+
+
+def gmean(true_pos: np.ndarray, pred_pos: np.ndarray,
+          convention: str) -> float:
+    """report(confusion(y_true, y_pred), convention).gmean from the
+    boolean masks y_true == 1 and y_pred == 1, with the same arithmetic
+    but none of the checks or objects: for callers that score many
+    predictions of labels known to be ±1, under a known convention."""
+    (sen, _), (spe, _) = _rates(*_outcomes(true_pos, pred_pos), convention)
+    return math.sqrt(sen * spe)
 
 
 def format_report(rep: MetricReport, dataset: str = "-",

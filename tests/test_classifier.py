@@ -29,6 +29,8 @@ from frlstsvm.classifier import (
     save_model,
 )
 from frlstsvm.dataset import LabeledDataset, minmax_apply, minmax_fit
+from frlstsvm.linalg import gram
+from frlstsvm.metrics import confusion, report
 from frlstsvm.errors import (
     ConfigurationError,
     DataError,
@@ -37,8 +39,10 @@ from frlstsvm.errors import (
 from frlstsvm import classifier, fuzzy_rough
 from frlstsvm.fuzzy_rough import (
     _KEPT_BLOCK_ENTRIES,
+    WEIGHT_FLOOR,
     FuzzyParams,
     class_weights,
+    mean_similarity,
     positive_region_scores,
     subsample_majority,
 )
@@ -784,38 +788,51 @@ class TestPreparedFold:
         assert sub is blocks(tau_subset, 2.0) and sub is not blocks(0.0, 2.0)
         assert blocks(tau_subset, 2.0, False) is not blocks(0.0, 2.0, False)
 
-    def test_one_slot_similarity_is_rebuilt_with_the_same_bits(
-            self, monkeypatch):
-        calls = []
-        real = fuzzy_rough.indiscernibility_matrix
-
-        def counted(x, params):
-            calls.append((params.gamma, x.shape[0]))
-            return real(x, params)
-
-        monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix", counted)
-        x, y = make_blobs(98, m1=8, m2=30, spread=1.2)
-        fa, fb = fuzzy(gamma=2.0), fuzzy(gamma=1.0)
-        scores = PreparedFold(x, y).scores(fa).scores
-        taus = (float(np.quantile(scores, 0.5)),
-                float(np.quantile(scores, 0.25)))
+    def test_every_gamma_reads_the_held_distance_with_its_similarity_bits(
+            self):
+        # scores and kept-majority weights of each gamma, visited in turn
+        # and then again, come from the one held majority distance; they
+        # must have the bits of the standalone similarity's row means
+        x, y = make_blobs(98, m1=8, m2=300, spread=1.2)
         prep = PreparedFold(x, y)
-        calls.clear()
-        first = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=taus[0],
-                                        fuzzy=fa))
-        prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=0.0, fuzzy=fb))
-        # memoised blocks need no similarity; a new tau at gamma A after
-        # gamma B builds A's again, with the bits of a fresh PreparedFold
-        assert prep.blocks(TrainConfig(c1=4.0, c2=1.0, tau=taus[0],
-                                       fuzzy=fa)) is first
-        cfg = TrainConfig(c1=1.0, c2=1.0, tau=taus[1], fuzzy=fa)
-        got = prep.blocks(cfg)
-        assert [g for g, rows in calls if rows == 30] == [2.0, 1.0, 2.0]
-        want = PreparedFold(x, y).blocks(cfg)
-        assert got.x2hat.shape[0] > first.x2hat.shape[0]
-        for name in ("x2hat", "d1", "d2", "kept_rows"):
-            assert (getattr(got, name).tobytes()
-                    == getattr(want, name).tobytes())
+        x2 = prep.x2
+        # gammas on both sides of 1 / (largest distance), where the clip
+        # at 0 starts to act
+        dmax = float(fuzzy_rough.chebyshev_distances(x2).max())
+        gammas = (0.5 / dmax, 1.0 / dmax, 2.0, 0.5 / dmax, 7.0, 2.0)
+        kept_sets = set()
+        for gamma in gammas:
+            fz = fuzzy(gamma=gamma)
+            sim = fuzzy_rough.indiscernibility_matrix(x2, fz)
+            assert (prep.scores(fz).scores.tobytes()
+                    == mean_similarity(sim).tobytes())
+            for q in (0.0, 0.3, 0.8):
+                tau = float(np.quantile(mean_similarity(sim), q))
+                blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau,
+                                                 fuzzy=fz))
+                kept = np.flatnonzero(mean_similarity(sim) >= tau)
+                kept_sets.add(kept.tobytes())
+                assert np.array_equal(blocks.kept_rows, prep.maj_rows[kept])
+                want = mean_similarity(sim, kept, WEIGHT_FLOOR)
+                assert blocks.d2.tobytes() == want.tobytes()
+        # the full set, and strict subsets that differ between gammas
+        assert len(kept_sets) >= 5
+        assert np.arange(300).tobytes() in kept_sets
+        # the clip acts at gamma 7 and not at 0.5 / dmax
+        assert (1.0 - 7.0 * fuzzy_rough.chebyshev_distances(x2) < 0).any()
+        # the product t-norm holds one similarity per FuzzyParams in the
+        # same slot: a new tau at a gamma visited before builds it again,
+        # with the same bits
+        for gamma, q in ((2.0, 0.5), (1.0, 0.5), (2.0, 0.25)):
+            fz = fuzzy(gamma=gamma, tnorm="product")
+            sim = fuzzy_rough.indiscernibility_matrix(x2, fz)
+            tau = float(np.quantile(mean_similarity(sim), q))
+            kept = np.flatnonzero(mean_similarity(sim) >= tau)
+            blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau,
+                                             fuzzy=fz))
+            assert np.array_equal(blocks.kept_rows, prep.maj_rows[kept])
+            assert (blocks.d2.tobytes()
+                    == mean_similarity(sim, kept, WEIGHT_FLOOR).tobytes())
 
     def test_memoised_failure_keeps_no_reference_to_the_fold(self):
         # a tau that empties the majority fails on every ask; the
@@ -911,23 +928,33 @@ class TestPreparedFold:
         assert 0 < blocks.x2hat.shape[0] < m2
         assert peak < m2 * m2 * 8 + 16 * 2 ** 20
 
-    def test_grid_computes_each_similarity_once(self, monkeypatch):
-        calls = []
-        real = fuzzy_rough.indiscernibility_matrix
+    def test_one_majority_distance_per_fold(self, monkeypatch):
+        # under the minimum t-norm in density mode every gamma's
+        # majority similarity is read off one Chebyshev distance; the
+        # minority weights keep one similarity per gamma
+        distances, similarities = [], []
+        real_d = fuzzy_rough.chebyshev_distances
+        real_s = fuzzy_rough.indiscernibility_matrix
 
-        def counted(x, params):
-            calls.append(params.gamma)
-            return real(x, params)
+        def counted_d(x):
+            distances.append(x.shape[0])
+            return real_d(x)
 
-        monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix", counted)
+        def counted_s(x, params):
+            similarities.append((params.gamma, x.shape[0]))
+            return real_s(x, params)
+
+        monkeypatch.setattr(fuzzy_rough, "chebyshev_distances", counted_d)
+        monkeypatch.setattr(fuzzy_rough, "indiscernibility_matrix",
+                            counted_s)
         x, y = make_blobs(92, m1=8, m2=30, spread=1.2)
         prep = PreparedFold(x, y)
-        for gamma, tau, c in itertools.product((1.0, 2.0), (0.0, 0.4, 0.6),
-                                               (0.5, 2.0)):
+        for gamma, tau, c in itertools.product((1.0, 2.0, 1.0),
+                                               (0.0, 0.4, 0.6), (0.5, 2.0)):
             cfg = TrainConfig(c1=c, c2=c, tau=tau, fuzzy=fuzzy(gamma=gamma))
             fit_blocks(prep.blocks(cfg), cfg)
-        # one majority and one minority similarity per gamma
-        assert sorted(calls) == [1.0, 1.0, 2.0, 2.0]
+        assert distances == [30]
+        assert sorted(similarities) == [(1.0, 8), (2.0, 8)]
 
     def test_lower_approx_blocks_build_no_majority_by_all_block(
             self, monkeypatch):
@@ -949,6 +976,51 @@ class TestPreparedFold:
         blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz))
         assert 0 < blocks.x2hat.shape[0] < m2
         assert sorted(shapes) == sorted([(m2, m1), (m2, m2), (m1, m1)])
+
+
+class TestScoreFits:
+    @pytest.mark.parametrize("convention", ["standard", "paper_literal"])
+    @pytest.mark.parametrize("kernel, sigma", [("linear", None),
+                                               ("gaussian", 0.3)])
+    def test_bits_of_predict_and_report_on_fitted_models(
+            self, kernel, sigma, convention):
+        # 950 reference rows make a gaussian predict block 128 rows, so
+        # the 150 validation rows span two kernel row blocks
+        x, y = (make_blobs(95, m1=100, m2=1000, spread=2.0)
+                if kernel == "linear"
+                else make_circles(95, m1=100, m2=1000, noise=0.4))
+        rng = np.random.default_rng(5)
+        va = rng.permutation(y.size)[:150]
+        tr = np.setdiff1d(np.arange(y.size), va)
+        prep = PreparedFold(x[tr], y[tr])
+        x_va = minmax_apply(prep.scaling, x[va])
+        configs = [TrainConfig(c1=c1, c2=c2, tau=0.0, fuzzy=fuzzy(),
+                               kernel=kernel, sigma=sigma)
+                   for c1, c2 in ((0.25, 0.25), (4.0, 0.5))]
+        blocks = prep.blocks(configs[0])
+        if kernel == "gaussian":
+            assert _block_rows(blocks.x1.shape[0]
+                               + blocks.x2hat.shape[0]) == 128
+        got = classifier.score_fits(blocks, configs, x_va, y[va],
+                                    convention)
+        for g, cfg in zip(got, configs):
+            pred = predict(fit_blocks(blocks, cfg), x_va)
+            want = report(confusion(y[va], pred), convention).gmean
+            assert g == want
+        assert got[0] > 0.9
+
+    def test_plane_system_has_the_bits_of_the_diag_indices_form(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            aa, bdb = (gram(rng.normal(size=(n + 3, n))) for _ in range(2))
+            bd = rng.normal(size=n)
+            c, delta = float(rng.uniform(0.01, 100)), 10.0 ** -rng.integers(0, 9)
+            lhs, rhs = classifier._plane_system(aa, bdb, bd, c, delta)
+            want = c * bdb + aa
+            want[np.diag_indices_from(want)] += delta
+            assert lhs.tobytes() == want.tobytes()
+            assert rhs.tobytes() == (c * bd).tobytes()
 
 
 # FRLSTSVM/1 files, written by save_model before the /2 format (commit

@@ -437,6 +437,31 @@ class TestFolds:
         with pytest.raises(DataError, match="k"):
             stratified_kfold(ds, 1, seed=0)
 
+    def test_plan_is_the_per_row_round_robin_deal(self):
+        # the vectorised deal must give the plans of dealing each
+        # class's shuffled rows one at a time, for every size, k and seed
+        def dealt_one_by_one(ds, k, seed):
+            rng = np.random.default_rng(seed)
+            assignments = np.full(ds.n_rows, -1, dtype=np.int64)
+            for cls in (1, -1):
+                rows = np.flatnonzero(ds.labels == cls)
+                for dealt, j in enumerate(rng.permutation(rows.size)):
+                    assignments[rows[j]] = dealt % k
+            return assignments
+
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            k = int(rng.integers(2, 12))
+            pos = int(rng.integers(k, 60))
+            neg = int(rng.integers(pos, 400))
+            labels = rng.permutation(np.array([1] * pos + [-1] * neg))
+            ds = LabeledDataset(np.zeros((pos + neg, 1)), labels)
+            seed = int(rng.integers(0, 2 ** 63))
+            plan = stratified_kfold(ds, k, seed)
+            assert plan.assignments.dtype == np.int64
+            assert np.array_equal(plan.assignments,
+                                  dealt_one_by_one(ds, k, seed))
+
 
 needs_haberman = pytest.mark.skipif(
     not os.path.exists(keel_file("haberman")),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from frlstsvm import classifier, experiment
-from frlstsvm.classifier import fit_frlstsvm, predict
+from frlstsvm.classifier import PreparedFold, fit_frlstsvm, predict
 from frlstsvm.dataset import (
     LabeledDataset,
     fold_rows,
@@ -457,6 +457,32 @@ def grid_dataset():
     return blob_dataset(110, m1=12, m2=36)
 
 
+def singular_grid_dataset():
+    """grid_dataset's rows with a duplicated and a collinear column:
+    with no ridge (delta 0) their plane systems, and for the gaussian
+    kernel those of the kernel columns they give, are singular, so the
+    unridged factor fails or misses the residual gate."""
+    ds = grid_dataset()
+    x = ds.features
+    return LabeledDataset(np.column_stack([x, x[:, 0], x[:, 0] + x[:, 1]]),
+                          ds.labels)
+
+
+def count_fallbacks(monkeypatch) -> list[int]:
+    """The factorization attempts of each spd_solve call that the
+    grid's solves fall back to, as they happen."""
+    real = classifier.spd_solve
+    attempts = []
+
+    def counted(a, b):
+        out = real(a, b)
+        attempts.append(out[1].factorization_attempts)
+        return out
+
+    monkeypatch.setattr(classifier, "spd_solve", counted)
+    return attempts
+
+
 class TestGridSearch:
     @pytest.mark.parametrize("fields", [
         dict(GRID),
@@ -478,17 +504,26 @@ class TestGridSearch:
             self, monkeypatch):
         # singular exactly for the blocks weighted at gamma 0.5 (the one
         # kept set of that gamma here) at c1 = 2: points (0, 0.5, 2) and
-        # (0.45, 0.5, 2)
-        real = classifier.fit_linear
+        # (0.45, 0.5, 2). The grid solves its planes in
+        # classifier._solve_planes, the reference loop's fits in
+        # classifier.fit_linear; both fail alike.
+        real_solve, real_fit = classifier._solve_planes, classifier.fit_linear
         raised = []
 
-        def singular_at(x1, x2hat, d1, d2, c1, c2, *args, **kwargs):
+        def singular_solve(terms, config):
+            if config.fuzzy.gamma == 0.5 and config.c1 == 2.0:
+                raised.append(terms.m2)
+                raise SingularSystemError("injected")
+            return real_solve(terms, config)
+
+        def singular_fit(x1, x2hat, d1, d2, c1, c2, *args, **kwargs):
             if kwargs["config"].fuzzy.gamma == 0.5 and c1 == 2.0:
                 raised.append(x2hat.shape[0])
                 raise SingularSystemError("injected")
-            return real(x1, x2hat, d1, d2, c1, c2, *args, **kwargs)
+            return real_fit(x1, x2hat, d1, d2, c1, c2, *args, **kwargs)
 
-        monkeypatch.setattr(classifier, "fit_linear", singular_at)
+        monkeypatch.setattr(classifier, "_solve_planes", singular_solve)
+        monkeypatch.setattr(classifier, "fit_linear", singular_fit)
         cfg = ExperimentConfig(**GRID)
         ds = grid_dataset()
         points = grid_points(cfg)
@@ -526,20 +561,91 @@ class TestGridSearch:
                           pt.c1, pt.c2))
             distinct += len(fits)
 
-        real = classifier.fit_linear
+        real = classifier._solve_planes
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[4:6])
-            return real(*args, **kwargs)
+        def counted(terms, config):
+            calls.append((config.c1, config.c2))
+            return real(terms, config)
 
-        monkeypatch.setattr(classifier, "fit_linear", counted)
+        monkeypatch.setattr(classifier, "_solve_planes", counted)
         experiment._grid_search(ds, cfg, points, inner_k, seed)
         assert len(calls) == distinct
         # gamma 0.5 keeps every row at tau 0 and 0.45; without weights
         # that set is shared with tau 0 at gamma 4
         per_fold = 3 if weights else 2
         assert distinct == inner_k * per_fold * 4
+
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    def test_systems_the_unridged_factor_misses_go_to_spd_solve(
+            self, monkeypatch, kernel):
+        # spd_solve repeats the unridged attempt, then escalates its ridge
+        ds = singular_grid_dataset()
+        cfg = ExperimentConfig(**GRID, delta=0.0, kernel=kernel,
+                               sigma_grid=(0.5, 4.0))
+        points = grid_points(cfg)
+        attempts = count_fallbacks(monkeypatch)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        assert attempts and min(attempts) > 1
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert got[1].sum() == len(points) * 2 // 3
+
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    def test_degenerate_planes_score_as_predict_labels(
+            self, monkeypatch, kernel):
+        # plane 1 of every fit at c1 = 2 is made degenerate (w = 0), in
+        # the grid's solves and the reference loop's fits alike: its
+        # rows are infinitely far from it, so every row is labelled -1.
+        # The planes come from spd_solve's ridged fallback.
+        real_solve, real_fit = classifier._solve_planes, classifier._fit_planes
+
+        def flat_solve(terms, config):
+            u1, u2 = real_solve(terms, config)
+            if config.c1 == 2.0:
+                u1[:-1] = 0.0
+            return u1, u2
+
+        def flat_fit(terms, c1, c2, delta):
+            u1, u2, summary = real_fit(terms, c1, c2, delta)
+            if c1 == 2.0:
+                u1[:-1] = 0.0
+            return u1, u2, summary
+
+        monkeypatch.setattr(classifier, "_solve_planes", flat_solve)
+        monkeypatch.setattr(classifier, "_fit_planes", flat_fit)
+        cfg = ExperimentConfig(**GRID, delta=0.0, kernel=kernel,
+                               sigma_grid=(0.5, 4.0))
+        ds = singular_grid_dataset()
+        points = grid_points(cfg)
+        attempts = count_fallbacks(monkeypatch)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        assert attempts and min(attempts) > 1
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        # all -1 is a G-mean of 0; the other fits find both classes
+        flat = np.array([pt.c1 == 2.0 for pt in points]) & got[1]
+        assert flat.any() and (got[0][flat] == 0.0).all()
+        assert (got[0][~flat & got[1]] > 0.5).all()
+
+    def test_both_planes_degenerate_kills_the_point(self):
+        # constant features scale to 0, so every linear plane has w = 0
+        x, y = make_blobs(110, m1=12, m2=36)
+        ds = LabeledDataset(np.ones_like(x), y)
+        cfg = ExperimentConfig(**GRID)
+        points = grid_points(cfg)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert not got[1].any()
+        fold = PreparedFold(ds.features, ds.labels)
+        cfg0 = experiment._train_config(cfg, points[0])
+        with pytest.raises(DegenerateModelError):
+            predict(classifier.fit_blocks(fold.blocks(cfg0), cfg0),
+                    ds.features)
 
     def test_one_similarity_is_live_at_a_time(self):
         # each gamma's 1000 x 1000 majority similarity (7.6 MiB) is

@@ -13,9 +13,12 @@ from frlstsvm.fuzzy_rough import (
     WEIGHT_FLOOR,
     FuzzyParams,
     PositiveRegionScores,
+    _KEPT_BLOCK_ENTRIES,
     _cross_similarity,
+    chebyshev_distances,
     class_weights,
     indiscernibility_matrix,
+    row_sums,
     positive_region_scores,
     subsample_majority,
 )
@@ -422,3 +425,34 @@ class TestClassWeights:
         perm = rng.permutation(20)
         wp = class_weights(x[perm], params(gamma=2.0))
         assert wp == pytest.approx(w[perm], abs=1e-12)
+
+
+class TestRowSums:
+    def test_distances_give_the_sums_of_each_gammas_similarity(self):
+        # a majority of 400 rows spans several row blocks; gammas on
+        # both sides of 1 / (largest distance), where the clip acts
+        rng = np.random.default_rng(16)
+        x = rng.uniform(0, 1, size=(400, 3)) * [1.0, 0.5, 0.25]
+        d = chebyshev_distances(x)
+        assert 400 * 400 > 3 * _KEPT_BLOCK_ENTRIES
+        dmax = float(d.max())
+        rows = (None, np.arange(400), np.sort(rng.permutation(400)[:250]),
+                np.array([7]))
+        for gamma in (0.25 / dmax, 1.0 / dmax, 1.5, 9.0):
+            sim = indiscernibility_matrix(x, params(gamma=gamma))
+            for r in rows:
+                want = (sim.sum(axis=1) if r is None
+                        else sim[np.ix_(r, r)].sum(axis=1))
+                assert row_sums(d, r, gamma).tobytes() == want.tobytes()
+                assert row_sums(sim, r).tobytes() == want.tobytes()
+
+    def test_distances_are_the_chebyshev_metric(self):
+        x = np.array([[0.0, 0.5], [0.25, 0.0], [1.0, 1.0]])
+        assert np.array_equal(chebyshev_distances(x), [
+            [0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        # rows without attributes are all alike, as the similarity says
+        empty = np.empty((3, 0))
+        assert np.array_equal(chebyshev_distances(empty), np.zeros((3, 3)))
+        assert np.array_equal(
+            row_sums(chebyshev_distances(empty), gamma=2.0),
+            indiscernibility_matrix(empty, params(gamma=2.0)).sum(axis=1))

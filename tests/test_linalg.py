@@ -8,6 +8,7 @@ from frlstsvm.linalg import (
     RIDGE_STEPS,
     add_scaled_identity,
     gram,
+    solve_unridged,
     spd_solve,
 )
 
@@ -95,6 +96,24 @@ class TestProducts:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             gram([[np.nan, 1.0]])
+
+    def test_strided_diagonal_has_the_bits_of_diag_indices(self):
+        rng = np.random.default_rng(9)
+        moved = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            a = gram(rng.normal(size=(n + 2, n)) * 10.0 ** rng.integers(-8, 8))
+            delta = float(rng.choice([0.0, 1e-6, rng.uniform(0, 1e3)]))
+            want = a.copy()
+            want[np.diag_indices_from(want)] += delta
+            got = add_scaled_identity(a, delta)
+            assert got.tobytes() == want.tobytes()
+            moved += got.tobytes() != a.tobytes()
+        assert moved > 100
+
+    def test_checked_gram_skips_only_the_check(self):
+        m = np.random.default_rng(10).normal(size=(7, 4))
+        assert gram(m, checked=True).tobytes() == gram(m).tobytes()
 
 
 class TestSpdSolve:
@@ -195,3 +214,35 @@ class TestSpdSolve:
         a[0, 1] = np.nextafter(a[0, 1], np.inf)
         with pytest.raises(ValueError, match="not symmetric"):
             spd_solve(a, np.ones(3))
+
+
+class TestSolveUnridged:
+    def test_bits_of_spd_solve_where_no_ridge_is_needed(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 30))
+            a = gram(rng.normal(size=(n + int(rng.integers(0, 5)), n)))
+            a += 1e-3 * np.eye(n)
+            b = rng.normal(size=n)
+            x = solve_unridged(a, b)
+            assert x is not None
+            want, rep = spd_solve(a, b)
+            assert rep.factorization_attempts == 1
+            assert x.shape == (n,) and x.tobytes() == want.tobytes()
+
+    def test_none_wherever_spd_solve_would_ridge_or_refuse(self):
+        rng = np.random.default_rng(12)
+        # rank deficient: spd_solve escalates its ridge
+        a = gram(rng.normal(size=(2, 6)))
+        b = rng.normal(size=6)
+        assert spd_solve(a, b)[1].factorization_attempts > 1
+        assert solve_unridged(a, b) is None
+        # spd_solve refuses these with a ValueError
+        asym = gram(rng.normal(size=(5, 3)))
+        asym[0, 1] = np.nextafter(asym[0, 1], np.inf)
+        for bad_a, bad_b in ((asym, np.ones(3)),
+                             (np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                              np.ones(2)),
+                             (np.eye(2), np.array([1.0, np.nan])),
+                             (np.eye(2), np.ones((2, 1)))):
+            assert solve_unridged(bad_a, bad_b) is None

@@ -12,6 +12,7 @@ from frlstsvm.metrics import (
     confusion,
     csv_line,
     format_report,
+    gmean,
     report,
 )
 
@@ -145,6 +146,17 @@ class TestReport:
             assert srep.specificity == rep.sensitivity
             assert srep.gmean == rep.gmean
             assert srep.accuracy == rep.accuracy
+
+    @pytest.mark.parametrize("convention", ["standard", "paper_literal"])
+    def test_mask_gmean_is_the_report_gmean(self, convention):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            # skewed draws, so that some rows are all one label
+            t = np.where(rng.random(n) < rng.random(), 1, -1)
+            p = np.where(rng.random(n) < rng.random(), 1, -1)
+            want = report(confusion(t, p), convention).gmean
+            assert gmean(t == 1, p == 1, convention) == want
 
     def test_rejects_unknown_convention(self):
         cm = ConfusionMatrix(tp=1, fn=0, fp=0, tn=1)
