@@ -614,6 +614,10 @@ class PreparedFold:
             raise DataError("training data must contain both classes")
         self.x1 = self.xs[min_rows]
         self.x2 = self.xs[self.maj_rows]
+        # the largest majority distance: that of the two rows spanning
+        # the widest column, since rounding a difference is monotone
+        self._span = (float(np.ptp(self.x2, axis=0).max())
+                      if self.x2.shape[1] else 0.0)
         self._memo: dict = {}
         self._pairs: tuple[FuzzyParams | None, np.ndarray] | None = None
 
@@ -631,13 +635,12 @@ class PreparedFold:
             raise ConfigurationError(*hit.args)
         return hit
 
-    def _majority_pairs(self, fuzzy: FuzzyParams
-                        ) -> tuple[np.ndarray, float | None]:
+    def _majority_pairs(self, fuzzy: FuzzyParams) -> tuple[np.ndarray, dict]:
         """The m2 x m2 array that fuzzy's majority similarity is read
-        from, and the gamma for fuzzy_rough.row_sums: the Chebyshev
-        distances and fuzzy's gamma in density mode under the minimum
-        t-norm, where they serve every gamma; else the similarity itself
-        and None. lower_approx scores come from the cross-class
+        from, and the keywords of fuzzy_rough.row_sums that read it: the
+        Chebyshev distances with fuzzy's gamma in density mode under the
+        minimum t-norm, where they serve every gamma; else the
+        similarity itself. lower_approx scores come from the cross-class
         similarity, so that mode's majority array is for its weights
         alone, and stays per FuzzyParams."""
         by_distance = (fuzzy.tnorm == "minimum"
@@ -650,14 +653,19 @@ class PreparedFold:
             self._pairs = (key, fuzzy_rough.chebyshev_distances(self.x2)
                            if by_distance else
                            fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
-        return self._pairs[1], fuzzy.gamma if by_distance else None
+        if not by_distance:
+            return self._pairs[1], {}
+        # rounding is monotone, so when gamma times the largest distance
+        # rounds to at most 1 no 1 - gamma d is negative
+        return self._pairs[1], dict(gamma=fuzzy.gamma,
+                                    clip=fuzzy.gamma * self._span > 1.0)
 
     def _row_sums(self, fuzzy: FuzzyParams) -> np.ndarray:
         """Every majority row's similarity sum; the density scores and
         the weights of every tau that keeps every row share it."""
         def compute():
-            pairs, gamma = self._majority_pairs(fuzzy)
-            return row_sums(pairs, gamma=gamma)
+            pairs, how = self._majority_pairs(fuzzy)
+            return row_sums(pairs, **how)
         return self._cached(("sums", fuzzy), compute)
 
     def scores(self, fuzzy: FuzzyParams) -> PositiveRegionScores:
@@ -695,8 +703,8 @@ class PreparedFold:
                 if kept.size == self.x2.shape[0]:
                     sums = self._row_sums(fuzzy)
                 else:
-                    pairs, gamma = self._majority_pairs(fuzzy)
-                    sums = row_sums(pairs, kept, gamma)
+                    pairs, how = self._majority_pairs(fuzzy)
+                    sums = row_sums(pairs, kept, **how)
                 d2 = row_means(sums, WEIGHT_FLOOR)
             return FitBlocks(self.x1, self.x2[kept], d1, d2,
                              self.maj_rows[kept], self.x2.shape[0])

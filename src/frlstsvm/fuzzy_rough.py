@@ -152,12 +152,14 @@ def chebyshev_distances(x) -> np.ndarray:
 
 
 def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
-             gamma: float | None = None) -> np.ndarray:
+             gamma: float | None = None, clip: bool = True) -> np.ndarray:
     """Row sums of the p x p self-similarity that `pairs` restricts to
     `rows` (ascending distinct indices into pairs; None: every row).
     `pairs` is the similarity itself, or, with gamma, the Chebyshev
     distances d it is under the minimum t-norm, each mapped to
     max(0, 1 - gamma d) in the in-place arithmetic of the similarity.
+    A caller that knows no 1 - gamma d is negative passes clip=False:
+    the clip at 0 would change no bit, and its pass is skipped.
 
     Distances, and a strict subset of the rows, are summed one row
     block of about 2^15 entries of the restricted matrix at a time,
@@ -172,10 +174,6 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
     p = pairs.shape[0] if rows is None else rows.size
     step = max(1, _KEPT_BLOCK_ENTRIES // p)
     buf = np.empty((min(step, p), p)) if rows is None else None
-    # rounding is monotone, so when gamma times the largest distance
-    # rounds to at most 1, every 1 - gamma d is >= 0 and the clip at 0
-    # changes no bit
-    clip = gamma is not None and gamma * pairs.max() > 1.0
     sums = np.empty(p)
     for i in range(0, p, step):
         if rows is None:
@@ -187,8 +185,8 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
                 block *= -gamma
         if gamma is not None:
             block += 1.0
-        if clip:
-            np.maximum(block, 0.0, out=block)
+            if clip:
+                np.maximum(block, 0.0, out=block)
         block.sum(axis=1, out=sums[i:i + step])
     return sums
 

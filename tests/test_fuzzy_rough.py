@@ -445,6 +445,10 @@ class TestRowSums:
                         else sim[np.ix_(r, r)].sum(axis=1))
                 assert row_sums(d, r, gamma).tobytes() == want.tobytes()
                 assert row_sums(sim, r).tobytes() == want.tobytes()
+                if gamma * dmax <= 1.0:
+                    # no 1 - gamma d is negative: the clip is idle
+                    assert (row_sums(d, r, gamma, clip=False).tobytes()
+                            == want.tobytes())
 
     def test_distances_are_the_chebyshev_metric(self):
         x = np.array([[0.0, 0.5], [0.25, 0.0], [1.0, 1.0]])
