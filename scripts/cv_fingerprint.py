@@ -10,12 +10,12 @@ cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For a
 linear and a gaussian fit it also writes the saved model file and
 predict(..., return_distances=True) on 500 held-out rows of the model
 that load_model reads back from it, so the predictions pin the reader's
-bits as well as the fit's. The configs
-are the criterion-5 linear grid (10 outer x 9 inner folds), a small
-gaussian grid, a gaussian grid whose gammas and taus share kept sets
-and whose c values share plane terms, the linear grid without
-subsampling and weights and in lower_approx score mode, and grids
-without tau 0 for each t-norm and score mode.
+bits as well as the fit's. The configs are the criterion-5 linear
+grid (10 outer x 9 inner folds), the same grid with c2 ranging apart
+from c1, a small gaussian grid, a gaussian grid whose gammas and taus
+share kept sets and whose c values share plane terms, the linear grid
+without subsampling and weights and in lower_approx score mode, and
+grids without tau 0 for each t-norm and score mode.
 
 The library comes from the src/ beside this script. To compare two
 commits, run the script in a checkout of each (copy it into a checkout
@@ -87,6 +87,9 @@ _SUBSAMPLED = dict(_LINEAR_GRID, tau_grid=(0.2, 0.4), gamma_grid=(1.0,))
 # in one process
 CONFIGS = {
     "linear": _LINEAR_GRID,
+    # c1 and c2 crossed: nine (c1, c2) per group from three values of
+    # each, so each plane solved serves three of them
+    "untied": dict(_LINEAR_GRID, c2_grid=(0.25, 1.0, 4.0)),
     "gaussian": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
                      gamma_grid=(1.0,), c1_grid=(1.0,),
                      sigma_grid=(1.0, 2.0), folds=5),

@@ -44,12 +44,13 @@ distinct (weights, kept set). FitBlocks.terms gives the parts of both
 systems that do not depend on c1 or c2 (PlaneTerms: H'H, G'D2G, G'd2,
 G'G, H'D1H, H'd1), which fits that differ only in c share.
 
-Models leave through fit_blocks, whose planes are solved by spd_solve.
-A grid search only needs each fit's G-mean on its validation rows:
-score_fits gives it for every c of one (blocks, sigma) group from one
-set of terms, with the bits of predict and report on the model but
-without building one, and spd_solve is asked only for the systems the
-unridged attempt misses.
+Every plane system is solved by spd_solve. Models leave through
+fit_blocks. A grid search only needs each fit's G-mean on its
+validation rows: score_fits gives it for every (c1, c2) of one
+(blocks, sigma) group from one set of terms, with the bits of predict
+and report on the model but without building one. Plane j depends on
+c_j alone, so score_fits solves plane 1 once per distinct c1 and plane
+2 once per distinct c2.
 """
 
 from __future__ import annotations
@@ -277,8 +278,8 @@ class PlaneTerms(NamedTuple):
     and then (G'G, H'D1H, H'd1). A gaussian fit also keeps its reference
     rows and their gram K(Xref, Xref), for the planes' norms.
 
-    FitBlocks.terms gives `planes` as a tuple, which fits that differ
-    only in c1 and c2 share. A fit given no terms reads them from a
+    FitBlocks.terms gives `planes` as a tuple, which score_fits shares
+    across the c values of a group. A model's fit reads them from a
     one-pass iterator that builds each plane's only when it is solved,
     so a lone gaussian fit holds two of the (m_ref + 1)^2 grams at a
     time, not four through both solves."""
@@ -344,15 +345,11 @@ def _fit_planes(terms: PlaneTerms, c1: float, c2: float,
     t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge least-squares fit
     of At = 0 and Bt = e with weights cD on the rows of B, from
     (A'A, B'DB, B'D e). Returns u1 = -t1, u2 = t2 and the summary."""
-    solved = []
     planes = iter(terms.planes)
-    for c in (c1, c2):
-        lhs, rhs = _plane_system(*next(planes), c, delta)
-        # unshared terms are freed before the solve, and the system
-        # before the next plane's terms are built
-        solved.append(spd_solve(lhs, rhs))
-        del lhs
-    (t1, report1), (t2, report2) = solved
+    # a plane's terms are freed when its system is built, before the
+    # solve, and the system before the next plane's terms are built
+    (t1, report1), (t2, report2) = (
+        spd_solve(*_plane_system(*next(planes), c, delta)) for c in (c1, c2))
     summary = TrainingSummary(
         m1=terms.m1, m2_kept=terms.m2, m2_total=terms.m2,
         solver_reports={"plane1": report1, "plane2": report2},
@@ -374,8 +371,7 @@ def _default_config(c1: float, c2: float, delta: float,
 
 def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
                delta: float = 1e-6, scaling: ScalingParams | None = None,
-               config: TrainConfig | None = None,
-               terms: PlaneTerms | None = None) -> TwinPlaneModel:
+               config: TrainConfig | None = None) -> TwinPlaneModel:
     """Fit both weighted hyperplanes from pre-scaled class matrices.
 
     Parameters
@@ -390,15 +386,11 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
         None means inputs to predict are taken as already scaled.
     config : full config snapshot to carry on the model; a minimal one
         is synthesized when omitted.
-    terms : the c-free terms of these blocks, as FitBlocks.terms gives
-        them to fits that differ only in c1 and c2; None computes them
-        for this fit alone.
     """
     if config is None:
         config = _default_config(c1, c2, delta, weighted=True)
-    if terms is None:
-        terms = _plane_terms(x1, x2hat, d1, d2, None)
-    u1, u2, summary = _fit_planes(terms, c1, c2, delta)
+    u1, u2, summary = _fit_planes(_plane_terms(x1, x2hat, d1, d2, None),
+                                  c1, c2, delta)
     return TwinPlaneModel(
         plane1=_unpack(u1), plane2=_unpack(u2),
         scaling=scaling, config=config, summary=summary,
@@ -530,21 +522,18 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
 
 
 def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
-               scaling: ScalingParams | None = None,
-               terms: PlaneTerms | None = None) -> TwinPlaneModel:
+               scaling: ScalingParams | None = None) -> TwinPlaneModel:
     """Fit the Gaussian-kernel variant from pre-scaled class matrices.
 
     The reference set stacks the minority rows over the kept majority
     rows; the plane algebra of fit_linear is applied to the augmented
-    kernel blocks P and Q against that reference set. `terms` is as in
-    fit_linear, at config.sigma.
+    kernel blocks P and Q against that reference set.
     """
     if config.kernel != "gaussian":
         raise ConfigurationError(
             f"fit_kernel requires a gaussian config, got {config.kernel!r}"
         )
-    if terms is None:
-        terms = _plane_terms(x1, x2hat, d1, d2, config.sigma)
+    terms = _plane_terms(x1, x2hat, d1, d2, config.sigma)
     u1, u2, summary = _fit_planes(terms, config.c1, config.c2, config.delta)
     return TwinPlaneModel(
         plane1=_unpack(u1, terms.k_ref), plane2=_unpack(u2, terms.k_ref),
@@ -568,10 +557,9 @@ class FitBlocks:
     m2_total: int
 
     def terms(self, sigma: float | None = None) -> PlaneTerms:
-        """The c-free terms of a fit on these blocks, to share across
-        fits that differ only in c1 and c2; sigma None for the linear
-        kernel. The blocks are a PreparedFold's, so they are not checked
-        again."""
+        """The c-free terms of a fit on these blocks, which score_fits
+        shares across c1 and c2; sigma None for the linear kernel. The
+        blocks are a PreparedFold's, so they are not checked again."""
         d1, d2 = ((np.ones(x.shape[0]) if d is None else d) for x, d in
                   ((self.x1, self.d1), (self.x2hat, self.d2)))
         terms = _block_terms(self.x1, self.x2hat, d1, d2, sigma)
@@ -712,79 +700,71 @@ class PreparedFold:
 
 
 def fit_blocks(blocks: FitBlocks, config: TrainConfig,
-               scaling: ScalingParams | None = None,
-               terms: PlaneTerms | None = None):
+               scaling: ScalingParams | None = None):
     """Run the linear or kernel solver on prepared blocks. Returns a
     TwinPlaneModel carrying `scaling` (None: predict takes scaled rows),
-    whose summary records how many majority rows survived. `terms` is
-    blocks.terms(config.sigma), shared by fits that differ only in c1
-    and c2, or None to compute it for this fit alone."""
+    whose summary records how many majority rows survived."""
     if config.kernel == "gaussian":
         model = fit_kernel(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
-                           config, scaling=scaling, terms=terms)
+                           config, scaling=scaling)
     else:
         model = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
                            config.c1, config.c2, config.delta,
-                           scaling=scaling, config=config, terms=terms)
+                           scaling=scaling, config=config)
     model.summary.m2_total = blocks.m2_total
     model.summary.kept_majority_rows = blocks.kept_rows
     return model
-
-
-def _solve_planes(terms: PlaneTerms, config: TrainConfig
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """u1 and u2 of the fit at config from its shared terms, with the
-    bits of _fit_planes but no reports: each system gets spd_solve's
-    unridged attempt alone (linalg.solve_unridged) and goes to
-    spd_solve itself on any miss, so its ridges, bits and errors are
-    spd_solve's."""
-    t = []
-    for planes, c in zip(terms.planes, (config.c1, config.c2)):
-        lhs, rhs = _plane_system(*planes, c, config.delta)
-        x = linalg.solve_unridged(lhs, rhs)
-        # looked up on the module, where the benchmark's tracer wraps it
-        t.append(spd_solve(lhs, rhs)[0] if x is None else x)
-    return -t[0], t[1]
 
 
 def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
                x_va: np.ndarray, y_va: np.ndarray,
                convention: str) -> list[float | None]:
     """The G-mean on scaled validation rows of the fit of `blocks` at
-    each config, which differ only in c1 and c2; None where the system
-    is singular or both planes degenerate. Each value has the bits of
-    report(confusion(y_va, predict(fit_blocks(blocks, config), x_va)),
-    convention).gmean, but no model is built: the configs share one
-    set of c-free terms, each plane comes from _solve_planes, and the
-    rows are labelled and counted with predict's and confusion's
-    arithmetic. A gaussian group maps the rows to kernel values once,
-    in predict's row blocks, for all of its configs."""
-    sigma = configs[0].sigma
+    each config, which differ only in c1 and c2; None where either
+    plane's system is singular or both planes are degenerate. Each value
+    has the bits of report(confusion(y_va, predict(fit_blocks(blocks,
+    config), x_va)), convention).gmean, but no model is built: the
+    configs share one set of c-free terms, plane 1 is solved and its
+    distances to the rows measured once per distinct c1, plane 2 once
+    per distinct c2, and the rows are labelled and counted with
+    predict's and confusion's arithmetic. A gaussian group maps the
+    rows to kernel values once, in predict's row blocks."""
+    sigma, delta = configs[0].sigma, configs[0].delta
     terms = blocks.terms(sigma)
-    n = x_va.shape[0]
     feats = (None if sigma is None
              else list(_kernel_blocks(x_va, terms.x_ref, sigma)))
+
+    def distances(plane: int, c: float):
+        """The rows' distances to plane 1 or 2 at penalty c and its
+        norm, or None if its system is singular."""
+        try:
+            # looked up on the module, where the benchmark's tracer wraps it
+            t, _ = spd_solve(*_plane_system(*terms.planes[plane - 1], c,
+                                            delta))
+        except SingularSystemError:
+            return None
+        u = -t if plane == 1 else t
+        w, b = u[:-1], float(u[-1])
+        norm = _norm(w, terms.k_ref)
+        if feats is None:
+            return _distances(x_va, w, b, norm), norm
+        d = np.empty(x_va.shape[0])
+        for start, stop, f in feats:
+            d[start:stop] = _distances(f, w, b, norm)
+        return d, norm
+
+    plane1 = {c: distances(1, c) for c in dict.fromkeys(
+        config.c1 for config in configs)}
+    plane2 = {c: distances(2, c) for c in dict.fromkeys(
+        config.c2 for config in configs)}
     true_pos = y_va == 1
     out: list[float | None] = []
     for config in configs:
-        try:
-            u1, u2 = _solve_planes(terms, config)
-        except SingularSystemError:
+        p1, p2 = plane1[config.c1], plane2[config.c2]
+        if p1 is None or p2 is None or p1[1] == p2[1] == 0.0:
             out.append(None)
-            continue
-        planes = [(u[:-1], float(u[-1]), _norm(u[:-1], terms.k_ref))
-                  for u in (u1, u2)]
-        if planes[0][2] == 0.0 and planes[1][2] == 0.0:
-            out.append(None)
-            continue
-        if sigma is None:
-            d1, d2 = (_distances(x_va, *plane) for plane in planes)
         else:
-            d1, d2 = np.empty(n), np.empty(n)
-            for start, stop, f in feats:
-                d1[start:stop] = _distances(f, *planes[0])
-                d2[start:stop] = _distances(f, *planes[1])
-        out.append(gmean(true_pos, d1 <= d2, convention))
+            out.append(gmean(true_pos, p1[0] <= p2[0], convention))
     return out
 
 

@@ -415,14 +415,24 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
 
 
 def minmax_fit(x) -> ScalingParams:
-    """Per-column min and range from training rows only."""
+    """Per-column min and range from training rows only. A column whose
+    max - min is not a finite float64 (finite values can span more, as
+    -1.5e308 to 1.5e308 do) would scale to NaN, so it is refused."""
     if isinstance(x, LabeledDataset):
         x = x.features
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DataError("scaling needs a non-empty 2-D matrix")
-    mins = x.min(axis=0)
-    ranges = x.max(axis=0) - mins
+    mins, maxs = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore"):
+        ranges = maxs - mins
+    wide = np.flatnonzero(~np.isfinite(ranges))
+    if wide.size:
+        j = int(wide[0])
+        raise DataError(
+            f"feature column {j} (0-based) spans {float(mins[j])!r} to "
+            f"{float(maxs[j])!r}, a range beyond float64; rescale it"
+        )
     ranges[ranges == 0] = 1.0
     return ScalingParams(mins=mins, ranges=ranges)
 

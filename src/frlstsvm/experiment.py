@@ -247,9 +247,10 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     and then drops the PreparedFold. Points whose blocks are one object
     (the same weights and kept set) differ only in c1, c2 and sigma, so
     the second phase scores each (blocks, sigma) group with one
-    score_fits call, which solves each distinct (c1, c2) once from the
-    group's c-free plane terms, and adds its G-mean, or its failure,
-    to every point that shares it. Results are stored by point index,
+    score_fits call, which solves plane 1 once per distinct c1 and
+    plane 2 once per distinct c2 from the group's c-free plane terms,
+    and adds each (c1, c2)'s G-mean, or its failure, to every point
+    that shares it. Results are stored by point index,
     so no mean, flag or tie-break depends on the walk.
     """
     plan = stratified_kfold(train_ds, inner_k, inner_seed)

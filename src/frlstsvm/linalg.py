@@ -31,7 +31,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -77,11 +77,6 @@ def _frobenius(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _threshold(b2: np.ndarray) -> float:
-    """The residual gate of a system with right-hand sides b2."""
-    return RESIDUAL_RTOL * max(1.0, _frobenius(b2))
-
-
 def _attempt(a: np.ndarray, b2: np.ndarray
              ) -> tuple[np.ndarray | None, float]:
     """One Cholesky factor and solve of A X = b2 (b2 2-D): X and its
@@ -94,6 +89,18 @@ def _attempt(a: np.ndarray, b2: np.ndarray
     if not np.isfinite(x).all():
         return None, np.inf
     return x, _frobenius(a @ x - b2)
+
+
+def _ridges(a: np.ndarray):
+    """The ridge of each of spd_solve's attempts: none, then RIDGE_STEPS
+    times trace(A)/n, or times 1.0 when the trace is not positive. The
+    trace is taken only once the bare attempt has missed."""
+    yield 0.0
+    n = a.shape[0]
+    trace = float(np.trace(a))
+    unit = trace / n if n > 0 and trace > 0 else 1.0
+    for step in RIDGE_STEPS:
+        yield step * unit
 
 
 def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
@@ -132,11 +139,12 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"A must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    # finite, so == is array_equal's test, without its call overhead
+    if not (a == a.T).all():
         raise ValueError("A is not symmetric: A != A^T in some entry")
 
     b_arr = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b_arr)):
+    if not np.isfinite(b_arr).all():
         raise ValueError("B contains non-finite entries")
     vector_rhs = b_arr.ndim == 1
     if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
@@ -144,15 +152,11 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
             f"B has shape {b_arr.shape}, incompatible with A of order {n}"
         )
     b2 = b_arr.reshape(n, -1) if vector_rhs else b_arr
-
-    trace = float(np.trace(a))
-    ridge_unit = trace / n if n > 0 and trace > 0 else 1.0
-    threshold = _threshold(b2)
+    threshold = RESIDUAL_RTOL * max(1.0, _frobenius(b2))
 
     attempts = 0
     last_residual = np.inf
-    for step in (0.0,) + RIDGE_STEPS:
-        ridge = step * ridge_unit
+    for ridge in _ridges(a):
         attempts += 1
         a_try = a if ridge == 0.0 else add_scaled_identity(a, ridge)
         x, residual = _attempt(a_try, b2)
@@ -173,26 +177,8 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
         f"system of order {n} unsolvable within residual tolerance "
         f"(best residual {last_residual:.3e} after {attempts} attempts)",
         report=SpdSolveReport(
-            ridge_added=RIDGE_STEPS[-1] * ridge_unit,
+            ridge_added=ridge,
             residual_norm=last_residual,
             factorization_attempts=attempts,
         ),
     )
-
-
-def solve_unridged(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """spd_solve's first attempt alone, for callers that solve many
-    small systems and need no report: the solution of A x = b for a
-    vector b when A, checked as spd_solve checks it, factors with no
-    ridge and x meets spd_solve's residual gate; else None, and the
-    caller asks spd_solve, which repeats this attempt before it
-    escalates or raises. The x it returns has spd_solve's bits."""
-    n = a.shape[0]
-    if not (a.shape == (n, n) and b.shape == (n,) and np.isfinite(a).all()
-            and (a == a.T).all() and np.isfinite(b).all()):
-        return None
-    b2 = b.reshape(n, 1)
-    x, residual = _attempt(a, b2)
-    if x is None or not residual <= _threshold(b2):
-        return None
-    return x.reshape(-1)

@@ -345,7 +345,8 @@ def scaled_split(x, y):
 class TestKernelFit:
     def test_one_fit_holds_one_planes_terms_at_a_time(self):
         # the four (m_ref + 1)^2 grams of the c-free terms plus the
-        # reference gram, all live, would take the peak past 7 of them
+        # reference gram, all live, would take the peak past 7 of them;
+        # a plane's terms kept alive through its solve, to 6
         rng = np.random.default_rng(99)
         x1, x2 = rng.random((80, 8)), rng.random((720, 8))
         d1, d2 = rng.uniform(0.5, 1, 80), rng.uniform(0.5, 1, 720)
@@ -356,7 +357,7 @@ class TestKernelFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * 801 ** 2 * 8
+        assert peak < 5.5 * 801 ** 2 * 8
 
     def test_circles_need_the_kernel(self):
         x, y = make_circles(50)
@@ -731,11 +732,13 @@ class TestPreparedFold:
         empty = {cfg for cfg in configs if cfg.tau == 1.0}
         assert {cfg for cfg, out in want.items() if out is None} == empty
 
-        # the second pass shares each (blocks, sigma)'s c-free terms
+        # the first pass fits each config, the second scores each
+        # (blocks, sigma) group with score_fits, which shares the
+        # group's c-free terms, against labels on the probe rows
         prep = PreparedFold(x, y)
         rng = np.random.default_rng(4)
         raised = 0
-        shared_terms = {}
+        groups = {}
         for shared in (False, True):
             for i in rng.permutation(len(configs)):
                 cfg = configs[i]
@@ -745,13 +748,10 @@ class TestPreparedFold:
                     raised += 1
                     continue
                 blocks = prep.blocks(cfg)
-                terms = None
                 if shared:
-                    key = (blocks, cfg.sigma)
-                    if key not in shared_terms:
-                        shared_terms[key] = blocks.terms(cfg.sigma)
-                    terms = shared_terms[key]
-                model = fit_blocks(blocks, cfg, prep.scaling, terms=terms)
+                    groups.setdefault((blocks, cfg.sigma), []).append(cfg)
+                    continue
+                model = fit_blocks(blocks, cfg, prep.scaling)
                 arrays, outputs = want[cfg]
                 for got, exp in zip(model_arrays(model) + list(
                         predict(model, probe, return_distances=True)),
@@ -761,7 +761,16 @@ class TestPreparedFold:
         assert raised == 2 * len(empty)
         # the kept sets at tau 0 and 0.72 differ at both gammas, and
         # without weights tau 0 is one kept set for both gammas
-        assert len({blocks for blocks, _ in shared_terms}) == 2 * 2 * 2 - 1
+        assert len({blocks for blocks, _ in groups}) == 2 * 2 * 2 - 1
+        y_probe = np.where(probe[:, 0] > probe[:, 1], 1, -1)
+        x_probe = minmax_apply(prep.scaling, probe)
+        # each c, and twice over for the kept set gammas share
+        assert sorted(map(len, groups.values())) == [2] * 12 + [4] * 2
+        for (blocks, _), group in groups.items():
+            got = classifier.score_fits(blocks, group, x_probe, y_probe,
+                                        "standard")
+            assert got == [report(confusion(y_probe, want[cfg][1][0]))
+                           .gmean for cfg in group]
 
     def test_duplicate_kept_sets_share_one_blocks_object(self):
         # under the minimum t-norm every density score is >= 1 - gamma,

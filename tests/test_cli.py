@@ -299,6 +299,30 @@ class TestCv:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", [
+        ["train", "--header", "--out", "m.model"],
+        ["cv", "--header", "true", "--tau", "0.2", "--gamma", "1", "--c1",
+         "1", "--folds", "3", "--inner-folds", "2", "--repeats", "1"],
+        ["subsample", "--header", "--tau", "0.2"],
+    ], ids=["train", "cv", "subsample"])
+    def test_range_beyond_float64_exits_one(self, blob_csv, tmp_path,
+                                            capsys, monkeypatch, command):
+        # max - min of this column overflows, so scaling would give NaN
+        _, x, y = blob_csv
+        x = x.copy()
+        x[:2, 1] = (-1.5e308, 1.5e308)
+        path = tmp_path / "wide.csv"
+        write_csv(LabeledDataset(x, y), str(path))
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "--data", str(path), "--positive-label",
+                     "1", *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: feature column 1 ")
+        assert "range beyond float64" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.model").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data"])

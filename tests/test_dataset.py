@@ -328,6 +328,20 @@ class TestMinMax:
         with pytest.raises(DataError, match="columns"):
             minmax_apply(params, np.zeros((2, 2)))
 
+    def test_range_beyond_float64_is_refused(self):
+        # finite values whose max - min overflows would scale to NaN
+        x = np.array([[0.0, -1.5e308], [1.0, 1.5e308], [2.0, 0.0]])
+        with pytest.raises(DataError, match=r"feature column 1 \(0-based\) "
+                           r"spans -1.5e\+308 to 1.5e\+308"):
+            minmax_fit(x)
+
+    def test_widest_finite_range_still_scales(self):
+        x = np.array([[-8e307], [8e307], [0.0]])
+        params = minmax_fit(x)
+        assert params.ranges[0] == 1.6e308
+        assert np.array_equal(minmax_apply(params, x).ravel(),
+                              [0.0, 1.0, 0.5])
+
     def test_scaled_training_data_spans_unit_box(self):
         rng = np.random.default_rng(11)
         for trial in range(25):

@@ -468,9 +468,9 @@ def singular_grid_dataset():
                           ds.labels)
 
 
-def count_fallbacks(monkeypatch) -> list[int]:
-    """The factorization attempts of each spd_solve call that the
-    grid's solves fall back to, as they happen."""
+def count_attempts(monkeypatch) -> list[int]:
+    """The factorization attempts of each spd_solve call, as they
+    happen."""
     real = classifier.spd_solve
     attempts = []
 
@@ -481,6 +481,52 @@ def count_fallbacks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(classifier, "spd_solve", counted)
     return attempts
+
+
+def inject_into_plane_solves(monkeypatch, change):
+    """Pass the solution t of every plane system that spd_solve solves,
+    in the grid's scoring and in the reference loop's fits alike,
+    through change(plane, c, gamma, t), which may edit t in place or
+    raise: plane is 1 or 2, c its penalty and gamma that of the fit's
+    config. Planes are numbered as _block_terms yields their terms, and
+    gamma is read off the configs given to score_fits or fit_blocks."""
+    real_terms, real_system = classifier._block_terms, classifier._plane_system
+    real_solve = classifier.spd_solve
+    real_score, real_fit = experiment.score_fits, classifier.fit_blocks
+    gamma, built = [None], [None]
+
+    def numbered_terms(*args):
+        terms = real_terms(*args)
+        return terms._replace(planes=(
+            (*part, plane) for plane, part in enumerate(terms.planes, 1)))
+
+    def system(aa, bdb, bd, plane, c, delta):
+        lhs, rhs = real_system(aa, bdb, bd, c, delta)
+        built[0] = (lhs, plane, c)
+        return lhs, rhs
+
+    def solve(a, b):
+        t, rep = real_solve(a, b)
+        lhs, plane, c = built[0]
+        assert a is lhs
+        change(plane, c, gamma[0], t)
+        return t, rep
+
+    def score(blocks, configs, *args):
+        gamma[0] = configs[0].fuzzy.gamma
+        return real_score(blocks, configs, *args)
+
+    def fit(blocks, config, *args):
+        gamma[0] = config.fuzzy.gamma
+        return real_fit(blocks, config, *args)
+
+    for module, name, fake in (
+            (classifier, "_block_terms", numbered_terms),
+            (classifier, "_plane_system", system),
+            (classifier, "spd_solve", solve),
+            (experiment, "score_fits", score),
+            (classifier, "fit_blocks", fit)):
+        monkeypatch.setattr(module, name, fake)
 
 
 class TestGridSearch:
@@ -502,28 +548,19 @@ class TestGridSearch:
 
     def test_a_failed_fit_kills_every_point_that_shares_it(
             self, monkeypatch):
-        # singular exactly for the blocks weighted at gamma 0.5 (the one
-        # kept set of that gamma here) at c1 = 2: points (0, 0.5, 2) and
-        # (0.45, 0.5, 2). The grid solves its planes in
-        # classifier._solve_planes, the reference loop's fits in
-        # classifier.fit_linear; both fail alike.
-        real_solve, real_fit = classifier._solve_planes, classifier.fit_linear
+        # plane 1 is singular exactly for the blocks weighted at gamma
+        # 0.5 (the one kept set of that gamma here) at c1 = 2: points
+        # (0, 0.5, 2) and (0.45, 0.5, 2). The grid solves that plane
+        # once for both, the reference loop once per point; both fail
+        # alike.
         raised = []
 
-        def singular_solve(terms, config):
-            if config.fuzzy.gamma == 0.5 and config.c1 == 2.0:
-                raised.append(terms.m2)
+        def singular(plane, c, gamma, t):
+            if plane == 1 and c == 2.0 and gamma == 0.5:
+                raised.append(t.size)
                 raise SingularSystemError("injected")
-            return real_solve(terms, config)
 
-        def singular_fit(x1, x2hat, d1, d2, c1, c2, *args, **kwargs):
-            if kwargs["config"].fuzzy.gamma == 0.5 and c1 == 2.0:
-                raised.append(x2hat.shape[0])
-                raise SingularSystemError("injected")
-            return real_fit(x1, x2hat, d1, d2, c1, c2, *args, **kwargs)
-
-        monkeypatch.setattr(classifier, "_solve_planes", singular_solve)
-        monkeypatch.setattr(classifier, "fit_linear", singular_fit)
+        inject_into_plane_solves(monkeypatch, singular)
         cfg = ExperimentConfig(**GRID)
         ds = grid_dataset()
         points = grid_points(cfg)
@@ -561,32 +598,29 @@ class TestGridSearch:
                           pt.c1, pt.c2))
             distinct += len(fits)
 
-        real = classifier._solve_planes
-        calls = []
-
-        def counted(terms, config):
-            calls.append((config.c1, config.c2))
-            return real(terms, config)
-
-        monkeypatch.setattr(classifier, "_solve_planes", counted)
+        attempts = count_attempts(monkeypatch)
         experiment._grid_search(ds, cfg, points, inner_k, seed)
-        assert len(calls) == distinct
         # gamma 0.5 keeps every row at tau 0 and 0.45; without weights
         # that set is shared with tau 0 at gamma 4
         per_fold = 3 if weights else 2
         assert distinct == inner_k * per_fold * 4
+        # each group's plane 1 is solved once per c1, plane 2 once per
+        # c2, not both once per (c1, c2)
+        planes = len(cfg.c1_grid) + len(cfg.c2_grid)
+        assert len(attempts) == inner_k * per_fold * planes
 
     @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
-    def test_systems_the_unridged_factor_misses_go_to_spd_solve(
+    def test_singular_systems_escalate_spd_solve_ridge(
             self, monkeypatch, kernel):
-        # spd_solve repeats the unridged attempt, then escalates its ridge
+        # with no ridge every plane system is singular, and spd_solve
+        # escalates its ridge on those its unridged attempt misses
         ds = singular_grid_dataset()
         cfg = ExperimentConfig(**GRID, delta=0.0, kernel=kernel,
                                sigma_grid=(0.5, 4.0))
         points = grid_points(cfg)
-        attempts = count_fallbacks(monkeypatch)
+        attempts = count_attempts(monkeypatch)
         got = experiment._grid_search(ds, cfg, points, 3, 7)
-        assert attempts and min(attempts) > 1
+        assert attempts and max(attempts) > 1
         want = reference_grid_search(ds, cfg, points, 3, 7)
         assert got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
@@ -598,30 +632,19 @@ class TestGridSearch:
         # plane 1 of every fit at c1 = 2 is made degenerate (w = 0), in
         # the grid's solves and the reference loop's fits alike: its
         # rows are infinitely far from it, so every row is labelled -1.
-        # The planes come from spd_solve's ridged fallback.
-        real_solve, real_fit = classifier._solve_planes, classifier._fit_planes
+        # The planes come from spd_solve's ridge escalation.
+        def flat(plane, c, gamma, t):
+            if plane == 1 and c == 2.0:
+                t[:-1] = 0.0
 
-        def flat_solve(terms, config):
-            u1, u2 = real_solve(terms, config)
-            if config.c1 == 2.0:
-                u1[:-1] = 0.0
-            return u1, u2
-
-        def flat_fit(terms, c1, c2, delta):
-            u1, u2, summary = real_fit(terms, c1, c2, delta)
-            if c1 == 2.0:
-                u1[:-1] = 0.0
-            return u1, u2, summary
-
-        monkeypatch.setattr(classifier, "_solve_planes", flat_solve)
-        monkeypatch.setattr(classifier, "_fit_planes", flat_fit)
+        inject_into_plane_solves(monkeypatch, flat)
         cfg = ExperimentConfig(**GRID, delta=0.0, kernel=kernel,
                                sigma_grid=(0.5, 4.0))
         ds = singular_grid_dataset()
         points = grid_points(cfg)
-        attempts = count_fallbacks(monkeypatch)
+        attempts = count_attempts(monkeypatch)
         got = experiment._grid_search(ds, cfg, points, 3, 7)
-        assert attempts and min(attempts) > 1
+        assert attempts and max(attempts) > 1
         want = reference_grid_search(ds, cfg, points, 3, 7)
         assert got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
@@ -629,6 +652,37 @@ class TestGridSearch:
         flat = np.array([pt.c1 == 2.0 for pt in points]) & got[1]
         assert flat.any() and (got[0][flat] == 0.0).all()
         assert (got[0][~flat & got[1]] > 0.5).all()
+
+    @pytest.mark.parametrize("plane", [1, 2])
+    def test_a_singular_plane_kills_its_c_for_every_other_c(
+            self, monkeypatch, plane):
+        # on an untied grid plane 1 at c1 = 2 is solved once per group
+        # and serves every c2, as plane 2 at c2 = 2 serves every c1; the
+        # other plane at c = 2 stays solvable
+        def singular(p, c, gamma, t):
+            if p == plane and c == 2.0:
+                raise SingularSystemError("injected")
+
+        inject_into_plane_solves(monkeypatch, singular)
+        cfg = ExperimentConfig(**GRID, c2_grid=(0.5, 2.0, 4.0))
+        ds = grid_dataset()
+        points = grid_points(cfg)
+        got = experiment._grid_search(ds, cfg, points, 3, 7)
+        want = reference_grid_search(ds, cfg, points, 3, 7)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+
+        def c_of(pt, j):
+            return pt.c1 if j == 1 else pt.c2
+
+        other = 3 - plane
+        live = [pt for pt in points if pt.tau < 1]
+        dead = {pt for pt, ok in zip(points, got[1]) if not ok}
+        assert dead == {pt for pt in points
+                        if pt.tau == 1 or c_of(pt, plane) == 2.0}
+        assert len({c_of(pt, other) for pt in live
+                    if c_of(pt, plane) == 2.0}) > 1
+        assert any(c_of(pt, other) == 2.0 and pt not in dead for pt in live)
 
     def test_both_planes_degenerate_kills_the_point(self):
         # constant features scale to 0, so every linear plane has w = 0

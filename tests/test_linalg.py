@@ -8,7 +8,6 @@ from frlstsvm.linalg import (
     RIDGE_STEPS,
     add_scaled_identity,
     gram,
-    solve_unridged,
     spd_solve,
 )
 
@@ -166,6 +165,14 @@ class TestSpdSolve:
         x, _ = spd_solve(np.eye(2), np.ones((2, 3)))
         assert x.shape == (2, 3)
 
+    @pytest.mark.parametrize("a, b, match", [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), "A contains"),
+        (np.eye(2), np.array([1.0, np.nan]), "B contains"),
+    ], ids=["inf_in_a", "nan_in_b"])
+    def test_rejects_non_finite_entries(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            spd_solve(a, b)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             spd_solve(np.asarray([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
@@ -215,34 +222,3 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="not symmetric"):
             spd_solve(a, np.ones(3))
 
-
-class TestSolveUnridged:
-    def test_bits_of_spd_solve_where_no_ridge_is_needed(self):
-        rng = np.random.default_rng(11)
-        for _ in range(400):
-            n = int(rng.integers(1, 30))
-            a = gram(rng.normal(size=(n + int(rng.integers(0, 5)), n)))
-            a += 1e-3 * np.eye(n)
-            b = rng.normal(size=n)
-            x = solve_unridged(a, b)
-            assert x is not None
-            want, rep = spd_solve(a, b)
-            assert rep.factorization_attempts == 1
-            assert x.shape == (n,) and x.tobytes() == want.tobytes()
-
-    def test_none_wherever_spd_solve_would_ridge_or_refuse(self):
-        rng = np.random.default_rng(12)
-        # rank deficient: spd_solve escalates its ridge
-        a = gram(rng.normal(size=(2, 6)))
-        b = rng.normal(size=6)
-        assert spd_solve(a, b)[1].factorization_attempts > 1
-        assert solve_unridged(a, b) is None
-        # spd_solve refuses these with a ValueError
-        asym = gram(rng.normal(size=(5, 3)))
-        asym[0, 1] = np.nextafter(asym[0, 1], np.inf)
-        for bad_a, bad_b in ((asym, np.ones(3)),
-                             (np.array([[np.inf, 0.0], [0.0, 1.0]]),
-                              np.ones(2)),
-                             (np.eye(2), np.array([1.0, np.nan])),
-                             (np.eye(2), np.ones((2, 1)))):
-            assert solve_unridged(bad_a, bad_b) is None
