@@ -50,30 +50,54 @@ def last_json(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """{"parent", "change", "ratio", "parent_iqr", "wins"} of one metric's
+    values over the pairs: both medians, their ratio (change over
+    parent), the distance between the quartiles of the parent's values,
+    and the pairs whose change value is strictly better, `better` being
+    "lower" or "higher"."""
+    sign = -1 if better == "lower" else 1
+    q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
+                 else (parent[0],) * 3)
+    return {
+        "parent": statistics.median(parent),
+        "change": statistics.median(change),
+        "ratio": statistics.median(change) / statistics.median(parent),
+        "parent_iqr": q3 - q1,
+        "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+    }
+
+
+def alternate(keys, run, log) -> list[tuple]:
+    """The (parent, change) results of run(side, key) for each key, the
+    side that goes first alternating from key to key; log(key, side,
+    result) follows each run. A run's RuntimeError or ValueError comes
+    back as a RuntimeError that names its side."""
+    pairs = []
+    for i, key in enumerate(keys):
+        result = {}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            try:
+                result[side] = run(side, key)
+            except (RuntimeError, ValueError) as exc:
+                raise RuntimeError(f"{side}: {exc}") from exc
+            log(key, side, result[side])
+        pairs.append((result["parent"], result["change"]))
+    return pairs
+
+
 def summarize(pairs: list[tuple[dict, dict]],
               better: dict[str, str]) -> dict:
     """Compare (parent, change) results of run.py, one pair per seed.
 
     `better` maps each end-to-end metric to "lower" or "higher". Returns
-    {"n", "metrics": {name: {"parent", "change", "ratio", "parent_iqr",
-    "wins"}}, "failed": {side: (failed, attempted)}}, with medians over
-    the pairs and "wins" the pairs whose change value is strictly
-    better."""
+    {"n", "metrics": {name: compare(...)}, "failed": {side: (failed,
+    attempted)}}."""
     out = {"n": len(pairs), "metrics": {}, "failed": {}}
     for name, direction in better.items():
-        values = [[r["metrics"][name]["value"] for r in pair]
-                  for pair in pairs]
-        parent, change = ([v[i] for v in values] for i in (0, 1))
-        sign = -1 if direction == "lower" else 1
-        q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
-                     else (parent[0],) * 3)
-        out["metrics"][name] = {
-            "parent": statistics.median(parent),
-            "change": statistics.median(change),
-            "ratio": statistics.median(change) / statistics.median(parent),
-            "parent_iqr": q3 - q1,
-            "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-        }
+        parent, change = ([pair[i]["metrics"][name]["value"]
+                           for pair in pairs] for i in (0, 1))
+        out["metrics"][name] = compare(parent, change, direction)
     for i, side in enumerate(SIDES):
         out["failed"][side] = (sum(pair[i]["failed"] for pair in pairs),
                                sum(pair[i]["attempted"] for pair in pairs))
@@ -115,21 +139,18 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"]
                   for m in json.load(fh)["end_to_end"]}
     dirs = dict(zip(SIDES, (args.parent, args.change)))
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        result = {}
-        for side in order:
-            try:
-                result[side] = run_side(dirs[side], args.workload, seed)
-            except (RuntimeError, ValueError) as exc:
-                print(f"bench_pairs: {side}: {exc}", file=sys.stderr)
-                return 1
-            print(f"seed {seed} {side}: " + ", ".join(
-                f"{k} {v['value']:.6g}"
-                for k, v in result[side]["metrics"].items()),
-                file=sys.stderr)
-        pairs.append((result["parent"], result["change"]))
+
+    def log(seed, side, result):
+        print(f"seed {seed} {side}: " + ", ".join(
+            f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
+            file=sys.stderr)
+
+    try:
+        pairs = alternate(args.seeds, lambda side, seed: run_side(
+            dirs[side], args.workload, seed), log)
+    except RuntimeError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.workload}: {len(pairs)} pairs, seeds "
           f"{','.join(map(str, args.seeds))}")
     print(report(summarize(pairs, better)))

@@ -29,14 +29,12 @@ import hashlib
 import importlib.util
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
 OUTER_FOLDS, OUTER_SEED, DATA_SEED, INNER_SEED = 10, 0, 1, 123
 
 # name -> (ExperimentConfig grid fields, inner folds); {} is the default
@@ -47,14 +45,22 @@ GRIDS = {
 }
 
 
-def _perfbench(name: str):
-    """perfbench/<name>.py beside this script, imported by path:
-    perfbench is not a package."""
-    path = REPO_ROOT / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+def _load(path: Path, name: str):
+    """A module imported by path: neither perfbench/ nor scripts/ is a
+    package."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _perfbench(name: str):
+    """perfbench/<name>.py beside this script."""
+    return _load(REPO_ROOT / "perfbench" / f"{name}.py", f"perfbench_{name}")
+
+
+# the alternating pair loop and the statistics of scripts/bench_pairs.py
+bench_pairs = _load(REPO_ROOT / "scripts" / "bench_pairs.py", "bench_pairs")
 
 
 def search_once(checkout: Path, shape: str, grid: str) -> dict:
@@ -102,16 +108,10 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     (parent, change) runs, and whether every run's digest is the first
     parent run's."""
     parent, change = ([pair[i]["seconds"] for pair in pairs] for i in (0, 1))
-    q1, _, q3 = (statistics.quantiles(parent, n=4) if len(parent) > 1
-                 else (parent[0],) * 3)
     first = pairs[0][0]["digest"]
     return {
         "n": len(pairs),
-        "parent": statistics.median(parent),
-        "change": statistics.median(change),
-        "ratio": statistics.median(change) / statistics.median(parent),
-        "parent_iqr": q3 - q1,
-        "wins": sum(c < p for p, c in zip(parent, change)),
+        **bench_pairs.compare(parent, change, "lower"),
         "identical": all(run["digest"] == first
                          for pair in pairs for run in pair),
     }
@@ -142,22 +142,19 @@ def main(argv=None) -> int:
     if "child" in args:
         print(json.dumps(search_once(args.child, args.shape, args.grid)))
         return 0
-    dirs = dict(zip(SIDES, (args.parent, args.change)))
-    pairs = []
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        result = {}
-        for side in order:
-            try:
-                result[side] = run_side(dirs[side], args.shape, args.grid)
-            except (RuntimeError, ValueError) as exc:
-                print(f"grid_fold_pairs: {side}: {exc}", file=sys.stderr)
-                return 1
-            run = result[side]
-            print(f"pair {i} {side}: {run['seconds']:.3f} s, "
-                  f"{run['alive']} of {run['points']} points alive",
-                  file=sys.stderr)
-        pairs.append((result["parent"], result["change"]))
+    dirs = dict(zip(bench_pairs.SIDES, (args.parent, args.change)))
+
+    def log(i, side, run):
+        print(f"pair {i} {side}: {run['seconds']:.3f} s, "
+              f"{run['alive']} of {run['points']} points alive",
+              file=sys.stderr)
+
+    try:
+        pairs = bench_pairs.alternate(range(args.pairs), lambda side, _: (
+            run_side(dirs[side], args.shape, args.grid)), log)
+    except RuntimeError as exc:
+        print(f"grid_fold_pairs: {exc}", file=sys.stderr)
+        return 1
     summary = summarize(pairs)
     print(f"{args.shape} {args.grid}-grid fold: {len(pairs)} pairs")
     print(report(summary))

@@ -40,25 +40,25 @@ that nested CV fits a whole grid from one object per training set;
 fit_frlstsvm is one fit of a fresh PreparedFold. It holds one m2 x m2
 majority array, under the minimum t-norm the Chebyshev distance that
 every gamma's similarity is read from, and hands out one FitBlocks per
-distinct (weights, kept set). FitBlocks.terms gives the parts of both
-systems that do not depend on c1 or c2 (PlaneTerms: H'H, G'D2G, G'd2,
-G'G, H'D1H, H'd1), which fits that differ only in c share.
+distinct (weights, kept set).
 
-Every plane system is solved by spd_solve. Models leave through
+A model's fit and the grid build the same terms: _class_blocks gives
+H and G (and a gaussian fit's reference rows and their gram), and
+_plane_terms the parts of one plane's system that do not depend on c,
+(A'A, B'D_B B, B'd_B): (H, G, d2) for plane 1 and (G, H, d1) for plane
+2. Every plane system is solved by spd_solve. Models leave through
 fit_blocks. A grid search only needs each fit's G-mean on its
 validation rows: score_fits gives it for every (c1, c2) of one
-(blocks, sigma) group from one set of terms, with the bits of predict
-and report on the model but without building one. Plane j depends on
-c_j alone, so score_fits solves plane 1 once per distinct c1 and plane
-2 once per distinct c2.
+(blocks, sigma) group, with the bits of predict and report on the
+model but without building one. Plane j depends on c_j alone, so
+score_fits builds plane 1's terms, solves them once per distinct c1,
+and drops them before it builds plane 2's, solved once per distinct c2.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import InitVar, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -147,27 +147,25 @@ class TrainConfig:
 @dataclass(eq=False)
 class Hyperplane:
     """The plane w'f + b = 0 over a row's features f. Distances to it
-    divide by `norm`, the length of w: Euclidean, or sqrt(w'Kw) when
-    built with the gram K(Xref, Xref) of a gaussian model, which is not
-    kept, or the norm given, as a model file stores it. A plane of
-    norm 0 is degenerate."""
+    divide by `norm`, the length of w: the norm given, as sqrt(w'Kw)
+    over the gram K(Xref, Xref) of a gaussian model (see _norm), or the
+    Euclidean length for None. A plane of norm 0 is degenerate."""
 
     w: np.ndarray
     b: float
-    gram: InitVar[np.ndarray | None] = None
     norm: float | None = None
 
-    def __post_init__(self, gram):
+    def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
         self.b = float(self.b)
         if not (np.isfinite(self.w).all() and math.isfinite(self.b)):
             raise ValueError("hyperplane coefficients must be finite")
-        if self.norm is not None:
+        if self.norm is None:
+            self.norm = _norm(self.w, None)
+        else:
             self.norm = float(self.norm)
             if not (math.isfinite(self.norm) and self.norm >= 0):
                 raise ValueError("hyperplane norm must be finite and >= 0")
-        else:
-            self.norm = _norm(self.w, gram)
 
 
 def _norm(w: np.ndarray, gram: np.ndarray | None) -> float:
@@ -270,61 +268,26 @@ def _checked_blocks(x1, x2, d1=None, d2=None):
             _weights_array(d2, x2.shape[0], "majority"))
 
 
-class PlaneTerms(NamedTuple):
-    """The parts of both planes' normal equations that do not depend on
-    c1 or c2. With H and G the augmented class blocks and D1, D2 their
-    weights, plane 1 solves (H'H + c1 G'D2G + dI) t = c1 G'd2 and plane 2
-    (G'G + c2 H'D1H + dI) t = c2 H'd1; `planes` holds (H'H, G'D2G, G'd2)
-    and then (G'G, H'D1H, H'd1). A gaussian fit also keeps its reference
-    rows and their gram K(Xref, Xref), for the planes' norms.
-
-    FitBlocks.terms gives `planes` as a tuple, which score_fits shares
-    across the c values of a group. A model's fit reads them from a
-    one-pass iterator that builds each plane's only when it is solved,
-    so a lone gaussian fit holds two of the (m_ref + 1)^2 grams at a
-    time, not four through both solves."""
-
-    m1: int
-    m2: int
-    planes: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    x_ref: np.ndarray | None
-    k_ref: np.ndarray | None
-
-
-def _weighted_gram(b: np.ndarray, d_b: np.ndarray) -> np.ndarray:
-    return gram(b * np.sqrt(d_b)[:, None], checked=True)
-
-
-def _plane_terms(x1, x2hat, d1, d2, sigma: float | None) -> PlaneTerms:
-    """The c-free terms of a fit on pre-scaled class matrices and their
-    weights (None: unit weights), with `planes` built as it is read: on
-    H = [X1 | 1] and G = [X2hat | 1] when sigma is None, else on the
-    augmented gaussian kernel blocks H = [K(X1, Xref) | 1] and
-    G = [K(X2hat, Xref) | 1] of width sigma, with Xref the minority
+def _class_blocks(x1: np.ndarray, x2hat: np.ndarray, sigma: float | None):
+    """(H, G, Xref, K(Xref, Xref)) for a fit on checked class blocks:
+    H = [X1 | 1] and G = [X2hat | 1] when sigma is None, with Xref and K
+    None; else the augmented gaussian kernel blocks H = [K(X1, Xref) | 1]
+    and G = [K(X2hat, Xref) | 1] of width sigma, with Xref the minority
     rows stacked over the kept majority rows."""
-    return _block_terms(*_checked_blocks(x1, x2hat, d1, d2), sigma)
-
-
-def _block_terms(x1: np.ndarray, x2hat: np.ndarray, d1: np.ndarray,
-                 d2: np.ndarray, sigma: float | None) -> PlaneTerms:
-    """_plane_terms of blocks that _checked_blocks would pass as they
-    are: finite float64 matrices of one width, and weight vectors of
-    their lengths, finite and > 0."""
-    m1 = x1.shape[0]
-    x_ref = k_ref = None
     if sigma is None:
-        h, g = _augment(x1), _augment(x2hat)
-    else:
-        x_ref = np.vstack([x1, x2hat])
-        k_ref = gaussian_gram(x_ref, x_ref, sigma)
-        h, g = _augment(k_ref[:m1]), _augment(k_ref[m1:])
+        return _augment(x1), _augment(x2hat), None, None
+    x_ref = np.vstack([x1, x2hat])
+    k_ref = gaussian_gram(x_ref, x_ref, sigma)
+    m1 = x1.shape[0]
+    return _augment(k_ref[:m1]), _augment(k_ref[m1:]), x_ref, k_ref
 
-    def planes():
-        yield gram(h, checked=True), _weighted_gram(g, d2), g.T @ d2
-        yield gram(g, checked=True), _weighted_gram(h, d1), h.T @ d1
 
-    return PlaneTerms(m1=m1, m2=x2hat.shape[0], planes=planes(),
-                      x_ref=x_ref, k_ref=k_ref)
+def _plane_terms(a: np.ndarray, b: np.ndarray,
+                 d_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A'A, B'D_B B, B'd_B): the parts of one plane's system that do
+    not depend on its c (see _plane_system)."""
+    return (gram(a, checked=True),
+            gram(b * np.sqrt(d_b)[:, None], checked=True), b.T @ d_b)
 
 
 def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
@@ -338,27 +301,29 @@ def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
     return lhs, c * bd
 
 
-def _fit_planes(terms: PlaneTerms, c1: float, c2: float,
-                delta: float) -> tuple[np.ndarray, np.ndarray,
-                                       TrainingSummary]:
-    """Both weighted planes from their c-free terms. Plane j solves
-    t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge least-squares fit
-    of At = 0 and Bt = e with weights cD on the rows of B, from
-    (A'A, B'DB, B'D e). Returns u1 = -t1, u2 = t2 and the summary."""
-    planes = iter(terms.planes)
+def _fit_planes(x1, x2hat, d1, d2, sigma: float | None, c1: float,
+                c2: float, delta: float):
+    """Both weighted planes of a fit on pre-scaled class matrices and
+    their weights (None: unit weights), on the blocks of _class_blocks.
+    Plane j solves t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge
+    least-squares fit of At = 0 and Bt = e with weights cD on the rows
+    of B; u1 = -t1 and u2 = t2. Returns the two Hyperplanes, the
+    summary and the reference rows (None for the linear kernel)."""
+    x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
+    h, g, x_ref, k_ref = _class_blocks(x1, x2hat, sigma)
     # a plane's terms are freed when its system is built, before the
     # solve, and the system before the next plane's terms are built
-    (t1, report1), (t2, report2) = (
-        spd_solve(*_plane_system(*next(planes), c, delta)) for c in (c1, c2))
+    t1, report1 = spd_solve(*_plane_system(*_plane_terms(h, g, d2), c1,
+                                           delta))
+    t2, report2 = spd_solve(*_plane_system(*_plane_terms(g, h, d1), c2,
+                                           delta))
+    plane1, plane2 = (Hyperplane(w=u[:-1], b=u[-1], norm=_norm(u[:-1], k_ref))
+                      for u in (-t1, t2))
     summary = TrainingSummary(
-        m1=terms.m1, m2_kept=terms.m2, m2_total=terms.m2,
+        m1=x1.shape[0], m2_kept=x2hat.shape[0], m2_total=x2hat.shape[0],
         solver_reports={"plane1": report1, "plane2": report2},
     )
-    return -t1, t2, summary
-
-
-def _unpack(u: np.ndarray, gram: np.ndarray | None = None) -> Hyperplane:
-    return Hyperplane(w=u[:-1], b=u[-1], gram=gram)
+    return plane1, plane2, summary, x_ref
 
 
 def _default_config(c1: float, c2: float, delta: float,
@@ -389,12 +354,10 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
     """
     if config is None:
         config = _default_config(c1, c2, delta, weighted=True)
-    u1, u2, summary = _fit_planes(_plane_terms(x1, x2hat, d1, d2, None),
-                                  c1, c2, delta)
-    return TwinPlaneModel(
-        plane1=_unpack(u1), plane2=_unpack(u2),
-        scaling=scaling, config=config, summary=summary,
-    )
+    plane1, plane2, summary, _ = _fit_planes(x1, x2hat, d1, d2, None, c1,
+                                             c2, delta)
+    return TwinPlaneModel(plane1=plane1, plane2=plane2, scaling=scaling,
+                          config=config, summary=summary)
 
 
 def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
@@ -403,9 +366,8 @@ def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
                         ) -> TwinPlaneModel:
     """Plain LSTSVM, no subsampling and no weights, via the primal
     closed forms."""
+    config = _default_config(c1, c2, delta, weighted=False)
     x1, x2, _, _ = _checked_blocks(x1, x2)
-    if c1 <= 0 or c2 <= 0:
-        raise ConfigurationError("c1 and c2 must be > 0")
     h = _augment(x1)
     g = _augment(x2)
     hh = gram(h)
@@ -419,10 +381,9 @@ def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
         solver_reports={"plane1": report1, "plane2": report2},
     )
     return TwinPlaneModel(
-        plane1=_unpack(-u1), plane2=_unpack(u2),
-        scaling=scaling,
-        config=_default_config(c1, c2, delta, weighted=False),
-        summary=summary,
+        plane1=Hyperplane(w=-u1[:-1], b=-u1[-1]),
+        plane2=Hyperplane(w=u2[:-1], b=u2[-1]),
+        scaling=scaling, config=config, summary=summary,
     )
 
 
@@ -533,37 +494,26 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
         raise ConfigurationError(
             f"fit_kernel requires a gaussian config, got {config.kernel!r}"
         )
-    terms = _plane_terms(x1, x2hat, d1, d2, config.sigma)
-    u1, u2, summary = _fit_planes(terms, config.c1, config.c2, config.delta)
-    return TwinPlaneModel(
-        plane1=_unpack(u1, terms.k_ref), plane2=_unpack(u2, terms.k_ref),
-        scaling=scaling, config=config, summary=summary, x_ref=terms.x_ref,
-    )
+    plane1, plane2, summary, x_ref = _fit_planes(
+        x1, x2hat, d1, d2, config.sigma, config.c1, config.c2, config.delta)
+    return TwinPlaneModel(plane1=plane1, plane2=plane2, scaling=scaling,
+                          config=config, summary=summary, x_ref=x_ref)
 
 
 @dataclass(frozen=True, eq=False)
 class FitBlocks:
     """What one fit solves from: the scaled minority rows, the kept
-    majority rows, their instance weights (None for unit weights), the
-    kept rows' indices into the training set and the majority size.
+    majority rows, their instance weights, the kept rows' indices into
+    the training set and the majority size.
     Compared and hashed by identity: a PreparedFold hands out one
     object per distinct (weights, kept set)."""
 
     x1: np.ndarray
     x2hat: np.ndarray
-    d1: np.ndarray | None
-    d2: np.ndarray | None
+    d1: np.ndarray
+    d2: np.ndarray
     kept_rows: np.ndarray
     m2_total: int
-
-    def terms(self, sigma: float | None = None) -> PlaneTerms:
-        """The c-free terms of a fit on these blocks, which score_fits
-        shares across c1 and c2; sigma None for the linear kernel. The
-        blocks are a PreparedFold's, so they are not checked again."""
-        d1, d2 = ((np.ones(x.shape[0]) if d is None else d) for x, d in
-                  ((self.x1, self.d1), (self.x2hat, self.d2)))
-        terms = _block_terms(self.x1, self.x2hat, d1, d2, sigma)
-        return terms._replace(planes=tuple(terms.planes))
 
 
 class PreparedFold:
@@ -575,20 +525,21 @@ class PreparedFold:
     similarity row sums and the minority weights; per (FuzzyParams,
     tau): the subsample. Density scores and kept-majority weights are
     row means of the majority's m2 x m2 similarity, read off the
-    object's only m2 x m2 array (see _majority_pairs). In density mode
-    under the minimum t-norm that array is the majority's Chebyshev
+    object's only m2 x m2 array (see _majority_pairs). Under the minimum
+    t-norm, in either score mode, that array is the majority's Chebyshev
     distance, computed once and mapped to each gamma's similarity one
-    row block at a time. Otherwise it is the similarity of one
-    FuzzyParams: asking for other FuzzyParams drops it before building
-    the new one, so a grid asked gamma by gamma builds each once and
-    never holds two. Tau 0 keeps every majority row and scores none of
-    them. A tau that empties the majority raises the same
-    ConfigurationError on every fit that asks for it.
+    row block at a time. Under the product and lukasiewicz t-norms it is
+    the similarity of one FuzzyParams: asking for other FuzzyParams
+    drops it before building the new one, so a grid asked gamma by gamma
+    builds each once and never holds two. Tau 0 keeps every majority row
+    and scores none of them. A tau that empties the majority raises the
+    same ConfigurationError on every fit that asks for it.
 
     The blocks, with their kept-majority weights, are memoised per
     (the weights' FuzzyParams, or None without weights; the kept set),
     so taus and gammas that keep the same rows with the same weights
-    get one FitBlocks object.
+    get one FitBlocks object. Without weights both classes' weights are
+    ones.
     """
 
     def __init__(self, features, labels):
@@ -626,13 +577,12 @@ class PreparedFold:
     def _majority_pairs(self, fuzzy: FuzzyParams) -> tuple[np.ndarray, dict]:
         """The m2 x m2 array that fuzzy's majority similarity is read
         from, and the keywords of fuzzy_rough.row_sums that read it: the
-        Chebyshev distances with fuzzy's gamma in density mode under the
-        minimum t-norm, where they serve every gamma; else the
+        Chebyshev distances with fuzzy's gamma under the minimum t-norm,
+        where they serve every gamma and both score modes; else the
         similarity itself. lower_approx scores come from the cross-class
-        similarity, so that mode's majority array is for its weights
-        alone, and stays per FuzzyParams."""
-        by_distance = (fuzzy.tnorm == "minimum"
-                       and fuzzy.score_mode == "density")
+        similarity, so in that mode the array serves the weights
+        alone."""
+        by_distance = fuzzy.tnorm == "minimum"
         key = None if by_distance else fuzzy
         if self._pairs is None or self._pairs[0] != key:
             self._pairs = None  # so two are never live
@@ -684,7 +634,7 @@ class PreparedFold:
         fuzzy = config.fuzzy if config.weights_enabled else None
 
         def compute():
-            d1 = d2 = None
+            d1, d2 = np.ones(self.x1.shape[0]), np.ones(kept.size)
             if fuzzy is not None:
                 d1 = self._cached(("d1", fuzzy),
                                   lambda: class_weights(self.x1, fuzzy))
@@ -723,29 +673,28 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
     each config, which differ only in c1 and c2; None where either
     plane's system is singular or both planes are degenerate. Each value
     has the bits of report(confusion(y_va, predict(fit_blocks(blocks,
-    config), x_va)), convention).gmean, but no model is built: the
-    configs share one set of c-free terms, plane 1 is solved and its
-    distances to the rows measured once per distinct c1, plane 2 once
-    per distinct c2, and the rows are labelled and counted with
+    config), x_va)), convention).gmean, but no model is built: plane
+    1's c-free terms are built once and solved, and its distances to
+    the rows measured, once per distinct c1, then dropped; plane 2's
+    likewise per distinct c2; and the rows are labelled and counted with
     predict's and confusion's arithmetic. A gaussian group maps the
     rows to kernel values once, in predict's row blocks."""
     sigma, delta = configs[0].sigma, configs[0].delta
-    terms = blocks.terms(sigma)
+    h, g, x_ref, k_ref = _class_blocks(blocks.x1, blocks.x2hat, sigma)
     feats = (None if sigma is None
-             else list(_kernel_blocks(x_va, terms.x_ref, sigma)))
+             else list(_kernel_blocks(x_va, x_ref, sigma)))
 
-    def distances(plane: int, c: float):
+    def distances(terms, c: float, plane: int):
         """The rows' distances to plane 1 or 2 at penalty c and its
         norm, or None if its system is singular."""
         try:
             # looked up on the module, where the benchmark's tracer wraps it
-            t, _ = spd_solve(*_plane_system(*terms.planes[plane - 1], c,
-                                            delta))
+            t, _ = spd_solve(*_plane_system(*terms, c, delta))
         except SingularSystemError:
             return None
         u = -t if plane == 1 else t
         w, b = u[:-1], float(u[-1])
-        norm = _norm(w, terms.k_ref)
+        norm = _norm(w, k_ref)
         if feats is None:
             return _distances(x_va, w, b, norm), norm
         d = np.empty(x_va.shape[0])
@@ -753,10 +702,14 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
             d[start:stop] = _distances(f, w, b, norm)
         return d, norm
 
-    plane1 = {c: distances(1, c) for c in dict.fromkeys(
-        config.c1 for config in configs)}
-    plane2 = {c: distances(2, c) for c in dict.fromkeys(
-        config.c2 for config in configs)}
+    solved = []
+    for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
+        # one plane's terms at a time, dropped before the next are built
+        terms = _plane_terms(a, b, d_b)
+        cs = dict.fromkeys((cfg.c1, cfg.c2)[plane - 1] for cfg in configs)
+        solved.append({c: distances(terms, c, plane) for c in cs})
+        del terms
+    plane1, plane2 = solved
     true_pos = y_va == 1
     out: list[float | None] = []
     for config in configs:
@@ -1040,11 +993,12 @@ def load_model(path):
         raise DataError(f"{path}: malformed {section} section")
     if x_ref is None:
         _check_width(path, section, width, scaling)
-    # a /1 gaussian file's norms come from the gram, which is not kept
-    gram = (gaussian_gram(x_ref, x_ref, config.sigma)
-            if x_ref is not None and version == 1 else None)
+    if x_ref is not None and version == 1:
+        # a /1 gaussian file's norms come from the gram, which is not kept
+        gram = gaussian_gram(x_ref, x_ref, config.sigma)
+        n1, n2 = _norm(w1, gram), _norm(w2, gram)
     return TwinPlaneModel(
-        plane1=Hyperplane(w=w1, b=b1[0], gram=gram, norm=n1),
-        plane2=Hyperplane(w=w2, b=b2[0], gram=gram, norm=n2),
+        plane1=Hyperplane(w=w1, b=b1[0], norm=n1),
+        plane2=Hyperplane(w=w2, b=b2[0], norm=n2),
         scaling=scaling, config=config, x_ref=x_ref,
     )

@@ -14,6 +14,7 @@ from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
     _block_rows,
+    FitBlocks,
     Hyperplane,
     PreparedFold,
     TrainConfig,
@@ -293,6 +294,20 @@ class TestSolverIdentities:
         with pytest.raises(ValueError, match="weights"):
             fit_linear(MIRROR_X1, MIRROR_X2, np.ones(3), None, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("c1", math.nan), ("c1", math.inf), ("c1", 0.0), ("c2", -1.0),
+        ("c2", math.inf), ("delta", math.nan), ("delta", -1.0),
+    ])
+    def test_baseline_rejects_bad_penalties_before_solving(
+            self, monkeypatch, name, value):
+        def solve(a, b):
+            raise AssertionError("spd_solve called")
+
+        monkeypatch.setattr(classifier, "spd_solve", solve)
+        args = {"c1": 1.0, "c2": 1.0, "delta": 1e-6, name: value}
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            fit_lstsvm_baseline(MIRROR_X1, MIRROR_X2, **args)
+
 
 class TestPredictLinear:
     def make_model(self, w1, b1, w2, b2):
@@ -334,6 +349,13 @@ class TestPredictLinear:
         label, d1, d2 = predict(model, np.array([1.0]),
                                 return_distances=True)
         assert label == 1 and d1 == 0.0 and d2 == 2.0
+
+
+def kernel_plane(w, b, k) -> Hyperplane:
+    """The plane w'f + b over kernel features, with its norm sqrt(w'Kw)
+    over the gram k computed here, not by the library."""
+    w = np.asarray(w, dtype=np.float64)
+    return Hyperplane(w=w, b=b, norm=math.sqrt(max(float(w @ k @ w), 0.0)))
 
 
 def scaled_split(x, y):
@@ -419,8 +441,8 @@ class TestKernelFit:
                 assert np.linalg.norm(g2) <= 1e-8 * (1 + np.linalg.norm(u2))
                 o1, o2 = smw_dual_planes(p, q, d1, d2, c, c, 1e-6)
                 oracle = TwinPlaneModel(
-                    plane1=Hyperplane(w=o1[:-1], b=o1[-1], gram=k),
-                    plane2=Hyperplane(w=o2[:-1], b=o2[-1], gram=k),
+                    plane1=kernel_plane(o1[:-1], o1[-1], k),
+                    plane2=kernel_plane(o2[:-1], o2[-1], k),
                     scaling=None, config=cfg, x_ref=model.x_ref,
                 )
                 assert np.array_equal(predict(model, probe),
@@ -474,16 +496,16 @@ class TestKernelFit:
         k = gaussian_gram(model.x_ref, model.x_ref, 0.3)
         p1, p2 = model.plane1, model.plane2
         boosted = TwinPlaneModel(
-            plane1=Hyperplane(w=p1.w * 9.0, b=p1.b * 9.0, gram=k),
-            plane2=Hyperplane(w=p2.w * 0.125, b=p2.b * 0.125, gram=k),
+            plane1=kernel_plane(p1.w * 9.0, p1.b * 9.0, k),
+            plane2=kernel_plane(p2.w * 0.125, p2.b * 0.125, k),
             scaling=model.scaling, config=cfg, x_ref=model.x_ref,
         )
         assert np.array_equal(predict(boosted, xs), want)
 
     def test_degenerate_kernel_surfaces(self):
         model = TwinPlaneModel(
-            plane1=Hyperplane(w=np.zeros(2), b=0.0, gram=np.eye(2)),
-            plane2=Hyperplane(w=np.zeros(2), b=0.0, gram=np.eye(2)),
+            plane1=kernel_plane(np.zeros(2), 0.0, np.eye(2)),
+            plane2=kernel_plane(np.zeros(2), 0.0, np.eye(2)),
             scaling=None, config=config(kernel="gaussian", sigma=1.0),
             x_ref=np.zeros((2, 1)),
         )
@@ -525,7 +547,7 @@ class TestGaussianPredictBlocks:
         model = self.fitted()
         k = gaussian_gram(model.x_ref, model.x_ref, model.config.sigma)
         one_zero_plane = TwinPlaneModel(
-            plane1=Hyperplane(w=np.zeros(300), b=0.5, gram=k),
+            plane1=kernel_plane(np.zeros(300), 0.5, k),
             plane2=model.plane2, scaling=model.scaling,
             config=model.config, x_ref=model.x_ref,
         )
@@ -965,18 +987,52 @@ class TestPreparedFold:
         assert distances == [30]
         assert sorted(similarities) == [(1.0, 8), (2.0, 8)]
 
+    def test_lower_approx_weights_read_one_majority_distance(
+            self, monkeypatch):
+        # lower_approx mode under the minimum t-norm reads every gamma's
+        # kept-majority weights off the one Chebyshev distance too
+        distances = []
+        real = fuzzy_rough.chebyshev_distances
+
+        def counted(x):
+            distances.append(x.shape[0])
+            return real(x)
+
+        monkeypatch.setattr(fuzzy_rough, "chebyshev_distances", counted)
+        x, y = make_blobs(93, m1=8, m2=30, spread=1.2)
+        prep, sizes = PreparedFold(x, y), []
+        for gamma in (1.0, 2.0, 1.0):
+            fz = fuzzy(gamma=gamma, score_mode="lower_approx")
+            sim = fuzzy_rough.indiscernibility_matrix(prep.x2, fz)
+            tau = float(np.median(prep.scores(fz).scores))
+            for t in (0.0, tau):
+                blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=t,
+                                                 fuzzy=fz))
+                kept = np.searchsorted(prep.maj_rows, blocks.kept_rows)
+                want = mean_similarity(sim, kept, WEIGHT_FLOOR)
+                assert blocks.d2.tobytes() == want.tobytes()
+                sizes.append(kept.size)
+        assert distances == [30] and 0 < min(sizes) < max(sizes) == 30
+
     def test_lower_approx_blocks_build_no_majority_by_all_block(
             self, monkeypatch):
         # lower_approx scores need only the majority-by-minority
-        # similarity; the majority's own similarity is for its weights
+        # similarity; the majority's own Chebyshev distance, the
+        # minimum t-norm's similarity, is for its weights
         shapes = []
         real = fuzzy_rough._cross_similarity
+        real_distances = fuzzy_rough.chebyshev_distances
 
         def counted(xa, xb, params):
             shapes.append((xa.shape[0], xb.shape[0]))
             return real(xa, xb, params)
 
+        def distances(x):
+            shapes.append((x.shape[0], x.shape[0]))
+            return real_distances(x)
+
         monkeypatch.setattr(fuzzy_rough, "_cross_similarity", counted)
+        monkeypatch.setattr(fuzzy_rough, "chebyshev_distances", distances)
         m1, m2 = 8, 30
         x, y = make_blobs(94, m1=m1, m2=m2, spread=1.2)
         prep = PreparedFold(x, y)
@@ -1017,6 +1073,26 @@ class TestScoreFits:
             want = report(confusion(y[va], pred), convention).gmean
             assert g == want
         assert got[0] > 0.9
+
+    def test_a_gaussian_group_holds_one_planes_terms_at_a_time(self):
+        # the reference gram, the two class blocks and one plane's two
+        # grams plus its system come to 5 of the (m_ref + 1)^2 grams and
+        # the solve's factor to 6; holding both planes' terms through
+        # the solves, to 7
+        rng = np.random.default_rng(98)
+        x1, x2 = rng.random((80, 8)), rng.random((720, 8))
+        blocks = FitBlocks(x1, x2, rng.uniform(0.5, 1, 80),
+                           rng.uniform(0.5, 1, 720), np.arange(720), 720)
+        configs = [config(c1=c, c2=c, kernel="gaussian", sigma=1.0)
+                   for c in (0.25, 1.0, 4.0)]
+        x_va, y_va = rng.random((20, 8)), np.repeat([1, -1], 10)
+        tracemalloc.start()
+        try:
+            classifier.score_fits(blocks, configs, x_va, y_va, "standard")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.6 * 801 ** 2 * 8
 
     def test_plane_system_has_the_bits_of_the_diag_indices_form(self):
         rng = np.random.default_rng(6)

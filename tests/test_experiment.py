@@ -488,17 +488,18 @@ def inject_into_plane_solves(monkeypatch, change):
     in the grid's scoring and in the reference loop's fits alike,
     through change(plane, c, gamma, t), which may edit t in place or
     raise: plane is 1 or 2, c its penalty and gamma that of the fit's
-    config. Planes are numbered as _block_terms yields their terms, and
-    gamma is read off the configs given to score_fits or fit_blocks."""
-    real_terms, real_system = classifier._block_terms, classifier._plane_system
+    config. Both score_fits and a fit build plane 1's terms before
+    plane 2's, so planes are numbered by the order of the _plane_terms
+    calls since the last score_fits or fit_blocks call, and gamma is
+    read off the configs given to it."""
+    real_terms, real_system = classifier._plane_terms, classifier._plane_system
     real_solve = classifier.spd_solve
     real_score, real_fit = experiment.score_fits, classifier.fit_blocks
-    gamma, built = [None], [None]
+    gamma, built, calls = [None], [None], [0]
 
     def numbered_terms(*args):
-        terms = real_terms(*args)
-        return terms._replace(planes=(
-            (*part, plane) for plane, part in enumerate(terms.planes, 1)))
+        calls[0] += 1
+        return (*real_terms(*args), calls[0])
 
     def system(aa, bdb, bd, plane, c, delta):
         lhs, rhs = real_system(aa, bdb, bd, c, delta)
@@ -513,15 +514,15 @@ def inject_into_plane_solves(monkeypatch, change):
         return t, rep
 
     def score(blocks, configs, *args):
-        gamma[0] = configs[0].fuzzy.gamma
+        gamma[0], calls[0] = configs[0].fuzzy.gamma, 0
         return real_score(blocks, configs, *args)
 
     def fit(blocks, config, *args):
-        gamma[0] = config.fuzzy.gamma
+        gamma[0], calls[0] = config.fuzzy.gamma, 0
         return real_fit(blocks, config, *args)
 
     for module, name, fake in (
-            (classifier, "_block_terms", numbered_terms),
+            (classifier, "_plane_terms", numbered_terms),
             (classifier, "_plane_system", system),
             (classifier, "spd_solve", solve),
             (experiment, "score_fits", score),
