@@ -19,7 +19,11 @@ beside this script, so they search the same rows. The script prints
 each run's seconds, both medians, their ratio (change over parent), the
 distance between the quartiles of the parent's runs and how many pairs
 the change won, and exits 1 if any run's means or alive flags differ
-in any byte from the first parent run's. `--grid tiny` searches a
+in any byte from the first parent run's. `--grid gaussian` searches
+the criterion-5 grid (tau {0, 0.2, 0.4} x gamma {0.5, 1} x c {0.25, 1,
+4}) with the gaussian kernel and sigma {0.5, 1, 2}, 54 points over 3
+inner folds: about 6 s a run on `--shape yeast3`, the fold on which to
+measure a change to the gaussian fit. `--grid tiny` searches a
 2 x 2 x 2 grid over 3 inner folds, a quick check of the script itself.
 """
 from __future__ import annotations
@@ -40,6 +44,9 @@ OUTER_FOLDS, OUTER_SEED, DATA_SEED, INNER_SEED = 10, 0, 1, 123
 # name -> (ExperimentConfig grid fields, inner folds); {} is the default
 GRIDS = {
     "default": ({}, 9),
+    "gaussian": (dict(tau_grid=(0.0, 0.2, 0.4), gamma_grid=(0.5, 1.0),
+                      c1_grid=(0.25, 1.0, 4.0), kernel="gaussian",
+                      sigma_grid=(0.5, 1.0, 2.0)), 3),
     "tiny": (dict(tau_grid=(0.0, 0.4), gamma_grid=(0.5, 1.0),
                   c1_grid=(0.25, 4.0)), 3),
 }

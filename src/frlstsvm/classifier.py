@@ -46,12 +46,20 @@ A model's fit and the grid build the same terms: _class_blocks gives
 H and G (and a gaussian fit's reference rows and their gram), and
 _plane_terms the parts of one plane's system that do not depend on c,
 (A'A, B'D_B B, B'd_B): (H, G, d2) for plane 1 and (G, H, d1) for plane
-2. Every plane system is solved by spd_solve. Models leave through
-fit_blocks. A grid search only needs each fit's G-mean on its
-validation rows: score_fits gives it for every (c1, c2) of one
-(blocks, sigma) group, with the bits of predict and report on the
-model but without building one. Plane j depends on c_j alone, so
-score_fits builds plane 1's terms, solves them once per distinct c1,
+2. A gaussian fit builds one [K | 1] array: H and G are its row blocks
+and the gram K, which only the planes' norms read, its column view.
+_plane_system forms c B'D_B B + A'A + delta I in a buffer its caller
+gives, and spd_solve solves every plane system. A model's fit builds
+each plane's system in that plane's own B'D_B B, so A'A is freed
+before the solve, and a lone gaussian fit holds three (m_ref + 1)^2
+arrays at its peak: [K | 1] and one plane's two terms, or [K | 1], the
+system and the solve's factor (and a fourth while spd_solve factors a
+ridged copy). Models leave through fit_blocks. A grid
+search only needs each fit's G-mean on its validation rows: score_fits
+gives it for every (c1, c2) of one (blocks, sigma) group, with the
+bits of predict and report on the model but without building one.
+Plane j depends on c_j alone, so score_fits builds plane 1's terms and
+one system buffer, solves them once per distinct c1 in that buffer,
 and drops them before it builds plane 2's, solved once per distinct c2.
 """
 
@@ -132,12 +140,10 @@ class TrainConfig:
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
         if self.kernel == "gaussian":
-            if self.sigma is None or not (
-                np.isfinite(self.sigma) and self.sigma > 0
-            ):
+            if self.sigma is None:
                 raise ConfigurationError(
-                    f"gaussian kernel requires sigma > 0, got {self.sigma}"
-                )
+                    "gaussian kernel requires sigma, got None")
+            _check_sigma(self.sigma)
         elif self.sigma is not None:
             raise ConfigurationError(
                 "sigma only applies to the gaussian kernel"
@@ -214,9 +220,14 @@ class TwinPlaneModel:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0):
+    """A gaussian width must be > 0 with the kernel's denominator
+    2 sigma^2 a finite positive float64: below about 1.1e-162 it rounds
+    to 0 and the self gram's diagonal is 0/0, and above about 9.5e153 it
+    is infinite and every kernel value 1."""
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0 and 0.0 < two_var < math.inf):
         raise ConfigurationError(
-            f"sigma must be finite and > 0, got {sigma}")
+            f"sigma must be > 0 with 2 sigma^2 finite and > 0, got {sigma}")
 
 
 def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
@@ -273,29 +284,36 @@ def _class_blocks(x1: np.ndarray, x2hat: np.ndarray, sigma: float | None):
     H = [X1 | 1] and G = [X2hat | 1] when sigma is None, with Xref and K
     None; else the augmented gaussian kernel blocks H = [K(X1, Xref) | 1]
     and G = [K(X2hat, Xref) | 1] of width sigma, with Xref the minority
-    rows stacked over the kept majority rows."""
+    rows stacked over the kept majority rows. A gaussian fit builds
+    [K | 1] once: H and G are its row blocks, each one C-contiguous
+    buffer as gram needs, and K its column view [:, :-1], which the
+    planes' norms read with the bits of K itself."""
     if sigma is None:
         return _augment(x1), _augment(x2hat), None, None
     x_ref = np.vstack([x1, x2hat])
-    k_ref = gaussian_gram(x_ref, x_ref, sigma)
+    k_aug = _augment(gaussian_gram(x_ref, x_ref, sigma))
     m1 = x1.shape[0]
-    return _augment(k_ref[:m1]), _augment(k_ref[m1:]), x_ref, k_ref
+    return k_aug[:m1], k_aug[m1:], x_ref, k_aug[:, :-1]
 
 
 def _plane_terms(a: np.ndarray, b: np.ndarray,
                  d_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A'A, B'D_B B, B'd_B): the parts of one plane's system that do
-    not depend on its c (see _plane_system)."""
-    return (gram(a, checked=True),
-            gram(b * np.sqrt(d_b)[:, None], checked=True), b.T @ d_b)
+    not depend on its c (see _plane_system). B'D_B B is built first, so
+    the scaled copy of B is freed before A'A exists."""
+    bdb = gram(b * np.sqrt(d_b)[:, None], checked=True)
+    return gram(a, checked=True), bdb, b.T @ d_b
 
 
 def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
-                  c: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The system (A'A + c B'DB + delta I) t = c B'D e of one plane."""
+                  c: float, delta: float,
+                  out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The system (A'A + c B'DB + delta I) t = c B'D e of one plane, its
+    matrix built in `out`: a buffer of bdb's shape, or bdb itself when
+    its c-free value is no longer needed."""
     # c B'DB + A'A in one buffer has the bits of A'A + c B'DB, and the
     # strided diagonal those of lhs[np.diag_indices_from(lhs)]
-    lhs = c * bdb
+    lhs = np.multiply(bdb, c, out=out)
     lhs += aa
     lhs.flat[::lhs.shape[0] + 1] += delta
     return lhs, c * bd
@@ -311,12 +329,18 @@ def _fit_planes(x1, x2hat, d1, d2, sigma: float | None, c1: float,
     summary and the reference rows (None for the linear kernel)."""
     x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
     h, g, x_ref, k_ref = _class_blocks(x1, x2hat, sigma)
-    # a plane's terms are freed when its system is built, before the
-    # solve, and the system before the next plane's terms are built
-    t1, report1 = spd_solve(*_plane_system(*_plane_terms(h, g, d2), c1,
-                                           delta))
-    t2, report2 = spd_solve(*_plane_system(*_plane_terms(g, h, d1), c2,
-                                           delta))
+
+    def solve(a, b, d_b, c):
+        terms = _plane_terms(a, b, d_b)
+        # the system is built in the plane's own B'D_B B, so A'A is
+        # freed with `terms` before the solve, and the system when this
+        # returns, before the next plane's terms are built
+        system = _plane_system(*terms, c, delta, terms[1])
+        del terms
+        return spd_solve(*system)
+
+    t1, report1 = solve(h, g, d2, c1)
+    t2, report2 = solve(g, h, d1, c2)
     plane1, plane2 = (Hyperplane(w=u[:-1], b=u[-1], norm=_norm(u[:-1], k_ref))
                       for u in (-t1, t2))
     summary = TrainingSummary(
@@ -684,12 +708,13 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
     feats = (None if sigma is None
              else list(_kernel_blocks(x_va, x_ref, sigma)))
 
-    def distances(terms, c: float, plane: int):
+    def distances(terms, lhs, c: float, plane: int):
         """The rows' distances to plane 1 or 2 at penalty c and its
-        norm, or None if its system is singular."""
+        norm, or None if its system is singular. The system is built in
+        lhs, which each of the plane's c values reuses."""
         try:
             # looked up on the module, where the benchmark's tracer wraps it
-            t, _ = spd_solve(*_plane_system(*terms, c, delta))
+            t, _ = spd_solve(*_plane_system(*terms, c, delta, lhs))
         except SingularSystemError:
             return None
         u = -t if plane == 1 else t
@@ -704,11 +729,13 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
 
     solved = []
     for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
-        # one plane's terms at a time, dropped before the next are built
+        # one plane's terms and system buffer at a time, dropped before
+        # the next plane's are built
         terms = _plane_terms(a, b, d_b)
+        lhs = np.empty_like(terms[1])
         cs = dict.fromkeys((cfg.c1, cfg.c2)[plane - 1] for cfg in configs)
-        solved.append({c: distances(terms, c, plane) for c in cs})
-        del terms
+        solved.append({c: distances(terms, lhs, c, plane) for c in cs})
+        del terms, lhs
     plane1, plane2 = solved
     true_pos = y_va == 1
     out: list[float | None] = []

@@ -28,6 +28,7 @@ import numpy as np
 from .classifier import (
     PreparedFold,
     TrainConfig,
+    _check_sigma,
     fit_frlstsvm,
     predict,
     score_fits,
@@ -120,6 +121,8 @@ class ExperimentConfig:
         if self.c2_grid is not None:
             _check_grid("c2", self.c2_grid, np.nextafter(0, 1), np.inf)
         _check_grid("sigma", self.sigma_grid, np.nextafter(0, 1), np.inf)
+        for sigma in self.sigma_grid:
+            _check_sigma(sigma)
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise ConfigurationError(f"delta must be >= 0, got {self.delta}")
         if self.folds < 2:

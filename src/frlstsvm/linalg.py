@@ -81,8 +81,10 @@ def _attempt(a: np.ndarray, b2: np.ndarray
              ) -> tuple[np.ndarray | None, float]:
     """One Cholesky factor and solve of A X = b2 (b2 2-D): X and its
     residual ||A X - b2||_F, or None and inf when A does not factor or
-    X is not finite."""
-    factor, info = dpotrf(a, lower=1, clean=0)
+    X is not finite. A is exactly symmetric, so A' is the same matrix in
+    Fortran order: dpotrf copies it as it lies, where a C-ordered A
+    would be copied and transposed, and leaves A itself untouched."""
+    factor, info = dpotrf(a.T, lower=1, clean=0)
     if info != 0:
         return None, np.inf
     x, _ = dpotrs(factor, b2, lower=1)
@@ -112,7 +114,10 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
     ||(A + rI) X - B||_F falls below 1e-8 * max(1, ||B||_F). The factor
     and solve are LAPACK's dpotrf and dpotrs on the lower triangle, the
     routines scipy.linalg.cho_factor and cho_solve call, so the bits
-    are theirs.
+    are theirs. dpotrf factors A' (see _attempt), which the symmetry
+    check makes A itself, so its input copy is a plain one, with no
+    transpose. Neither A nor B is written: a ridged attempt factors a
+    copy of A, and the residual and the ridge ladder read A again.
 
     Parameters
     ----------

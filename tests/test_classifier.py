@@ -68,6 +68,11 @@ def config(c1=1.0, c2=1.0, tau=0.0, **kw):
     return TrainConfig(c1=c1, c2=c2, tau=tau, fuzzy=fuzzy(), **kw)
 
 
+# finite positive sigmas whose 2 sigma^2 rounds to 0 (the self gram's
+# diagonal would be 0/0) or overflows (every kernel value would be 1)
+BAD_SIGMAS = [1e-200, 1e-300, 1e154, 1e300]
+
+
 def plane_vec(plane: Hyperplane) -> np.ndarray:
     return np.append(plane.w, plane.b)
 
@@ -100,6 +105,15 @@ class TestTrainConfig:
     def test_rejects_negative_delta(self):
         with pytest.raises(ConfigurationError, match="delta"):
             config(delta=-1e-9)
+
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    def test_rejects_a_sigma_whose_two_sigma_squared_is_not_finite_positive(
+            self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            config(kernel="gaussian", sigma=sigma)
+
+    def test_accepts_a_subnormal_two_sigma_squared(self):
+        assert config(kernel="gaussian", sigma=1e-160).sigma == 1e-160
 
 
 def kernel_value(x, y, sigma):
@@ -135,6 +149,21 @@ class TestGaussianKernel:
         for sigma in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigurationError, match="sigma"):
                 gaussian_gram([[0.0]], [[1.0]], sigma)
+
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    def test_rejects_a_sigma_whose_two_sigma_squared_is_not_finite_positive(
+            self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            gaussian_gram([[0.0]], [[1.0]], sigma)
+
+    def test_a_subnormal_two_sigma_squared_gives_the_identity(self):
+        # 2 sigma^2 = 2e-320: each row is at distance 0 from itself
+        # alone, so exp(-0) = 1 there, and elsewhere the quotient
+        # overflows to -inf and exp(-inf) = 0
+        x = [[0.0, 0.1], [0.5, 0.1], [1.0, 1.0]]
+        with np.errstate(over="ignore"):
+            k = gaussian_gram(x, x, 1e-160)
+        assert np.array_equal(k, np.eye(3))
 
     def test_self_gram_is_exactly_symmetric_with_unit_diagonal(self):
         # fit_kernel and load_model take the self gram as exact
@@ -366,9 +395,10 @@ def scaled_split(x, y):
 
 class TestKernelFit:
     def test_one_fit_holds_one_planes_terms_at_a_time(self):
-        # the four (m_ref + 1)^2 grams of the c-free terms plus the
-        # reference gram, all live, would take the peak past 7 of them;
-        # a plane's terms kept alive through its solve, to 6
+        # [K | 1] and one plane's two c-free grams come to 3 of the
+        # (m_ref + 1)^2 units, and so do [K | 1], the system built in
+        # B'D_B B and the solve's factor; A'A kept alive through the
+        # solve, or a K held apart from H and G, takes the peak to 4
         rng = np.random.default_rng(99)
         x1, x2 = rng.random((80, 8)), rng.random((720, 8))
         d1, d2 = rng.uniform(0.5, 1, 80), rng.uniform(0.5, 1, 720)
@@ -379,7 +409,7 @@ class TestKernelFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * 801 ** 2 * 8
+        assert peak < 3.5 * 801 ** 2 * 8
 
     def test_circles_need_the_kernel(self):
         x, y = make_circles(50)
@@ -482,6 +512,21 @@ class TestKernelFit:
             # reproducing space, sqrt(w'Kw)
             assert plane.norm == math.sqrt(float(plane.w @ k @ plane.w))
 
+    def test_norms_have_the_bits_of_a_separate_gram(self):
+        # the fit reads K as the column view of [K | 1], whose row
+        # stride is m_ref + 1; w'Kw over it must keep the bits of the
+        # contiguous gram at orders the BLAS's gemv blocks
+        rng = np.random.default_rng(74)
+        for m1, m2 in ((5, 12), (20, 77), (64, 193), (80, 720)):
+            x1, x2 = rng.random((m1, 8)), rng.random((m2, 8))
+            d1, d2 = rng.uniform(0.5, 1, m1), rng.uniform(0.5, 1, m2)
+            model = fit_kernel(x1, x2, d1, d2,
+                               config(kernel="gaussian", sigma=0.7))
+            k = gaussian_gram(model.x_ref, model.x_ref, 0.7)
+            for plane in (model.plane1, model.plane2):
+                assert plane.norm == math.sqrt(
+                    max(float(plane.w @ k @ plane.w), 0.0))
+
     def test_requires_gaussian_config(self):
         with pytest.raises(ConfigurationError, match="gaussian"):
             fit_kernel(MIRROR_X1, MIRROR_X2, None, None, config())
@@ -568,6 +613,23 @@ class TestGaussianPredictBlocks:
         want = whole_batch_predict(model, point)
         assert isinstance(label, int) and isinstance(d1, float)
         assert (label, d1, d2) == (want[0][0], want[1][0], want[2][0])
+
+    @pytest.mark.parametrize("sigma", BAD_SIGMAS)
+    def test_rejects_a_model_sigma_whose_two_sigma_squared_is_not_finite(
+            self, sigma):
+        # no TrainConfig holds such a sigma; one set behind its back is
+        # still refused before any kernel value is computed
+        rng = np.random.default_rng(73)
+        x_ref = rng.random((5, 2))
+        cfg = config(kernel="gaussian", sigma=1.0)
+        model = TwinPlaneModel(
+            plane1=Hyperplane(w=np.ones(5), b=0.1),
+            plane2=Hyperplane(w=-np.ones(5), b=0.2),
+            scaling=None, config=cfg, x_ref=x_ref,
+        )
+        object.__setattr__(cfg, "sigma", sigma)
+        with pytest.raises(ConfigurationError, match="sigma"):
+            predict(model, rng.random((3, 2)))
 
     def test_predict_holds_one_block(self):
         # the whole 10k x 1000 kernel matrix would take 80 MB
@@ -1075,10 +1137,10 @@ class TestScoreFits:
         assert got[0] > 0.9
 
     def test_a_gaussian_group_holds_one_planes_terms_at_a_time(self):
-        # the reference gram, the two class blocks and one plane's two
-        # grams plus its system come to 5 of the (m_ref + 1)^2 grams and
-        # the solve's factor to 6; holding both planes' terms through
-        # the solves, to 7
+        # [K | 1], one plane's two c-free grams, its system buffer and
+        # the solve's factor come to 5 of the (m_ref + 1)^2 units; a
+        # fresh system per c, or a separate K, to 6, and both planes'
+        # terms held through the solves, to 7
         rng = np.random.default_rng(98)
         x1, x2 = rng.random((80, 8)), rng.random((720, 8))
         blocks = FitBlocks(x1, x2, rng.uniform(0.5, 1, 80),
@@ -1092,7 +1154,7 @@ class TestScoreFits:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.6 * 801 ** 2 * 8
+        assert peak < 5.6 * 801 ** 2 * 8
 
     def test_plane_system_has_the_bits_of_the_diag_indices_form(self):
         rng = np.random.default_rng(6)
@@ -1101,11 +1163,17 @@ class TestScoreFits:
             aa, bdb = (gram(rng.normal(size=(n + 3, n))) for _ in range(2))
             bd = rng.normal(size=n)
             c, delta = float(rng.uniform(0.01, 100)), 10.0 ** -rng.integers(0, 9)
-            lhs, rhs = classifier._plane_system(aa, bdb, bd, c, delta)
+            buf = np.empty_like(bdb)
+            lhs, rhs = classifier._plane_system(aa, bdb, bd, c, delta, buf)
             want = c * bdb + aa
             want[np.diag_indices_from(want)] += delta
+            assert lhs is buf
             assert lhs.tobytes() == want.tobytes()
             assert rhs.tobytes() == (c * bd).tobytes()
+            # the same bits in B'DB's own buffer
+            assert classifier._plane_system(aa, bdb, bd, c, delta,
+                                            bdb)[0] is bdb
+            assert bdb.tobytes() == want.tobytes()
 
 
 # FRLSTSVM/1 files, written by save_model before the /2 format (commit

@@ -323,6 +323,27 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert not (tmp_path / "m.model").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--header", "--out", "m.model"],
+        ["cv", "--header", "true", "--tau", "0", "--gamma", "1", "--c1",
+         "1", "--folds", "3", "--inner-folds", "2", "--repeats", "1"],
+    ], ids=["train", "cv"])
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e300"])
+    def test_sigma_whose_two_sigma_squared_is_not_finite_exits_one(
+            self, blob_csv, tmp_path, capsys, monkeypatch, command, sigma):
+        # 2 sigma^2 rounds to 0 or overflows: refused up front, not a
+        # non-finite-system traceback or a fit on a constant kernel
+        data, _, _ = blob_csv
+        monkeypatch.chdir(tmp_path)
+        code = main([command[0], "--data", data, "--positive-label", "1",
+                     "--kernel", "gaussian", "--sigma", sigma, *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sigma must be > 0 with ")
+        assert f"got {float(sigma)}" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.model").exists()
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data"])

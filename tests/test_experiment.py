@@ -139,6 +139,18 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigurationError, match="c1"):
             ExperimentConfig(c1_grid=(0.0,))
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-300, 1e154, 1e300])
+    def test_rejects_a_sigma_whose_two_sigma_squared_is_not_finite_positive(
+            self, sigma):
+        # 2 sigma^2 rounds to 0 (1e-200, 1e-300) or overflows (1e154,
+        # 1e300): the search would fail midway or fit a constant kernel
+        with pytest.raises(ConfigurationError, match="sigma"):
+            ExperimentConfig(kernel="gaussian", sigma_grid=(1.0, sigma))
+
+    def test_accepts_a_subnormal_two_sigma_squared(self):
+        cfg = ExperimentConfig(kernel="gaussian", sigma_grid=(1e-160,))
+        assert cfg.sigma_grid == (1e-160,)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigurationError, match="folds"):
             ExperimentConfig(folds=1)
@@ -501,8 +513,8 @@ def inject_into_plane_solves(monkeypatch, change):
         calls[0] += 1
         return (*real_terms(*args), calls[0])
 
-    def system(aa, bdb, bd, plane, c, delta):
-        lhs, rhs = real_system(aa, bdb, bd, c, delta)
+    def system(aa, bdb, bd, plane, c, delta, out):
+        lhs, rhs = real_system(aa, bdb, bd, c, delta, out)
         built[0] = (lhs, plane, c)
         return lhs, rhs
 

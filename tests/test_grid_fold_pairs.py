@@ -29,6 +29,20 @@ def test_tiny_grid_pair_of_one_checkout(capsys):
     assert err.count("of 8 points alive") == 2
 
 
+def test_gaussian_grid_is_the_criterion_5_grid_over_three_sigmas():
+    # only the points are built; no search runs
+    from frlstsvm.experiment import ExperimentConfig, grid_points
+
+    fields, inner_k = load_script().GRIDS["gaussian"]
+    points = grid_points(ExperimentConfig(**fields))
+    assert len(points) == 54 and inner_k == 3
+    assert {pt.tau for pt in points} == {0.0, 0.2, 0.4}
+    assert {pt.gamma for pt in points} == {0.5, 1.0}
+    assert {(pt.c1, pt.c2) for pt in points} == {
+        (c, c) for c in (0.25, 1.0, 4.0)}
+    assert {pt.sigma for pt in points} == {0.5, 1.0, 2.0}
+
+
 def test_summary_of_canned_runs():
     script = load_script()
 

@@ -200,6 +200,43 @@ class TestSpdSolve:
             assert rep.ridge_added == 0.0
             assert rep.factorization_attempts == 1
 
+    @pytest.mark.parametrize("n", [64, 65, 128, 257, 513, 1457])
+    def test_bits_of_scipy_cholesky_where_dpotrf_blocks(self, n):
+        # from some order on, OpenBLAS's dpotrf factors in blocks; the
+        # factor of A' in Fortran order must still have the bits of
+        # cho_factor's, whichever order A itself is stored in
+        rng = np.random.default_rng(n)
+        a = gram(rng.normal(size=(n + 3, n))) + 1e-3 * np.eye(n)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 2))):
+            expected = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(a, lower=True), b)
+            for a_in in (a, np.asfortranarray(a)):
+                x, rep = spd_solve(a_in, b)
+                assert x.tobytes() == expected.tobytes()
+                assert rep.factorization_attempts == 1
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", ["bare", "ridged", "singular"])
+    def test_writes_neither_a_nor_b(self, case, order):
+        # the residual and every rung of the ridge ladder read A again,
+        # and the grid builds each c's system in one reused buffer
+        rng = np.random.default_rng(9)
+        n = 70
+        a = gram(rng.normal(size=(5 if case == "ridged" else n + 3, n)))
+        if case == "singular":
+            a[-1, -1] = -1.0  # indefinite at every ridge
+        a = np.array(a, order=order)
+        b = rng.normal(size=(n, 2))
+        a_bits, b_bits = a.tobytes(), b.tobytes()
+        if case == "singular":
+            with pytest.raises(SingularSystemError) as exc:
+                spd_solve(a, b)
+            assert exc.value.report.factorization_attempts == 5
+        else:
+            _, rep = spd_solve(a, b)
+            assert (rep.ridge_added > 0) == (case == "ridged")
+        assert a.tobytes() == a_bits and b.tobytes() == b_bits
+
     def test_rank_deficient_gram_escalates_like_the_checked_ladder(self):
         rng = np.random.default_rng(7)
         escalated = 0
