@@ -6,8 +6,10 @@ byte.
 
 On the seeded pima-shaped data of perfbench/datagen.py (seed 1) it
 writes, for each config in CONFIGS, the nested-CV result files
-cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For a
-linear and a gaussian fit it also writes the saved model file and
+cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For
+each single fit in FITS (fit_frlstsvm: a linear and a gaussian fit,
+and linear fits under the product and lukasiewicz t-norms and in
+lower_approx score mode) it also writes the saved model file and
 predict(..., return_distances=True) on 500 held-out rows of the model
 that load_model reads back from it, so the predictions pin the reader's
 bits as well as the fit's. The configs are the criterion-5 linear
@@ -109,8 +111,22 @@ CONFIGS = {
     "subsampled_lukasiewicz": dict(_SUBSAMPLED, tnorm="lukasiewicz"),
 }
 
-# name -> (kernel, sigma) of the single fits, at tau 0.2, gamma 1, c 1
-FITS = {"fit_linear": ("linear", None), "fit_gaussian": ("gaussian", 1.0)}
+# name -> the TrainConfig fields of a single fit beside c1 = c2 = 1 and
+# tau 0.2. Each keeps a strict subset of the majority, so its scores
+# and its kept rows' weights come from both of a lone fit's row-sum
+# passes
+FITS = {
+    "fit_linear": dict(fuzzy=FuzzyParams(gamma=1.0)),
+    "fit_gaussian": dict(fuzzy=FuzzyParams(gamma=1.0), kernel="gaussian",
+                         sigma=1.0),
+    "fit_product": dict(fuzzy=FuzzyParams(gamma=1.0, tnorm="product")),
+    "fit_lukasiewicz": dict(fuzzy=FuzzyParams(gamma=1.0,
+                                              tnorm="lukasiewicz")),
+    # the largest majority distance is 1, so at gamma 2 the clip of the
+    # similarity at 0 acts, where at gamma 1 it is skipped
+    "fit_lower_approx": dict(fuzzy=FuzzyParams(gamma=2.0,
+                                               score_mode="lower_approx")),
+}
 
 
 def write_fingerprint(outdir, configs=None) -> list[Path]:
@@ -134,10 +150,9 @@ def write_fingerprint(outdir, configs=None) -> list[Path]:
         result = run_nested_cv(config, ds)
         write(f"{name}.csv", cv_csv_text(result))
         write(f"{name}.jsonl", cv_jsonl_text(result))
-    for name, (kernel, sigma) in FITS.items():
-        model = fit_frlstsvm(ds, TrainConfig(
-            c1=1.0, c2=1.0, tau=0.2, fuzzy=FuzzyParams(gamma=1.0),
-            kernel=kernel, sigma=sigma))
+    for name, fields in FITS.items():
+        model = fit_frlstsvm(ds, TrainConfig(c1=1.0, c2=1.0, tau=0.2,
+                                             **fields))
         path = outdir / f"{name}.model"
         save_model(model, path)
         written.append(path)

@@ -37,10 +37,13 @@ call and such blocks give the bits of one whole-batch pass.
 The pipeline (scale, split by class, subsample the majority, weight,
 solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
 that nested CV fits a whole grid from one object per training set;
-fit_frlstsvm is one fit of a fresh PreparedFold. It holds one m2 x m2
-majority array, under the minimum t-norm the Chebyshev distance that
-every gamma's similarity is read from, and hands out one FitBlocks per
-distinct (weights, kept set).
+fit_frlstsvm is one fit of a fresh PreparedFold. A PreparedFold hands
+out one FitBlocks per distinct (weights, kept set). One that serves a
+grid holds one m2 x m2 majority array, under the minimum t-norm the
+Chebyshev distance that every gamma's similarity is read from. One
+that serves a lone fit holds none: it builds the majority similarity's
+row sums from the scaled rows a row block of about 2^15 entries at a
+time, so it needs O(m2) memory where the held array needs O(m2^2).
 
 A model's fit and the grid build the same terms: _class_blocks gives
 H and G (and a gaussian fit's reference rows and their gram), and
@@ -242,9 +245,12 @@ def gaussian_gram(xa, xb, sigma: float) -> np.ndarray:
 def _kernel(xa: np.ndarray, xb: np.ndarray, sigma: float) -> np.ndarray:
     """gaussian_gram on rows and a sigma already checked."""
     # in place, one buffer, and the bits of np.exp(-d / (2 sigma^2)):
-    # IEEE division is sign-symmetric, so d / -(2 sigma^2) == -d / (2 sigma^2)
+    # IEEE division is sign-symmetric, so d / -(2 sigma^2) == -d / (2 sigma^2).
+    # A subnormal 2 sigma^2 sends a nonzero d to -inf, whose exp, 0, is
+    # the right kernel value
     d = cdist(xa, xb, metric="sqeuclidean")
-    np.divide(d, -(2.0 * sigma * sigma), out=d)
+    with np.errstate(over="ignore"):
+        np.divide(d, -(2.0 * sigma * sigma), out=d)
     np.exp(d, out=d)
     return d
 
@@ -548,16 +554,23 @@ class PreparedFold:
     per FuzzyParams: the majority's positive-region scores, its
     similarity row sums and the minority weights; per (FuzzyParams,
     tau): the subsample. Density scores and kept-majority weights are
-    row means of the majority's m2 x m2 similarity, read off the
-    object's only m2 x m2 array (see _majority_pairs). Under the minimum
+    row means of the majority's m2 x m2 similarity (see
+    _majority_pairs), summed one row block at a time.
+
+    A fold that serves many fits (hold=True, the grid search) holds one
+    m2 x m2 array and reads every block off it. Under the minimum
     t-norm, in either score mode, that array is the majority's Chebyshev
-    distance, computed once and mapped to each gamma's similarity one
-    row block at a time. Under the product and lukasiewicz t-norms it is
-    the similarity of one FuzzyParams: asking for other FuzzyParams
-    drops it before building the new one, so a grid asked gamma by gamma
-    builds each once and never holds two. Tau 0 keeps every majority row
-    and scores none of them. A tau that empties the majority raises the
-    same ConfigurationError on every fit that asks for it.
+    distance, computed once and mapped to each gamma's similarity. Under
+    the product and lukasiewicz t-norms it is the similarity of one
+    FuzzyParams: asking for other FuzzyParams drops it before building
+    the new one, so a grid asked gamma by gamma builds each once and
+    never holds two. A fold for one fit (hold=False) holds no m2 x m2
+    array: each block is built from the scaled majority rows, once for
+    the full rows' sums (the density scores) and once more for the kept
+    rows' sums when tau removes rows, with the same bits. Tau 0 keeps
+    every majority row and scores none of them. A tau that empties the
+    majority raises the same ConfigurationError on every fit that asks
+    for it.
 
     The blocks, with their kept-majority weights, are memoised per
     (the weights' FuzzyParams, or None without weights; the kept set),
@@ -566,8 +579,9 @@ class PreparedFold:
     ones.
     """
 
-    def __init__(self, features, labels):
+    def __init__(self, features, labels, *, hold: bool = True):
         features = np.asarray(features, dtype=np.float64)
+        self.hold = hold
         self.labels = np.asarray(labels)
         self.scaling = minmax_fit(features)
         self.xs = minmax_apply(self.scaling, features)
@@ -599,14 +613,22 @@ class PreparedFold:
         return hit
 
     def _majority_pairs(self, fuzzy: FuzzyParams) -> tuple[np.ndarray, dict]:
-        """The m2 x m2 array that fuzzy's majority similarity is read
-        from, and the keywords of fuzzy_rough.row_sums that read it: the
-        Chebyshev distances with fuzzy's gamma under the minimum t-norm,
-        where they serve every gamma and both score modes; else the
-        similarity itself. lower_approx scores come from the cross-class
-        similarity, so in that mode the array serves the weights
-        alone."""
+        """What fuzzy's majority similarity is read from, and the
+        keywords of fuzzy_rough.row_sums that read it. A holding fold
+        gives its m2 x m2 array: the Chebyshev distances with fuzzy's
+        gamma under the minimum t-norm, where they serve every gamma and
+        both score modes; else the similarity itself. A streaming fold
+        gives the scaled majority rows as row_sums' points, which build
+        each row block of the same array. lower_approx scores come from
+        the cross-class similarity, so in that mode this serves the
+        weights alone."""
         by_distance = fuzzy.tnorm == "minimum"
+        # rounding is monotone, so when gamma times the largest distance
+        # rounds to at most 1 no 1 - gamma d is negative
+        how = (dict(gamma=fuzzy.gamma, clip=fuzzy.gamma * self._span > 1.0)
+               if by_distance else {})
+        if not self.hold:
+            return self.x2, dict(how, points=fuzzy)
         key = None if by_distance else fuzzy
         if self._pairs is None or self._pairs[0] != key:
             self._pairs = None  # so two are never live
@@ -615,12 +637,7 @@ class PreparedFold:
             self._pairs = (key, fuzzy_rough.chebyshev_distances(self.x2)
                            if by_distance else
                            fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
-        if not by_distance:
-            return self._pairs[1], {}
-        # rounding is monotone, so when gamma times the largest distance
-        # rounds to at most 1 no 1 - gamma d is negative
-        return self._pairs[1], dict(gamma=fuzzy.gamma,
-                                    clip=fuzzy.gamma * self._span > 1.0)
+        return self._pairs[1], how
 
     def _row_sums(self, fuzzy: FuzzyParams) -> np.ndarray:
         """Every majority row's similarity sum; the density scores and
@@ -750,9 +767,9 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
 
 def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):
     """Full training pipeline on one training set: one fit of a fresh
-    PreparedFold. The PreparedFold, and with it its m2 x m2 majority
-    array, is released before the solve starts."""
-    prep = PreparedFold(ds.features, ds.labels)
+    streaming PreparedFold, which holds no m2 x m2 majority array. The
+    PreparedFold is released before the solve starts."""
+    prep = PreparedFold(ds.features, ds.labels, hold=False)
     blocks, scaling = prep.blocks(config), prep.scaling
     del prep
     return fit_blocks(blocks, config, scaling)

@@ -7,6 +7,7 @@ import os
 import sys
 
 from .classifier import (
+    PreparedFold,
     TrainConfig,
     fit_frlstsvm,
     load_model,
@@ -18,8 +19,6 @@ from .dataset import (
     load_csv,
     load_keel,
     load_matrix_csv,
-    minmax_apply,
-    minmax_fit,
 )
 from .errors import ExperimentError, FrlstsvmError
 from .experiment import (
@@ -31,12 +30,7 @@ from .experiment import (
     run_nested_cv,
     write_cv_result,
 )
-from .fuzzy_rough import (
-    T_NORMS,
-    FuzzyParams,
-    check_tau,
-    positive_region_scores,
-)
+from .fuzzy_rough import T_NORMS, FuzzyParams, check_tau
 from .metrics import confusion, csv_line, format_report, report
 
 
@@ -158,9 +152,8 @@ def cmd_subsample(args) -> int:
     check_tau(args.tau)
     fuzzy = _fuzzy_from_args(args)
     ds = _load_labeled(args)
-    scaling = minmax_fit(ds.features)
-    xs = minmax_apply(scaling, ds.features)
-    scores = positive_region_scores(xs, ds.labels, fuzzy, target_class=-1)
+    # a fold for one fit's scores holds no m2 x m2 similarity
+    scores = PreparedFold(ds.features, ds.labels, hold=False).scores(fuzzy)
     kept = scores.scores >= args.tau
     lines = ["index,row,score,kept"]
     for i, (row, score) in enumerate(

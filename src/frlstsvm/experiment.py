@@ -267,7 +267,9 @@ def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
     alive = np.ones(len(points), dtype=bool)
     for f in range(inner_k):
         tr, va = fold_rows(plan, f)
-        prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr])
+        # one held majority array serves every (gamma, kept set)
+        prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr],
+                            hold=True)
         x_va = minmax_apply(prep.scaling, train_ds.features[va])
         y_va = train_ds.labels[va]
         # (blocks, sigma) -> its live points, in the order built

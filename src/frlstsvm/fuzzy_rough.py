@@ -14,8 +14,10 @@ is monotone in d, so the smallest term is the term of the largest
 per-attribute form takes; and d*(-gamma) + 1, the in-place form, equals
 1 - gamma*d in IEEE arithmetic. So one distance matrix serves every
 gamma: chebyshev_distances computes it, and row_sums maps it to one
-gamma's similarity a row block at a time as it sums. The product and
-lukasiewicz t-norms fold the attribute terms one at a time.
+gamma's similarity a row block at a time as it sums. Given the rows
+instead, row_sums builds each block's distances itself, so no m x m
+array is held. The product and lukasiewicz t-norms fold the attribute
+terms one at a time.
 
 The lower_approx score of a row x is its membership in the fuzzy-rough
 lower approximation of its own crisp class X, inf_y I(R(x,y), [y in X]).
@@ -40,10 +42,11 @@ from .errors import ConfigurationError
 
 WEIGHT_FLOOR = 1e-6
 
-# entries in one row block of a restricted similarity (256 KiB). At
-# this size two takes gather a block faster than np.ix_ on the pima,
-# yeast3 and abalone19 shapes; at 1 MiB they were 2x slower than np.ix_
-# on abalone19's 4142-row majority
+# entries in one row block that row_sums gathers, maps or builds
+# (256 KiB). At this size two takes gather a block of a restricted
+# similarity faster than np.ix_ on the pima, yeast3 and abalone19
+# shapes; at 1 MiB they were 2x slower than np.ix_ on abalone19's
+# 4142-row majority
 _KEPT_BLOCK_ENTRIES = 1 << 15
 
 T_NORMS = ("minimum", "product", "lukasiewicz")
@@ -152,7 +155,8 @@ def chebyshev_distances(x) -> np.ndarray:
 
 
 def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
-             gamma: float | None = None, clip: bool = True) -> np.ndarray:
+             gamma: float | None = None, clip: bool = True,
+             points: FuzzyParams | None = None) -> np.ndarray:
     """Row sums of the p x p self-similarity that `pairs` restricts to
     `rows` (ascending distinct indices into pairs; None: every row).
     `pairs` is the similarity itself, or, with gamma, the Chebyshev
@@ -161,22 +165,40 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
     A caller that knows no 1 - gamma d is negative passes clip=False:
     the clip at 0 would change no bit, and its pass is skipped.
 
-    Distances, and a strict subset of the rows, are summed one row
-    block of about 2^15 entries of the restricted matrix at a time,
-    mapped in one reused buffer, so neither a kept x kept copy nor a
-    second p x p array is made. Each block holds the same contiguous
-    rows as the whole restricted similarity, so its row sums have the
-    whole's bits."""
-    if rows is not None and rows.size == pairs.shape[0]:
-        rows = None
-    if rows is None and gamma is None:
-        return pairs.sum(axis=1)
-    p = pairs.shape[0] if rows is None else rows.size
+    With points, `pairs` is the scaled rows themselves, and no pairwise
+    array is held: each row block is built from the (restricted) rows,
+    as their Chebyshev distances, which gamma maps as above, under the
+    minimum t-norm, and as their similarity under points' other
+    t-norms. Distances and similarities are computed pair by pair, so a
+    built block has the bits of the same rows of the whole array.
+
+    Distances, a strict subset of the rows, and points are summed one
+    row block of about 2^15 entries of the restricted matrix at a time,
+    the distances mapped in one reused buffer, so neither a kept x kept
+    copy nor a second p x p array is made. Each block holds the same
+    contiguous rows as the whole restricted similarity, so its row sums
+    have the whole's bits."""
+    if points is not None:
+        xr = pairs if rows is None else pairs[rows]
+        rows, p = None, xr.shape[0]
+    else:
+        if rows is not None and rows.size == pairs.shape[0]:
+            rows = None
+        if rows is None and gamma is None:
+            return pairs.sum(axis=1)
+        p = pairs.shape[0] if rows is None else rows.size
     step = max(1, _KEPT_BLOCK_ENTRIES // p)
-    buf = np.empty((min(step, p), p)) if rows is None else None
+    buf = (np.empty((min(step, p), p)) if rows is None and gamma is not None
+           else None)
     sums = np.empty(p)
     for i in range(0, p, step):
-        if rows is None:
+        if points is not None and gamma is None:
+            block = _cross_similarity(xr[i:i + step], xr, points)
+        elif points is not None:
+            block = cdist(xr[i:i + step], xr, "chebyshev",
+                          out=buf[:min(step, p - i)])
+            block *= -gamma
+        elif rows is None:
             block = np.multiply(pairs[i:i + step], -gamma,
                                 out=buf[:min(step, p - i)])
         else:

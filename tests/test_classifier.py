@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -161,9 +162,24 @@ class TestGaussianKernel:
         # alone, so exp(-0) = 1 there, and elsewhere the quotient
         # overflows to -inf and exp(-inf) = 0
         x = [[0.0, 0.1], [0.5, 0.1], [1.0, 1.0]]
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             k = gaussian_gram(x, x, 1e-160)
         assert np.array_equal(k, np.eye(3))
+
+    def test_a_subnormal_two_sigma_squared_predicts_without_warnings(self):
+        # every kernel value of a row off the reference rows is
+        # exp(-inf) = 0, so its distance to plane j is |b_j| / norm_j
+        x, y = make_blobs(7, m1=6, m2=12)
+        xs = minmax_apply(minmax_fit(x), x)
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=0.0, fuzzy=fuzzy(),
+                          kernel="gaussian", sigma=1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_kernel(xs[y == 1], xs[y == -1], None, None, cfg)
+            _, d1, d2 = predict(model, xs + 0.01, return_distances=True)
+        for d, plane in ((d1, model.plane1), (d2, model.plane2)):
+            assert np.all(d == abs(plane.b) / plane.norm)
 
     def test_self_gram_is_exactly_symmetric_with_unit_diagonal(self):
         # fit_kernel and load_model take the self gram as exact
@@ -1020,6 +1036,75 @@ class TestPreparedFold:
             tracemalloc.stop()
         assert 0 < blocks.x2hat.shape[0] < m2
         assert peak < m2 * m2 * 8 + 16 * 2 ** 20
+
+    @pytest.mark.parametrize("score_mode", fuzzy_rough.SCORE_MODES)
+    @pytest.mark.parametrize("tnorm", fuzzy_rough.T_NORMS)
+    def test_a_streaming_fold_has_the_bits_of_a_holding_fold(
+            self, tnorm, score_mode):
+        # a 300-row majority spans three row blocks of a streamed pass;
+        # gamma times the largest majority distance is below 1 at the
+        # first gamma, so the clip at 0 is skipped, and above it at 7
+        x, y = make_blobs(98, m1=20, m2=300, spread=1.2)
+        held, streamed = PreparedFold(x, y), PreparedFold(x, y, hold=False)
+        dmax = float(fuzzy_rough.chebyshev_distances(held.x2).max())
+        sizes = set()
+        for gamma in (0.5 / dmax, 7.0):
+            fz = fuzzy(gamma=gamma, tnorm=tnorm, score_mode=score_mode)
+            scores = held.scores(fz).scores
+            assert streamed.scores(fz).scores.tobytes() == scores.tobytes()
+            # every row, a strict subset, and the best-scoring rows
+            for tau in (0.0, float(np.quantile(scores, 0.25)),
+                        float(scores.max())):
+                cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+                want, got = held.blocks(cfg), streamed.blocks(cfg)
+                assert np.array_equal(got.kept_rows, want.kept_rows)
+                assert got.d1.tobytes() == want.d1.tobytes()
+                assert got.d2.tobytes() == want.d2.tobytes()
+                sizes.add(want.x2hat.shape[0])
+        assert 300 in sizes and 1 in sizes
+        assert any(1 < size < 300 for size in sizes)
+        assert streamed._pairs is None
+
+    def test_a_streaming_fold_without_attributes(self):
+        # rows without attributes are all alike: density scores 1,
+        # lower_approx scores 0
+        x, y = np.empty((13, 0)), np.array([1] * 4 + [-1] * 9)
+        held, streamed = PreparedFold(x, y), PreparedFold(x, y, hold=False)
+        for tnorm, score_mode in itertools.product(
+                fuzzy_rough.T_NORMS, fuzzy_rough.SCORE_MODES):
+            fz = fuzzy(tnorm=tnorm, score_mode=score_mode)
+            scores = streamed.scores(fz).scores
+            assert scores.tobytes() == held.scores(fz).scores.tobytes()
+            assert np.all(scores == (score_mode == "density"))
+            cfg = TrainConfig(c1=1.0, c2=1.0, tau=0.0, fuzzy=fz)
+            assert np.all(streamed.blocks(cfg).d2 == 1.0)
+            assert (streamed.blocks(cfg).d2.tobytes()
+                    == held.blocks(cfg).d2.tobytes())
+
+    def test_a_lone_fit_holds_no_majority_by_majority_array(self):
+        # a 2000-row majority, whose Chebyshev distance alone is
+        # m2^2 * 8 bytes (32 MB); the lone fit's scores and kept-majority
+        # weights are row sums built a row block at a time
+        rng = np.random.default_rng(97)
+        m1, m2 = 40, 2000
+        x = np.vstack([rng.normal(0.55, 0.05, size=(m1, 8)),
+                       rng.normal(0.2, 0.04, size=(m2, 8))])
+        x[m1 + rng.permutation(m2)[:m2 // 3], rng.integers(0, 8)] += 0.5
+        y = np.array([1] * m1 + [-1] * m2)
+        fz = fuzzy(gamma=1.0)
+        xs = minmax_apply(minmax_fit(x), x)
+        tau = float(np.median(
+            positive_region_scores(xs, y, fz, target_class=-1).scores))
+        ds = LabeledDataset(x, y)
+        cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+        tracemalloc.start()
+        try:
+            model = fit_frlstsvm(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < model.summary.m2_kept < m2
+        assert peak < m2 * m2 * 8 / 4
 
     def test_one_majority_distance_per_fold(self, monkeypatch):
         # under the minimum t-norm in density mode every gamma's

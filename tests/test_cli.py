@@ -17,12 +17,19 @@ from frlstsvm import cli
 from frlstsvm.cli import build_parser, main
 from frlstsvm.dataset import (
     LabeledDataset,
+    load_csv,
     minmax_apply,
     minmax_fit,
     write_csv,
 )
 from frlstsvm.errors import ExperimentError
 from frlstsvm.experiment import CONFIG_KEYS
+from frlstsvm.fuzzy_rough import (
+    SCORE_MODES,
+    T_NORMS,
+    FuzzyParams,
+    positive_region_scores,
+)
 from frlstsvm.metrics import confusion, report
 
 from helpers import make_blobs
@@ -188,6 +195,38 @@ class TestSubsample:
         scores = [float(cells[2]) for cells in got]
         assert scores == pytest.approx([0.50, 0.55, 0.15])
         assert [cells[3] for cells in got] == ["1", "1", "0"]
+
+    @pytest.mark.parametrize("score_mode", SCORE_MODES)
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    def test_scores_are_positive_region_scores_on_scaled_rows(
+            self, blob_csv, tmp_path, capsys, tnorm, score_mode):
+        data = blob_csv[0]
+        ds = load_csv(data, -1, "1", True)
+        xs = minmax_apply(minmax_fit(ds.features), ds.features)
+        scores = positive_region_scores(
+            xs, ds.labels, FuzzyParams(gamma=2.0, tnorm=tnorm,
+                                       score_mode=score_mode),
+            target_class=-1)
+        tau = float(np.median(scores.scores))
+        kept = scores.scores >= tau
+        dest = tmp_path / "scores.csv"
+        assert main([
+            "subsample", "--data", data, "--header", "--positive-label",
+            "1", "--gamma", "2", "--tnorm", tnorm, "--score-mode",
+            score_mode.replace("_", "-"), "--tau", repr(tau),
+            "--out", str(dest),
+        ]) == 0
+        rows = list(enumerate(zip(scores.row_indices.tolist(),
+                                  scores.scores.tolist(), kept.tolist())))
+        assert dest.read_text() == "index,row,score,kept\n" + "".join(
+            f"{i},{row},{score:.17g},{int(k)}\n"
+            for i, (row, score, k) in rows)
+        assert capsys.readouterr().out == (
+            f"{'index':>6} {'row':>6} {'score':>10} kept\n" + "".join(
+                f"{i:>6} {row:>6} {score:>10.6f} {'yes' if k else 'no'}\n"
+                for i, (row, score, k) in rows)
+            + f"tau={tau:g}: kept {int(kept.sum())} of {kept.size} "
+            "majority instances\n")
 
     def test_tau_one_on_spread_data_exits_one(self, tiny_csv, capsys):
         code = main(["subsample", "--data", tiny_csv, "--tau", "2.0"])

@@ -24,6 +24,9 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
                            c1_grid=(1.0,), folds=3, inner_folds=2)}
     written = script.write_fingerprint(tmp_path / "out", smoke)
     names = sorted(p.name for p in written)
+    # a linear and a gaussian fit, and linear fits under each other
+    # t-norm and score mode
+    assert len(script.FITS) == 5 and len(names) == 2 + 2 * 5
     assert names == sorted(
         ["smoke.csv", "smoke.jsonl"]
         + [f"{fit}.{ext}" for fit in script.FITS

@@ -450,6 +450,33 @@ class TestRowSums:
                     assert (row_sums(d, r, gamma, clip=False).tobytes()
                             == want.tobytes())
 
+    @pytest.mark.parametrize("columns", [3, 0])
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    def test_points_give_the_sums_of_the_held_similarity(self, tnorm,
+                                                         columns):
+        # row blocks built from the rows themselves, full or restricted,
+        # have the bits of the held similarity's rows; gammas on both
+        # sides of 1 / (largest distance), where the clip acts. Rows
+        # without attributes are all alike
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0, 1, size=(400, columns)) * [1.0, 0.5, 0.25][
+            :columns]
+        dmax = float(chebyshev_distances(x).max())
+        rows = (None, np.arange(400), np.sort(rng.permutation(400)[:250]),
+                np.array([7]))
+        for gamma in (0.25 / max(dmax, 0.25), 9.0):
+            fz = params(gamma=gamma, tnorm=tnorm)
+            sim = indiscernibility_matrix(x, fz)
+            # the minimum t-norm maps each block's distances with gamma
+            how = ({} if tnorm != "minimum"
+                   else dict(gamma=gamma, clip=gamma * dmax > 1.0))
+            for r in rows:
+                want = row_sums(sim, r)
+                got = row_sums(x, r, points=fz, **how)
+                assert got.tobytes() == want.tobytes()
+            if tnorm == "minimum" and columns:
+                assert (gamma * dmax > 1.0) == (gamma == 9.0)
+
     def test_distances_are_the_chebyshev_metric(self):
         x = np.array([[0.0, 0.5], [0.25, 0.0], [1.0, 1.0]])
         assert np.array_equal(chebyshev_distances(x), [
