@@ -6,10 +6,13 @@ yield every per-layer metric that BENCHMARK.json declares."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
 
 from helpers import make_circles
 
@@ -88,3 +91,35 @@ def test_traced_run_derives_every_per_layer_metric(tmp_path):
                  "classifier.model_bytes", "linalg.spd_solve_calls",
                  "fuzzy_rough.similarity_calls", "experiment.grid_points"):
         assert common[name] > 0, name
+
+
+def test_a_gaussian_predict_opens_no_span_inside_its_own(tmp_path,
+                                                         monkeypatch):
+    # predict runs its row blocks on worker threads, and the tracer's
+    # span stack is one per process: a wrapped site called from a worker
+    # would record a span under predict's, or under whatever the caller
+    # has open at that moment
+    import frlstsvm.experiment  # install() wraps its sites too
+    from frlstsvm import classifier, dataset, fuzzy_rough
+
+    tracing = load_tracer_module()
+    monkeypatch.setattr(classifier, "_usable_cpus", lambda: [0, 1, 2, 3])
+    x, y = make_circles(96, m1=30, m2=90)
+    cfg = classifier.TrainConfig(c1=1.0, c2=1.0, tau=0.0,
+                                 fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0),
+                                 kernel="gaussian", sigma=0.5)
+    model = classifier.fit_frlstsvm(dataset.LabeledDataset(x, y), cfg)
+    # rows taken as scaled, so the calling thread opens no minmax_apply
+    # span either
+    model = dataclasses.replace(model, scaling=None)
+    batch = np.random.default_rng(97).uniform(0, 1, size=(5000, 2))
+    assert len(classifier._block_bounds(5000, model.x_ref.shape[0])) >= 4
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install(frlstsvm)
+    try:
+        classifier.predict(model, batch, True)
+    finally:
+        tracer.uninstall()
+    spans = tracer.collect()
+    assert [s["name"] for s in spans] == ["classifier.predict"]
+    assert spans[0]["attrs"] == {"rows": 5000}

@@ -4,6 +4,8 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -14,6 +16,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from frlstsvm.classifier import (
+    _block_bounds,
     _block_rows,
     FitBlocks,
     Hyperplane,
@@ -604,7 +607,28 @@ class TestGaussianPredictBlocks:
             assert rows >= 64 and rows % 64 == 0
             assert rows == 64 or rows * m_ref <= 2 ** 17
 
-    def test_bits_equal_the_whole_batch_at_block_boundaries(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_bits_equal_the_whole_batch_at_block_boundaries(
+            self, monkeypatch, cpus):
+        # min(cpus, blocks) workers, each pinned to its own CPU of the
+        # mask, or the calling thread alone when that is 1; the bits are
+        # the whole batch's for any thread count
+        mask = list(range(10, 10 + cpus))
+        monkeypatch.setattr(classifier, "_usable_cpus", lambda: mask)
+        started, pinned = [], []
+        real_thread = threading.Thread
+
+        class CountedThread(real_thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def pin(pid, cpus):
+            assert pid == 0
+            pinned.append(set(cpus))
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
         model = self.fitted()
         k = gaussian_gram(model.x_ref, model.x_ref, model.config.sigma)
         one_zero_plane = TwinPlaneModel(
@@ -615,10 +639,21 @@ class TestGaussianPredictBlocks:
         rows = _block_rows(300)
         assert rows == 384
         rng = np.random.default_rng(71)
-        for n in (0, 1, 3, rows - 1, rows, rows + 1, 2 * rows + 3, 10000):
+        for n, blocks in ((0, 1), (1, 1), (3, 1), (rows - 1, 1), (rows, 1),
+                          (rows + 1, 1), (2 * rows, 2), (2 * rows + 1, 2),
+                          (2 * rows + 3, 3), (3 * rows, 3), (10000, 27)):
+            # a lone last row joins the block before it
+            assert len(_block_bounds(n, 300)) == blocks
             x = rng.uniform(-0.1, 1.1, size=(n, 8))
             for m in (model, one_zero_plane):
+                before = threading.active_count()
+                del started[:], pinned[:]
                 got = predict(m, x, return_distances=True)
+                assert threading.active_count() == before
+                workers = min(cpus, blocks)
+                assert len(started) == (0 if workers == 1 else workers)
+                assert sorted(pinned, key=min) == (
+                    [] if workers == 1 else [{c} for c in mask[:workers]])
                 want = whole_batch_predict(m, x)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)
@@ -629,6 +664,37 @@ class TestGaussianPredictBlocks:
         want = whole_batch_predict(model, point)
         assert isinstance(label, int) and isinstance(d1, float)
         assert (label, d1, d2) == (want[0][0], want[1][0], want[2][0])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_a_failed_block_raises_after_every_thread_joins(
+            self, monkeypatch, cpus):
+        # CPUs this box may not have: a worker that cannot be pinned runs
+        # where the OS puts it
+        monkeypatch.setattr(classifier, "_usable_cpus",
+                            lambda: list(range(cpus)))
+        model = self.fitted()
+        failure = MemoryError("second block")
+        calls = itertools.count(1)
+        lock = threading.Lock()
+        real_kernel = classifier._kernel
+
+        def kernel(xa, xb, sigma):
+            with lock:
+                call = next(calls)
+            if call == 2:
+                raise failure
+            return real_kernel(xa, xb, sigma)
+
+        monkeypatch.setattr(classifier, "_kernel", kernel)
+        x = np.random.default_rng(74).random((5 * 384, 8))
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            predict(model, x)
+        assert info.value is failure
+        assert threading.active_count() == before
+        if cpus == 1:
+            # no block is taken after the one that failed
+            assert next(calls) == 3
 
     @pytest.mark.parametrize("sigma", BAD_SIGMAS)
     def test_rejects_a_model_sigma_whose_two_sigma_squared_is_not_finite(
@@ -665,8 +731,11 @@ class TestGaussianPredictBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # one block per thread that predict runs
+        threads = min(len(classifier._usable_cpus()),
+                      len(_block_bounds(n, m_ref)))
         block = _block_rows(m_ref) * m_ref * 8
-        assert peak < 2 * block + 3 * n * 8 + 4 * 2 ** 20
+        assert peak < threads * block + 3 * n * 8 + 4 * 2 ** 20
 
 
 class TestPipeline:
@@ -1526,6 +1595,38 @@ class TestSerialization:
         back = load_model(str(path))
         assert back.x_ref[0].tolist() == [10.0, -2.5]
         assert np.array_equal(back.x_ref[1:], model.x_ref[1:])
+
+    @pytest.mark.parametrize("text,error", [
+        ("0.5 1_0", None),
+        ("0.5 # 1", "non-numeric value in reference row at line {line}$"),
+        ("0.5 #1", "non-numeric value in reference row at line {line}$"),
+        ("", "ragged or empty reference rows"),
+        ("0.5", "ragged or empty reference rows"),
+        ("0.5 1 2", "ragged or empty reference rows"),
+        ("nan 1", "non-finite value in reference row at line {line}$"),
+    ])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_reference_rows_that_fail_the_one_pass_parse(self, tmp_path,
+                                                         text, error,
+                                                         index):
+        # np.loadtxt skips a blank line and refuses digit separators,
+        # where a line-by-line parse refuses the one and accepts the
+        # other; either way the result or error is the line-by-line one
+        model, _ = self.kernel_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        row = lines.index(f"xref {model.x_ref.shape[0]}") + 1 + index
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+        if error is not None:
+            with pytest.raises(DataError, match=error.format(line=row + 1)):
+                load_model(str(path))
+            return
+        back = load_model(str(path))
+        want = model.x_ref.copy()
+        want[index] = [0.5, 10.0]
+        assert np.array_equal(back.x_ref, want)
 
     @pytest.mark.parametrize("kind,tag", [
         ("linear", "min"), ("linear", "range"), ("linear", "w1"),
