@@ -9,10 +9,12 @@ writes, for each config in CONFIGS, the nested-CV result files
 cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For
 each single fit in FITS (fit_frlstsvm: a linear and a gaussian fit,
 and linear fits under the product and lukasiewicz t-norms and in
-lower_approx score mode) it also writes the saved model file and
-predict(..., return_distances=True) on 500 held-out rows of the model
-that load_model reads back from it, so the predictions pin the reader's
-bits as well as the fit's. The configs are the criterion-5 linear
+lower_approx score mode, all pima-shaped, and a linear fit on the
+abalone19 shape, whose majority's row sums run on worker threads) it
+also writes the saved model file and predict(...,
+return_distances=True), by the model that load_model reads back from
+it, on 500 held-out rows of the fit's shape, so the predictions pin the
+reader's bits as well as the fit's. The configs are the criterion-5 linear
 grid (10 outer x 9 inner folds), the same grid with c2 ranging apart
 from c1, a small gaussian grid, a gaussian grid whose gammas and taus
 share kept sets and whose c values share plane terms, the linear grid
@@ -126,7 +128,14 @@ FITS = {
     # similarity at 0 acts, where at gamma 1 it is skipped
     "fit_lower_approx": dict(fuzzy=FuzzyParams(gamma=2.0,
                                                score_mode="lower_approx")),
+    "fit_abalone19": dict(fuzzy=FuzzyParams(gamma=1.0)),
 }
+
+# name -> the datagen shape of each fit in FITS not on SHAPE. The
+# abalone19 majority (4142 rows) is large enough that both of its lone
+# fit's row-sum passes run on worker threads (pima's run on the calling
+# thread)
+FIT_SHAPES = {"fit_abalone19": "abalone19"}
 
 
 def write_fingerprint(outdir, configs=None) -> list[Path]:
@@ -137,7 +146,6 @@ def write_fingerprint(outdir, configs=None) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     datagen = _perfbench("datagen")
     ds = LabeledDataset(*datagen.make_dataset(SHAPE, SEED))
-    probe, _ = datagen.make_batch(SHAPE, SEED, PROBE_ROWS)
     written = []
 
     def write(name: str, text: str) -> None:
@@ -151,8 +159,11 @@ def write_fingerprint(outdir, configs=None) -> list[Path]:
         write(f"{name}.csv", cv_csv_text(result))
         write(f"{name}.jsonl", cv_jsonl_text(result))
     for name, fields in FITS.items():
-        model = fit_frlstsvm(ds, TrainConfig(c1=1.0, c2=1.0, tau=0.2,
-                                             **fields))
+        shape = FIT_SHAPES.get(name, SHAPE)
+        fit_ds = LabeledDataset(*datagen.make_dataset(shape, SEED))
+        probe, _ = datagen.make_batch(shape, SEED, PROBE_ROWS)
+        model = fit_frlstsvm(fit_ds, TrainConfig(c1=1.0, c2=1.0, tau=0.2,
+                                                 **fields))
         path = outdir / f"{name}.model"
         save_model(model, path)
         written.append(path)

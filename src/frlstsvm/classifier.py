@@ -48,6 +48,8 @@ Chebyshev distance that every gamma's similarity is read from. One
 that serves a lone fit holds none: it builds the majority similarity's
 row sums from the scaled rows a row block of about 2^15 entries at a
 time, so it needs O(m2) memory where the held array needs O(m2^2).
+Either way a pass over at least 1024 rows runs its blocks on the
+worker threads of a gaussian predict, with the bits of one thread.
 
 A model's fit and the grid build the same terms: _class_blocks gives
 H and G (and a gaussian fit's reference rows and their gram), and
@@ -73,8 +75,6 @@ and drops them before it builds plane 2's, solved once per distinct c2.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,63 +479,6 @@ def _block_bounds(n: int, m_ref: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops], stops))
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on, in order: its affinity mask
-    (which taskset restricts) where the OS has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-def _run_blocks(bounds: list[tuple[int, int]], work) -> None:
-    """work(start, stop) for every block. With one block or one usable
-    CPU it runs on the calling thread. Else one worker thread per usable
-    CPU, never more than blocks, each kept on its own CPU, takes the next
-    block not yet taken until none is left or one has raised, while the
-    calling thread waits. The first exception is raised again once every
-    thread has joined, so no thread outlives the call.
-
-    The workers are pinned because an idle CPU is not always used
-    otherwise: on a 2-vCPU VM the OS kept both threads of an unpinned
-    predict on one vCPU for minutes at a time (10k rows against 1455
-    reference rows: 82 ms, against 42 ms on two pinned workers)."""
-    pending = iter(bounds)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def worker(cpu: int | None = None):
-        if cpu is not None and hasattr(os, "sched_setaffinity"):
-            try:
-                os.sched_setaffinity(0, (cpu,))
-            except OSError:
-                pass  # the CPU has left the mask: run where the OS puts it
-        while True:
-            with lock:
-                span = None if errors else next(pending, None)
-            if span is None:
-                return
-            try:
-                work(*span)
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-
-    cpus = _usable_cpus()[:len(bounds)]
-    if len(cpus) == 1:
-        worker()
-    else:
-        threads = []
-        try:
-            for cpu in cpus:
-                threads.append(threading.Thread(target=worker, args=(cpu,)))
-                threads[-1].start()
-        finally:
-            for t in threads:
-                t.join()
-    if errors:
-        raise errors[0]
-
-
 def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     """Label each row by its nearer plane; ties go to +1.
 
@@ -552,8 +495,9 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     batch. The rows per block are a multiple of 64, which gives the bits
     of one whole-batch pass. The blocks run on one worker thread per CPU
     in the process's affinity mask, never more than blocks (see
-    _run_blocks), each writing its own slices of the distances, so the
-    bits do not depend on the thread count. The rows are scaled, and the
+    linalg._run_blocks, which runs fuzzy_rough.row_sums' large passes
+    too), each writing its own slices of the distances, so the bits do
+    not depend on the thread count. The rows are scaled, and the
     reference rows and sigma checked, once per batch on the calling
     thread.
     """
@@ -570,14 +514,15 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
         x_ref = linalg.as_matrix(model.x_ref, "reference rows")
         d1, d2 = np.empty(xs.shape[0]), np.empty(xs.shape[0])
 
-        def block(start: int, stop: int) -> None:
+        def block(start: int, stop: int, _) -> None:
             # calls no function the benchmark's tracer wraps: its span
             # stack is per process, not per thread
             kx = _kernel(xs[start:stop], x_ref, sigma)
             d1[start:stop] = _distances(kx, p1.w, p1.b, p1.norm)
             d2[start:stop] = _distances(kx, p2.w, p2.b, p2.norm)
 
-        _run_blocks(_block_bounds(xs.shape[0], x_ref.shape[0]), block)
+        linalg._run_blocks(_block_bounds(xs.shape[0], x_ref.shape[0]),
+                           block)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
     if single:
         labels, d1, d2 = int(labels[0]), float(d1[0]), float(d2[0])
@@ -639,7 +584,10 @@ class PreparedFold:
     never holds two. A fold for one fit (hold=False) holds no m2 x m2
     array: each block is built from the scaled majority rows, once for
     the full rows' sums (the density scores) and once more for the kept
-    rows' sums when tau removes rows, with the same bits. Tau 0 keeps
+    rows' sums when tau removes rows, with the same bits. Held or
+    streamed, a pass over at least 1024 rows (2^20 entries) sums its
+    row blocks on one pinned worker thread per usable CPU, with the bits
+    of one thread (see fuzzy_rough.row_sums). Tau 0 keeps
     every majority row and scores none of them. A tau that empties the
     majority raises the same ConfigurationError on every fit that asks
     for it.

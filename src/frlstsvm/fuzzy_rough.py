@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import linalg
 from .errors import ConfigurationError
 
 WEIGHT_FLOOR = 1e-6
@@ -48,6 +49,13 @@ WEIGHT_FLOOR = 1e-6
 # shapes; at 1 MiB they were 2x slower than np.ix_ on abalone19's
 # 4142-row majority
 _KEPT_BLOCK_ENTRIES = 1 << 15
+
+# entries of the restricted matrix from which row_sums runs its row
+# blocks on linalg._run_blocks' worker threads. Smaller passes run on
+# the calling thread: threading every pass made an in-process cv-pima
+# job slower, since the thread starts outweigh a pass over a majority of
+# a few hundred rows
+_THREADED_ENTRIES = 1 << 20
 
 T_NORMS = ("minimum", "product", "lukasiewicz")
 SCORE_MODES = ("density", "lower_approx")
@@ -177,7 +185,17 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
     the distances mapped in one reused buffer, so neither a kept x kept
     copy nor a second p x p array is made. Each block holds the same
     contiguous rows as the whole restricted similarity, so its row sums
-    have the whole's bits."""
+    have the whole's bits.
+
+    A pass over at least 2^20 entries of the restricted matrix (p >=
+    1024) runs its blocks on linalg._run_blocks' worker threads: one per
+    CPU in the process's affinity mask (taskset restricts them), never
+    more than blocks, each with its own map buffer, allocated on the
+    calling thread. Each block writes only its own rows of the sums, and
+    a row's sum does not depend on the rows that share its block, so the
+    bits do not depend on the thread count. A smaller pass runs on the
+    calling thread. Each process makes its own threads, so under cv
+    --workers N every pool worker's large passes start theirs."""
     if points is not None:
         xr = pairs if rows is None else pairs[rows]
         rows, p = None, xr.shape[0]
@@ -188,28 +206,40 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
             return pairs.sum(axis=1)
         p = pairs.shape[0] if rows is None else rows.size
     step = max(1, _KEPT_BLOCK_ENTRIES // p)
-    buf = (np.empty((min(step, p), p)) if rows is None and gamma is not None
-           else None)
     sums = np.empty(p)
-    for i in range(0, p, step):
+
+    def sum_block(i: int, stop: int, buf: np.ndarray | None) -> None:
+        # calls no function the benchmark's tracer wraps: its span stack
+        # is per process, not per thread
         if points is not None and gamma is None:
-            block = _cross_similarity(xr[i:i + step], xr, points)
+            block = _cross_similarity(xr[i:stop], xr, points)
         elif points is not None:
-            block = cdist(xr[i:i + step], xr, "chebyshev",
-                          out=buf[:min(step, p - i)])
+            block = cdist(xr[i:stop], xr, "chebyshev", out=buf[:stop - i])
             block *= -gamma
         elif rows is None:
-            block = np.multiply(pairs[i:i + step], -gamma,
-                                out=buf[:min(step, p - i)])
+            block = np.multiply(pairs[i:stop], -gamma, out=buf[:stop - i])
         else:
-            block = pairs.take(rows[i:i + step], axis=0).take(rows, axis=1)
+            block = pairs.take(rows[i:stop], axis=0).take(rows, axis=1)
             if gamma is not None:
                 block *= -gamma
         if gamma is not None:
             block += 1.0
             if clip:
                 np.maximum(block, 0.0, out=block)
-        block.sum(axis=1, out=sums[i:i + step])
+        block.sum(axis=1, out=sums[i:stop])
+
+    bounds = [(i, min(i + step, p)) for i in range(0, p, step)]
+
+    def scratch():
+        return (np.empty((min(step, p), p))
+                if rows is None and gamma is not None else None)
+
+    if p * p >= _THREADED_ENTRIES:
+        linalg._run_blocks(bounds, sum_block, scratch)
+    else:
+        buf = scratch()
+        for i, stop in bounds:
+            sum_block(i, stop, buf)
     return sums
 
 

@@ -6,11 +6,17 @@ escalation for exactly symmetric matrices that are positive definite
 only up to rounding. :func:`gram` returns A^T A exactly symmetric, so a
 scaled sum of its results plus a diagonal, which is every system the
 plane solvers build, is exactly symmetric too.
+
+:func:`_run_blocks` runs the row blocks of a gaussian predict and of a
+large fuzzy-rough row-sum pass on one pinned worker thread per usable
+CPU, each block writing only its own rows of the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,71 @@ RESIDUAL_RTOL = 1e-8
 # Ridge multipliers tried after the bare factorization, scaled by
 # trace(A)/dim (or 1.0 when the trace is not positive).
 RIDGE_STEPS = (1e-12, 1e-10, 1e-8, 1e-6)
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in order: its affinity mask
+    (which taskset restricts) where the OS has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _run_blocks(bounds: list[tuple[int, int]], work,
+                scratch=lambda: None) -> None:
+    """work(start, stop, buf) for every block, buf being the scratch of
+    the worker that runs it. With one block or one usable CPU it runs on
+    the calling thread. Else one worker thread per usable CPU, never
+    more than blocks, each kept on its own CPU, takes the next block not
+    yet taken until none is left or one has raised, while the calling
+    thread waits. The first exception is raised again once every thread
+    has joined, so no thread outlives the call. scratch() is called once
+    per worker, on the calling thread before any worker starts: buffers
+    that the workers allocated themselves came from their own threads'
+    malloc arenas, and five abalone19-shaped lone fits on two workers
+    then raised the process's peak resident size by 2.5-2.8 MB, against
+    1.9-2.1 MB (and 1.6-1.9 MB on the calling thread alone).
+
+    The workers are pinned because an idle CPU is not always used
+    otherwise: on a 2-vCPU VM the OS kept both threads of an unpinned
+    predict on one vCPU for minutes at a time (10k rows against 1455
+    reference rows: 82 ms, against 42 ms on two pinned workers)."""
+    pending = iter(bounds)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def worker(buf, cpu: int | None = None):
+        if cpu is not None and hasattr(os, "sched_setaffinity"):
+            try:
+                os.sched_setaffinity(0, (cpu,))
+            except OSError:
+                pass  # the CPU has left the mask: run where the OS puts it
+        while True:
+            with lock:
+                span = None if errors else next(pending, None)
+            if span is None:
+                return
+            try:
+                work(*span, buf)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+
+    cpus = _usable_cpus()[:len(bounds)]
+    if len(cpus) == 1:
+        worker(scratch())
+    else:
+        threads = [threading.Thread(target=worker, args=(scratch(), cpu))
+                   for cpu in cpus]
+        try:
+            for t in threads:
+                t.start()
+        finally:
+            for t in threads:
+                if t.ident is not None:
+                    t.join()
+    if errors:
+        raise errors[0]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

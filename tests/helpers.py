@@ -12,6 +12,8 @@ exact rational arithmetic.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -296,3 +298,25 @@ def dyadic_matrix(rng: np.random.Generator, m: int, n: int,
                   denom: int = 1024) -> np.ndarray:
     """Values on the dyadic grid k/denom, exactly representable."""
     return rng.integers(0, denom + 1, size=(m, n)).astype(float) / denom
+
+
+# -- threads ----------------------------------------------------------
+
+def count_threads(monkeypatch) -> tuple[list, list]:
+    """Lists that record each thread started and the CPU set each
+    thread pins itself to, in place of pinning it."""
+    started, pinned = [], []
+    real_thread = threading.Thread
+
+    class CountedThread(real_thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def pin(pid, cpus):
+        assert pid == 0
+        pinned.append(set(cpus))
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+    return started, pinned

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import make_circles
+from helpers import count_threads, make_circles
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -100,10 +100,10 @@ def test_a_gaussian_predict_opens_no_span_inside_its_own(tmp_path,
     # would record a span under predict's, or under whatever the caller
     # has open at that moment
     import frlstsvm.experiment  # install() wraps its sites too
-    from frlstsvm import classifier, dataset, fuzzy_rough
+    from frlstsvm import classifier, dataset, fuzzy_rough, linalg
 
     tracing = load_tracer_module()
-    monkeypatch.setattr(classifier, "_usable_cpus", lambda: [0, 1, 2, 3])
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
     x, y = make_circles(96, m1=30, m2=90)
     cfg = classifier.TrainConfig(c1=1.0, c2=1.0, tau=0.0,
                                  fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0),
@@ -123,3 +123,41 @@ def test_a_gaussian_predict_opens_no_span_inside_its_own(tmp_path,
     spans = tracer.collect()
     assert [s["name"] for s in spans] == ["classifier.predict"]
     assert spans[0]["attrs"] == {"rows": 5000}
+
+
+def test_a_threaded_lone_fit_records_the_spans_of_one_cpu(tmp_path,
+                                                          monkeypatch):
+    # a majority of at least 1024 rows has its row sums summed on worker
+    # threads, and the tracer's span stack is one per process: no block
+    # may call a wrapped site. Under the product t-norm each block is
+    # the similarity of its rows, built by an unwrapped helper
+    import frlstsvm.experiment  # install() wraps its sites too
+    from frlstsvm import classifier, dataset, fuzzy_rough, linalg
+
+    tracing = load_tracer_module()
+    x, y = make_circles(98, m1=30, m2=1100)
+    cfg = classifier.TrainConfig(
+        c1=1.0, c2=1.0, tau=0.37,
+        fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0, tnorm="product"))
+    started, _ = count_threads(monkeypatch)
+    names = {}
+    for cpus in ([0], [0, 1, 2, 3]):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        tracer = tracing.Tracer(str(tmp_path / str(len(cpus))))
+        tracer.install(frlstsvm)
+        try:
+            model = classifier.fit_frlstsvm(dataset.LabeledDataset(x, y),
+                                            cfg)
+        finally:
+            tracer.uninstall()
+        spans = tracer.collect()
+        by_id = {s["id"]: s["name"] for s in spans}
+        names[len(cpus)] = [(s["name"], by_id.get(s["parent"]))
+                            for s in spans]
+        assert 0 < model.summary.m2_kept < 1100
+    # the full rows' pass and the kept rows' pass on four threads each
+    assert model.summary.m2_kept ** 2 >= fuzzy_rough._THREADED_ENTRIES
+    assert len(started) == 8
+    assert ("classifier.fit_frlstsvm", None) in names[1]
+    # each span under the same parent as on one CPU
+    assert names[4] == names[1]

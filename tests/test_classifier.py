@@ -4,7 +4,6 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 import warnings
@@ -41,7 +40,7 @@ from frlstsvm.errors import (
     DataError,
     DegenerateModelError,
 )
-from frlstsvm import classifier, fuzzy_rough
+from frlstsvm import classifier, fuzzy_rough, linalg
 from frlstsvm.fuzzy_rough import (
     _KEPT_BLOCK_ENTRIES,
     WEIGHT_FLOOR,
@@ -53,6 +52,7 @@ from frlstsvm.fuzzy_rough import (
 )
 
 from helpers import (
+    count_threads,
     descent_u1,
     descent_u2,
     gaussian_kernel,
@@ -614,21 +614,8 @@ class TestGaussianPredictBlocks:
         # mask, or the calling thread alone when that is 1; the bits are
         # the whole batch's for any thread count
         mask = list(range(10, 10 + cpus))
-        monkeypatch.setattr(classifier, "_usable_cpus", lambda: mask)
-        started, pinned = [], []
-        real_thread = threading.Thread
-
-        class CountedThread(real_thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        def pin(pid, cpus):
-            assert pid == 0
-            pinned.append(set(cpus))
-
-        monkeypatch.setattr(threading, "Thread", CountedThread)
-        monkeypatch.setattr(os, "sched_setaffinity", pin, raising=False)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: mask)
+        started, pinned = count_threads(monkeypatch)
         model = self.fitted()
         k = gaussian_gram(model.x_ref, model.x_ref, model.config.sigma)
         one_zero_plane = TwinPlaneModel(
@@ -670,7 +657,7 @@ class TestGaussianPredictBlocks:
             self, monkeypatch, cpus):
         # CPUs this box may not have: a worker that cannot be pinned runs
         # where the OS puts it
-        monkeypatch.setattr(classifier, "_usable_cpus",
+        monkeypatch.setattr(linalg, "_usable_cpus",
                             lambda: list(range(cpus)))
         model = self.fitted()
         failure = MemoryError("second block")
@@ -732,7 +719,7 @@ class TestGaussianPredictBlocks:
         finally:
             tracemalloc.stop()
         # one block per thread that predict runs
-        threads = min(len(classifier._usable_cpus()),
+        threads = min(len(linalg._usable_cpus()),
                       len(_block_bounds(n, m_ref)))
         block = _block_rows(m_ref) * m_ref * 8
         assert peak < threads * block + 3 * n * 8 + 4 * 2 ** 20
@@ -1150,10 +1137,25 @@ class TestPreparedFold:
             assert (streamed.blocks(cfg).d2.tobytes()
                     == held.blocks(cfg).d2.tobytes())
 
-    def test_a_lone_fit_holds_no_majority_by_majority_array(self):
+    def test_a_lone_fit_holds_no_majority_by_majority_array(
+            self, monkeypatch):
         # a 2000-row majority, whose Chebyshev distance alone is
         # m2^2 * 8 bytes (32 MB); the lone fit's scores and kept-majority
-        # weights are row sums built a row block at a time
+        # weights are row sums built a row block at a time, on four
+        # worker threads (CPUs this box may not have run where the OS
+        # puts them), each with one map buffer
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
+        buffers = []
+        real_run = linalg._run_blocks
+
+        def run_blocks(bounds, work, scratch):
+            def counted():
+                buffers[-1].append(scratch())
+                return buffers[-1][-1]
+            buffers.append([])
+            real_run(bounds, work, counted)
+
+        monkeypatch.setattr(linalg, "_run_blocks", run_blocks)
         rng = np.random.default_rng(97)
         m1, m2 = 40, 2000
         x = np.vstack([rng.normal(0.55, 0.05, size=(m1, 8)),
@@ -1174,6 +1176,13 @@ class TestPreparedFold:
             tracemalloc.stop()
         assert 0 < model.summary.m2_kept < m2
         assert peak < m2 * m2 * 8 / 4
+        # the full rows' pass is threaded (the kept rows' need not be):
+        # each worker has one buffer of at most one block, and besides
+        # them the fit holds under 1 MiB
+        assert buffers and all(len(made) == 4 for made in buffers)
+        block = _KEPT_BLOCK_ENTRIES * 8
+        assert all(b.nbytes <= block for made in buffers for b in made)
+        assert peak < 4 * block + 2 ** 20
 
     def test_one_majority_distance_per_fold(self, monkeypatch):
         # under the minimum t-norm in density mode every gamma's

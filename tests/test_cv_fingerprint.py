@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from frlstsvm.classifier import load_model
+from frlstsvm.fuzzy_rough import _THREADED_ENTRIES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
     "cv_fingerprint.py"
@@ -24,9 +25,10 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
                            c1_grid=(1.0,), folds=3, inner_folds=2)}
     written = script.write_fingerprint(tmp_path / "out", smoke)
     names = sorted(p.name for p in written)
-    # a linear and a gaussian fit, and linear fits under each other
-    # t-norm and score mode
-    assert len(script.FITS) == 5 and len(names) == 2 + 2 * 5
+    # a linear and a gaussian fit, linear fits under each other t-norm
+    # and score mode, and a linear fit whose row sums run on threads
+    assert len(script.FITS) == 6 and len(names) == 2 + 2 * 6
+    assert set(script.FIT_SHAPES) < set(script.FITS)
     assert names == sorted(
         ["smoke.csv", "smoke.jsonl"]
         + [f"{fit}.{ext}" for fit in script.FITS
@@ -42,6 +44,17 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
         rows = (out / f"{fit}.predict").read_text().splitlines()
         assert len(rows) == script.PROBE_ROWS
         assert rows[0].split()[0] in ("1", "-1")
+
+
+def test_the_fits_off_pima_run_threaded_row_sum_passes():
+    # pima's majority (500 rows) sums on the calling thread, so only a
+    # larger shape's fit pins the bits of a threaded pass
+    script = load_script()
+    shapes = script._perfbench("datagen").SHAPES
+    assert shapes[script.SHAPE].majority ** 2 < _THREADED_ENTRIES
+    assert script.FIT_SHAPES
+    for shape in script.FIT_SHAPES.values():
+        assert shapes[shape].majority ** 2 >= _THREADED_ENTRIES
 
 
 def test_usage_without_an_output_directory(capsys):

@@ -1,11 +1,14 @@
 """Similarity, positive-region scoring, subsampling, and weights."""
 from __future__ import annotations
 
+import itertools
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from frlstsvm import fuzzy_rough, linalg
 from frlstsvm.dataset import ScalingParams, minmax_apply, minmax_fit
 from frlstsvm.errors import ConfigurationError, DataError
 from frlstsvm.fuzzy_rough import (
@@ -14,6 +17,7 @@ from frlstsvm.fuzzy_rough import (
     FuzzyParams,
     PositiveRegionScores,
     _KEPT_BLOCK_ENTRIES,
+    _THREADED_ENTRIES,
     _cross_similarity,
     chebyshev_distances,
     class_weights,
@@ -24,7 +28,7 @@ from frlstsvm.fuzzy_rough import (
 )
 
 from helpers import brute_density_scores, brute_lower_approx_scores, \
-    brute_pair_sim, dyadic_matrix, loop_lower_approx_scores, \
+    brute_pair_sim, count_threads, dyadic_matrix, loop_lower_approx_scores, \
     loop_similarity
 
 
@@ -476,6 +480,93 @@ class TestRowSums:
                 assert got.tobytes() == want.tobytes()
             if tnorm == "minimum" and columns:
                 assert (gamma * dmax > 1.0) == (gamma == 9.0)
+
+    @staticmethod
+    def threaded_sources(x: np.ndarray):
+        """(pairs, rows, keywords) of row_sums for each source of a
+        threaded pass: the held distance over every row and over a
+        subset, and the rows themselves under each t-norm, mapped with
+        and without the clip under the minimum."""
+        p = x.shape[0]
+        d = chebyshev_distances(x)
+        kept = np.sort(np.random.default_rng(19).permutation(p)[:p - 50])
+        dmax = float(d.max())
+        sources = [(d, rows, how) for rows in (None, kept)
+                   for how in (dict(gamma=9.0),
+                               dict(gamma=0.5 / dmax, clip=False))]
+        for tnorm in T_NORMS:
+            fz = params(gamma=9.0, tnorm=tnorm)
+            hows = ([dict(gamma=9.0), dict(gamma=0.5 / dmax, clip=False)]
+                    if tnorm == "minimum" else [{}])
+            sources += [(x, rows, dict(how, points=fz))
+                        for rows in (None, kept) for how in hows]
+        return sources
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_threaded_passes_keep_the_bits_of_one_cpu(self, monkeypatch,
+                                                       cpus):
+        # a pass over at least 2^20 entries runs its blocks on min(cpus,
+        # blocks) workers, each pinned to its own CPU of the mask, or on
+        # the calling thread when that is 1
+        x = np.random.default_rng(18).uniform(0, 1, size=(1100, 3))
+        mask = list(range(10, 10 + cpus))
+        started, pinned = count_threads(monkeypatch)
+        for pairs, rows, how in self.threaded_sources(x):
+            p = x.shape[0] if rows is None else rows.size
+            assert p * p >= _THREADED_ENTRIES
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0])
+            want = row_sums(pairs, rows, **how)
+            assert started == [] and pinned == []
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: mask)
+            before = threading.active_count()
+            got = row_sums(pairs, rows, **how)
+            assert threading.active_count() == before
+            assert got.tobytes() == want.tobytes()
+            workers = 0 if cpus == 1 else cpus
+            assert len(started) == workers
+            assert sorted(pinned, key=min) == [{c} for c in mask[:workers]]
+            del started[:], pinned[:]
+
+    def test_a_smaller_pass_runs_on_the_calling_thread(self, monkeypatch):
+        started, _ = count_threads(monkeypatch)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
+        x = np.random.default_rng(20).uniform(0, 1, size=(1024, 3))
+        assert 1023 * 1023 < _THREADED_ENTRIES <= 1024 * 1024
+        row_sums(x[:1023], points=params(gamma=2.0), gamma=2.0)
+        row_sums(x, np.arange(1023), points=params(gamma=2.0), gamma=2.0)
+        assert started == []
+        row_sums(x, points=params(gamma=2.0), gamma=2.0)
+        assert len(started) == 4
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_a_failed_block_raises_after_every_thread_joins(
+            self, monkeypatch, cpus):
+        # CPUs this box may not have: a worker that cannot be pinned runs
+        # where the OS puts it
+        monkeypatch.setattr(linalg, "_usable_cpus",
+                            lambda: list(range(cpus)))
+        failure = MemoryError("second block")
+        calls = itertools.count(1)
+        lock = threading.Lock()
+        real_cdist = fuzzy_rough.cdist
+
+        def cdist(*args, **kw):
+            with lock:
+                call = next(calls)
+            if call == 2:
+                raise failure
+            return real_cdist(*args, **kw)
+
+        monkeypatch.setattr(fuzzy_rough, "cdist", cdist)
+        x = np.random.default_rng(21).uniform(0, 1, size=(1100, 3))
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            row_sums(x, points=params(gamma=2.0), gamma=2.0)
+        assert info.value is failure
+        assert threading.active_count() == before
+        if cpus == 1:
+            # no block is taken after the one that failed
+            assert next(calls) == 3
 
     def test_distances_are_the_chebyshev_metric(self):
         x = np.array([[0.0, 0.5], [0.25, 0.0], [1.0, 1.0]])
