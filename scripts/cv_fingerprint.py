@@ -19,7 +19,10 @@ grid (10 outer x 9 inner folds), the same grid with c2 ranging apart
 from c1, a small gaussian grid, a gaussian grid whose gammas and taus
 share kept sets and whose c values share plane terms, the linear grid
 without subsampling and weights and in lower_approx score mode, and
-grids without tau 0 for each t-norm and score mode.
+grids without tau 0 for each t-norm and score mode. One more CV run
+goes through the command line, `frlstsvm cv` with CLI_FLAGS on the same
+data written as a CSV file, and writes `cli.csv`, so the chain from
+flag text through parse_config to the result file is pinned too.
 
 The library comes from the src/ beside this script. To compare two
 commits, run the script in a checkout of each (copy it into a checkout
@@ -34,9 +37,12 @@ of a solve.
 """
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +65,7 @@ if __name__ == "__main__":
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from frlstsvm import cli  # noqa: E402
 from frlstsvm.classifier import (  # noqa: E402
     TrainConfig,
     fit_frlstsvm,
@@ -113,6 +120,19 @@ CONFIGS = {
     "subsampled_lukasiewicz": dict(_SUBSAMPLED, tnorm="lukasiewicz"),
 }
 
+# the flags of the `cv` run beside --data and --out: a subsampled grid
+# under the product t-norm with lower_approx scores, the label column
+# named in the header, and the paper's literal metrics. Each is a flag
+# that older checkouts' cv command takes too, so that the script runs
+# in the checkout it is compared with
+CLI_FLAGS = ("--header", "true", "--label-column", "class",
+             "--positive-label", "positive", "--tau", "0.2,0.4",
+             "--gamma", "1", "--c1", "0.25,1,4", "--tnorm", "product",
+             "--score-mode", "lower-approx",
+             "--metric-convention", "paper_literal", "--folds", "10",
+             "--inner-folds", "9", "--repeats", "1", "--seed", "1",
+             "--workers", "1")
+
 # name -> the TrainConfig fields of a single fit beside c1 = c2 = 1 and
 # tau 0.2. Each keeps a strict subset of the majority, so its scores
 # and its kept rows' weights come from both of a lone fit's row-sum
@@ -138,10 +158,11 @@ FITS = {
 FIT_SHAPES = {"fit_abalone19": "abalone19"}
 
 
-def write_fingerprint(outdir, configs=None) -> list[Path]:
+def write_fingerprint(outdir, configs=None,
+                      cli_flags=CLI_FLAGS) -> list[Path]:
     """Write every fingerprint file into outdir (created if absent) and
     return their paths. configs maps a name to ExperimentConfig fields;
-    None means CONFIGS."""
+    None means CONFIGS. cli_flags are the `cv` run's flags."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     datagen = _perfbench("datagen")
@@ -158,6 +179,17 @@ def write_fingerprint(outdir, configs=None) -> list[Path]:
         result = run_nested_cv(config, ds)
         write(f"{name}.csv", cv_csv_text(result))
         write(f"{name}.jsonl", cv_jsonl_text(result))
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / f"{SHAPE}.csv"
+        datagen.write_csv(data, ds.features, ds.labels)
+        path = outdir / "cli.csv"
+        # the summary table carries a wall time: not part of the output
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["cv", "--data", str(data), "--out", str(path),
+                             *cli_flags])
+        if code != 0:
+            raise RuntimeError(f"frlstsvm cv exited {code}")
+        written.append(path)
     for name, fields in FITS.items():
         shape = FIT_SHAPES.get(name, SHAPE)
         fit_ds = LabeledDataset(*datagen.make_dataset(shape, SEED))

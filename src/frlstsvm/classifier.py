@@ -590,7 +590,8 @@ class PreparedFold:
     of one thread (see fuzzy_rough.row_sums). Tau 0 keeps
     every majority row and scores none of them. A tau that empties the
     majority raises the same ConfigurationError on every fit that asks
-    for it.
+    for it: a failure is not memoised, so it is found again from the
+    memoised scores.
 
     The blocks, with their kept-majority weights, are memoised per
     (the weights' FuzzyParams, or None without weights; the kept set),
@@ -620,17 +621,8 @@ class PreparedFold:
 
     def _cached(self, key, compute):
         if key not in self._memo:
-            try:
-                self._memo[key] = compute()
-            except ConfigurationError as exc:
-                self._memo[key] = exc.with_traceback(None)
-        hit = self._memo[key]
-        if isinstance(hit, ConfigurationError):
-            # a fresh error each time: a memoised one would keep the
-            # frames it is raised through, and this object, alive until
-            # the garbage collector breaks the cycle
-            raise ConfigurationError(*hit.args)
-        return hit
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def _majority_pairs(self, fuzzy: FuzzyParams) -> tuple[np.ndarray, dict]:
         """What fuzzy's majority similarity is read from, and the

@@ -1,4 +1,9 @@
-"""Command-line surface: train, predict, eval, subsample, cv."""
+"""Command-line surface: train, predict, eval, subsample, cv.
+
+The cv command's flags are generated from experiment.CONFIG_KEYS: one
+per config key, taking the config file's text, so parse_config and
+ExperimentConfig check a flag's value as they check a file's.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import os
 import sys
 
 from .classifier import (
+    KERNELS,
     PreparedFold,
     TrainConfig,
     fit_frlstsvm,
@@ -23,6 +29,7 @@ from .dataset import (
 from .errors import ExperimentError, FrlstsvmError
 from .experiment import (
     CONFIG_KEYS,
+    FORMATS,
     CvResult,
     _aggregate,
     format_cv_table,
@@ -31,26 +38,16 @@ from .experiment import (
     write_cv_result,
 )
 from .fuzzy_rough import T_NORMS, FuzzyParams, check_tau
-from .metrics import confusion, csv_line, format_report, report
-
-
-def _column(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
-
-
-def _score_mode(text: str) -> str:
-    return text.replace("-", "_")
+from .metrics import CONVENTIONS, confusion, csv_line, format_report, report
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="input data file")
-    p.add_argument("--format", choices=("csv", "keel"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--positive-label", default=None,
                    help="raw label mapped to +1 (default: smaller class)")
-    p.add_argument("--label-column", type=_column, default=-1,
+    p.add_argument("--label-column", type=CONFIG_KEYS["label_column"][1],
+                   default=-1,
                    help="CSV label column index or header name")
     p.add_argument("--header", action="store_true",
                    help="CSV file starts with a header row")
@@ -59,8 +56,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 def _add_fuzzy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--tnorm", choices=T_NORMS, default="minimum")
-    p.add_argument("--score-mode", type=_score_mode, default="density",
-                   help="density or lower-approx")
+    p.add_argument("--score-mode", type=CONFIG_KEYS["score_mode"][1],
+                   default="density", help="density or lower-approx")
 
 
 def _load_labeled(args):
@@ -93,6 +90,10 @@ def cmd_train(args) -> int:
         f"({s.m1} minority, {s.m2_kept}/{s.m2_total} majority kept), "
         f"saved to {args.out}"
     )
+    for plane, rep in s.solver_reports.items():
+        if rep.ridge_added:
+            print(f"{plane}: solver added ridge {rep.ridge_added:.3g} "
+                  f"after {rep.factorization_attempts} factorizations")
     return 0
 
 
@@ -223,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--kernel", choices=("linear", "gaussian"),
-                   default="linear")
+    p.add_argument("--kernel", choices=KERNELS, default="linear")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--no-weights", action="store_true")
     p.add_argument("--out", required=True, help="model file to write")
@@ -233,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label new rows with a model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("csv", "keel"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--positive-label", default=None)
-    p.add_argument("--label-column", type=_column, default=None,
+    p.add_argument("--label-column", type=CONFIG_KEYS["label_column"][1],
+                   default=None,
                    help="drop this CSV column before predicting")
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", default=None)
@@ -244,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a model on labeled data")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
-    p.add_argument("--metric-convention",
-                   choices=("standard", "paper_literal"),
+    p.add_argument("--metric-convention", choices=CONVENTIONS,
                    default="standard")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -260,34 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_subsample)
 
-    p = sub.add_parser("cv", help="nested repeated cross-validation")
+    p = sub.add_parser(
+        "cv", help="nested repeated cross-validation",
+        description="Every flag but --config and --out sets the config "
+                    "key of its name (--metric-convention sets "
+                    "convention) and takes the config file's text.")
     p.add_argument("--config", default=None, help="key = value file")
-    p.add_argument("--data", default=None)
-    p.add_argument("--format", choices=("csv", "keel"), default=None)
-    p.add_argument("--positive-label", default=None)
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--header", choices=("true", "false"), default=None)
-    p.add_argument("--tau", default=None,
-                   help="comma-separated grid, e.g. 0,0.2,0.4")
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--c1", default=None)
-    p.add_argument("--c2", default=None,
-                   help="a separate c2 grid (default: c2 = c1)")
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--kernel", choices=("linear", "gaussian"),
-                   default=None)
-    p.add_argument("--tnorm", choices=T_NORMS, default=None)
-    p.add_argument("--score-mode", type=_score_mode, default=None)
-    p.add_argument("--weights", choices=("true", "false"), default=None)
-    p.add_argument("--folds", default=None)
-    p.add_argument("--inner-folds", default=None)
-    p.add_argument("--repeats", default=None)
-    p.add_argument("--seed", default=None)
-    p.add_argument("--metric-convention",
-                   choices=("standard", "paper_literal"), default=None,
-                   dest="convention")
-    p.add_argument("--workers", default=None)
+    for key in CONFIG_KEYS:
+        flag = ("--metric-convention" if key == "convention"
+                else "--" + key.replace("_", "-"))
+        p.add_argument(flag, dest=key, default=None)
     p.add_argument("--out", default=None, help=".csv or .jsonl results")
     p.set_defaults(func=cmd_cv)
 

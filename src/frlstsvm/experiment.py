@@ -11,6 +11,11 @@ points that keep the same majority rows with the same weights are fit
 once per inner fold and (c1, c2, sigma), and share their G-mean. Every
 fold task is a pure function of (dataset, config, repeat, fold), so
 results do not depend on the worker count.
+
+parse_config builds an ExperimentConfig from a `key = value` file and
+raw-text overrides. CONFIG_KEYS, one table, names every key, its
+ExperimentConfig field and the parser of its text; the cv command
+generates its flags from the same table.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
+    KERNELS,
     PreparedFold,
     TrainConfig,
     _check_sigma,
@@ -104,9 +110,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"format must be one of {FORMATS}, got {self.fmt!r}"
             )
-        if self.kernel not in ("linear", "gaussian"):
+        if self.kernel not in KERNELS:
             raise ConfigurationError(
-                f"kernel must be linear or gaussian, got {self.kernel!r}"
+                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
         # reuse the fuzzy validation for the two enumerations
         FuzzyParams(gamma=1.0, tnorm=self.tnorm, score_mode=self.score_mode)
@@ -411,24 +417,54 @@ def run_nested_cv(config: ExperimentConfig,
 
 # -- config file parsing ----------------------------------------------
 
-_LIST_KEYS = {
-    "tau": "tau_grid",
-    "gamma": "gamma_grid",
-    "c1": "c1_grid",
-    "c2": "c2_grid",
-    "sigma": "sigma_grid",
-}
-_SCALAR_KEYS = {
+
+def _numbers(text: str) -> tuple[float, ...]:
+    grid = tuple(float(part) for part in text.split(",") if part.strip())
+    if not grid:
+        raise ValueError
+    return grid
+
+
+def _boolean(text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError
+
+
+def _column(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text  # a header name
+
+
+def _score_mode(text: str) -> str:
+    return text.replace("-", "_")
+
+
+# Every key a config file can set, in ExperimentConfig's field order:
+# key -> (its ExperimentConfig field, the parser of its stripped text).
+# The cv command has one flag per key, --key with - for _ (convention's
+# is --metric-convention), taking the same text through the same parser.
+CONFIG_KEYS = {
     "data": ("data", str),
     "format": ("fmt", str),
     "positive_label": ("positive_label", str),
-    "label_column": ("label_column", None),
-    "header": ("has_header", bool),
+    "label_column": ("label_column", _column),
+    "header": ("has_header", _boolean),
+    "tau": ("tau_grid", _numbers),
+    "gamma": ("gamma_grid", _numbers),
+    "c1": ("c1_grid", _numbers),
+    "c2": ("c2_grid", _numbers),
+    "sigma": ("sigma_grid", _numbers),
     "delta": ("delta", float),
     "kernel": ("kernel", str),
     "tnorm": ("tnorm", str),
-    "score_mode": ("score_mode", str),
-    "weights": ("weights_enabled", bool),
+    "score_mode": ("score_mode", _score_mode),
+    "weights": ("weights_enabled", _boolean),
     "folds": ("folds", int),
     "inner_folds": ("inner_folds", int),
     "repeats": ("repeats", int),
@@ -436,61 +472,10 @@ _SCALAR_KEYS = {
     "convention": ("convention", str),
     "workers": ("workers", int),
 }
-# every key a config file (or a `cv` flag of the same name) can set
-CONFIG_KEYS = (*_LIST_KEYS, *_SCALAR_KEYS)
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
-
-
-def _parse_bool(key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ConfigurationError(f"{key}: expected a boolean, got {text!r}")
-
-
-def _parse_scalar(key: str, text: str):
-    field_name, kind = _SCALAR_KEYS[key]
-    text = text.strip()
-    if kind is bool:
-        return field_name, _parse_bool(key, text)
-    if kind is int:
-        try:
-            return field_name, int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{key}: expected an integer, got {text!r}"
-            ) from None
-    if kind is float:
-        try:
-            return field_name, float(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{key}: expected a number, got {text!r}"
-            ) from None
-    if key == "label_column":
-        try:
-            return field_name, int(text)
-        except ValueError:
-            return field_name, text
-    if key == "score_mode":
-        text = text.replace("-", "_")
-    return field_name, text
-
-
-def _parse_list(key: str, text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ConfigurationError(f"{key}: empty list")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigurationError(
-            f"{key}: expected comma-separated numbers, got {text!r}"
-        ) from None
+# what each parser that can refuse its text expected
+_EXPECTED = {int: "an integer", float: "a number", _boolean: "a boolean",
+             _numbers: "comma-separated numbers"}
 
 
 def parse_config(path=None, overrides: dict[str, str] | None = None
@@ -499,23 +484,27 @@ def parse_config(path=None, overrides: dict[str, str] | None = None
 
     `#` starts a comment, lists are comma-separated, unknown keys are
     rejected by name, and entries in `overrides` (raw strings, e.g.
-    from command-line flags) replace file values.
+    from command-line flags) replace file values. Each value is parsed
+    by its key's CONFIG_KEYS parser; text a parser refuses is a
+    ConfigurationError that names the key.
     """
     values: dict[str, object] = {}
 
     def absorb(key: str, text: str) -> None:
         key = key.strip().lower()
-        if key in _LIST_KEYS:
-            values[_LIST_KEYS[key]] = _parse_list(key, text)
-        elif key in _SCALAR_KEYS:
-            field_name, parsed = _parse_scalar(key, text)
-            values[field_name] = parsed
-        else:
-            known = sorted(CONFIG_KEYS)
+        if key not in CONFIG_KEYS:
             raise ConfigurationError(
                 f"unknown configuration key {key!r} (known keys: "
-                f"{', '.join(known)})"
+                f"{', '.join(sorted(CONFIG_KEYS))})"
             )
+        field_name, parse = CONFIG_KEYS[key]
+        text = text.strip()
+        try:
+            values[field_name] = parse(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{key}: expected {_EXPECTED[parse]}, got {text!r}"
+            ) from None
 
     if path is not None:
         try:

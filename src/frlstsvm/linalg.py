@@ -148,20 +148,30 @@ def _frobenius(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _attempt(a: np.ndarray, b2: np.ndarray
+def _attempt(a: np.ndarray, b2: np.ndarray, ridge: float
              ) -> tuple[np.ndarray | None, float]:
-    """One Cholesky factor and solve of A X = b2 (b2 2-D): X and its
-    residual ||A X - b2||_F, or None and inf when A does not factor or
-    X is not finite. A is exactly symmetric, so A' is the same matrix in
-    Fortran order: dpotrf copies it as it lies, where a C-ordered A
-    would be copied and transposed, and leaves A itself untouched."""
-    factor, info = dpotrf(a.T, lower=1, clean=0)
+    """One Cholesky factor and solve of (A + ridge I) X = b2 (b2 2-D): X
+    and its residual ||(A + ridge I) X - b2||_F, or None and inf when
+    the matrix does not factor or X is not finite. A is exactly
+    symmetric, so A' is the same matrix in Fortran order: unridged,
+    dpotrf copies A' as it lies, where a C-ordered A would be copied
+    and transposed, and leaves A itself untouched; ridged, it factors a
+    ridged copy in place. The factor is freed before the residual
+    builds A + ridge I again, so no more than one n x n array beside A
+    is live at a time."""
+    if ridge == 0.0:
+        factor, info = dpotrf(a.T, lower=1, clean=0)
+    else:
+        factor, info = dpotrf(add_scaled_identity(a, ridge).T, lower=1,
+                              clean=0, overwrite_a=1)
     if info != 0:
         return None, np.inf
     x, _ = dpotrs(factor, b2, lower=1)
+    del factor
     if not np.isfinite(x).all():
         return None, np.inf
-    return x, _frobenius(a @ x - b2)
+    a_try = a if ridge == 0.0 else add_scaled_identity(a, ridge)
+    return x, _frobenius(a_try @ x - b2)
 
 
 def _ridges(a: np.ndarray):
@@ -188,7 +198,8 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
     are theirs. dpotrf factors A' (see _attempt), which the symmetry
     check makes A itself, so its input copy is a plain one, with no
     transpose. Neither A nor B is written: a ridged attempt factors a
-    copy of A, and the residual and the ridge ladder read A again.
+    ridged copy of A in place, and the residual and the ridge ladder
+    read A again.
 
     Parameters
     ----------
@@ -234,8 +245,7 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
     last_residual = np.inf
     for ridge in _ridges(a):
         attempts += 1
-        a_try = a if ridge == 0.0 else add_scaled_identity(a, ridge)
-        x, residual = _attempt(a_try, b2)
+        x, residual = _attempt(a, b2, ridge)
         if x is None:
             continue
         last_residual = residual

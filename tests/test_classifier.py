@@ -430,6 +430,25 @@ class TestKernelFit:
             tracemalloc.stop()
         assert peak < 3.5 * 801 ** 2 * 8
 
+    def test_a_ridged_solve_adds_no_unit_to_the_peak(self):
+        # dpotrf factors the ridged copy in place and the factor is
+        # freed before the residual rebuilds A + rI, so an escalating
+        # fit peaks at the 3 units of one that factors bare; a ridged
+        # copy beside dpotrf's own takes it to 4
+        rng = np.random.default_rng(99)
+        x1, x2 = rng.random((80, 8)), rng.random((720, 8))
+        d1, d2 = rng.uniform(0.5, 1, 80), rng.uniform(0.5, 1, 720)
+        cfg = config(kernel="gaussian", sigma=4.0, delta=0.0)
+        tracemalloc.start()
+        try:
+            model = fit_kernel(x1, x2, d1, d2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reports = model.summary.solver_reports.values()
+        assert [r.factorization_attempts for r in reports] == [2, 2]
+        assert peak < 3.5 * 801 ** 2 * 8
+
     def test_circles_need_the_kernel(self):
         x, y = make_circles(50)
         x1, x2, scaling = scaled_split(x, y)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frlstsvm.classifier import (
+    fit_frlstsvm,
     fit_lstsvm_baseline,
     load_model,
     predict,
@@ -23,7 +24,7 @@ from frlstsvm.dataset import (
     write_csv,
 )
 from frlstsvm.errors import ExperimentError
-from frlstsvm.experiment import CONFIG_KEYS
+from frlstsvm.experiment import CONFIG_KEYS, parse_config
 from frlstsvm.fuzzy_rough import (
     SCORE_MODES,
     T_NORMS,
@@ -108,6 +109,38 @@ class TestTrainEval:
         ])
         assert code == 1
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, ridged", [
+        (["--kernel", "gaussian", "--sigma", "4", "--delta", "0"], True),
+        (["--kernel", "gaussian", "--sigma", "1"], False),
+        ([], False),
+    ], ids=["escalating", "gaussian", "linear"])
+    def test_train_names_each_ridged_plane(self, blob_csv, tmp_path,
+                                           capsys, flags, ridged):
+        data, _, _ = blob_csv
+        out = tmp_path / "m.model"
+        assert main(["train", "--data", data, "--header",
+                     "--positive-label", "1", "--out", str(out),
+                     *flags]) == 0
+        captured = capsys.readouterr()
+        reports = fit_reports(data, flags)
+        lines = captured.out.splitlines()[1:]
+        assert lines == [
+            f"{plane}: solver added ridge {rep.ridge_added:.3g} after "
+            f"{rep.factorization_attempts} factorizations"
+            for plane, rep in reports.items() if rep.ridge_added]
+        assert len(lines) == (2 if ridged else 0)
+        assert captured.err == ""
+
+
+def fit_reports(data, flags):
+    """The solver reports of the fit that `train` runs with flags."""
+    args = build_parser().parse_args(
+        ["train", "--data", data, "--header", "--positive-label", "1",
+         "--out", "unused", *flags])
+    model = fit_frlstsvm(load_csv(data, -1, "1", True),
+                         cli._config_from_args(args))
+    return model.summary.solver_reports
 
 
 class TestPredict:
@@ -335,6 +368,42 @@ class TestCv:
         assert (got.folds, got.inner_folds, got.repeats, got.seed,
                 got.convention, got.workers) == (
             4, 3, 2, 7, "paper_literal", 2)
+
+    @pytest.mark.parametrize("flag, value, names", [
+        ("--kernel", "poly", "kernel"),
+        ("--format", "arff", "format"),
+        ("--tnorm", "max", "tnorm"),
+        ("--header", "maybe", "header"),
+        ("--weights", "2", "weights"),
+        ("--metric-convention", "loose", "paper_literal"),
+        ("--folds", "ten", "folds"),
+    ])
+    def test_a_bad_value_exits_one_naming_its_key(self, capsys, flag,
+                                                  value, names):
+        # checked where a config file's value is, not by argparse
+        assert main(["cv", "--data", "d.csv", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert names in captured.err and repr(value) in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_a_flag_takes_the_config_files_text(self, tmp_path,
+                                                monkeypatch):
+        seen = []
+
+        def stop(config):
+            seen.append(config)
+            raise ExperimentError("stopped")
+
+        monkeypatch.setattr(cli, "run_nested_cv", stop)
+        conf = tmp_path / "cv.conf"
+        conf.write_text("data = d.csv\nheader = yes\n")
+        assert main(["cv", "--config", str(conf)]) == 1
+        assert main(["cv", "--data", "d.csv", "--header", "yes"]) == 1
+        assert seen[0] == seen[1] == parse_config(
+            overrides={"data": "d.csv", "header": "true"})
+        assert seen[0].has_header is True
 
 
 class TestErrors:

@@ -22,15 +22,20 @@ def load_script():
 def test_writes_cv_files_models_and_predictions(tmp_path):
     script = load_script()
     smoke = {"smoke": dict(tau_grid=(0.0, 0.2), gamma_grid=(1.0,),
-                           c1_grid=(1.0,), folds=3, inner_folds=2)}
-    written = script.write_fingerprint(tmp_path / "out", smoke)
+                           c1_grid=(1.0,), folds=3, inner_folds=2,
+                           score_mode="lower_approx")}
+    flags = ("--header", "yes", "--label-column", "class", "--tau", "0,0.2",
+             "--gamma", "1", "--c1", "1", "--folds", "3",
+             "--inner-folds", "2", "--repeats", "1", "--seed", "1",
+             "--score-mode", "lower-approx")
+    written = script.write_fingerprint(tmp_path / "out", smoke, flags)
     names = sorted(p.name for p in written)
     # a linear and a gaussian fit, linear fits under each other t-norm
     # and score mode, and a linear fit whose row sums run on threads
-    assert len(script.FITS) == 6 and len(names) == 2 + 2 * 6
+    assert len(script.FITS) == 6 and len(names) == 2 + 1 + 2 * 6
     assert set(script.FIT_SHAPES) < set(script.FITS)
     assert names == sorted(
-        ["smoke.csv", "smoke.jsonl"]
+        ["smoke.csv", "smoke.jsonl", "cli.csv"]
         + [f"{fit}.{ext}" for fit in script.FITS
            for ext in ("model", "predict")])
     out = tmp_path / "out"
@@ -39,6 +44,8 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
     assert csv[0].startswith("repeat,fold,")
     assert [ln.split(",")[1] for ln in csv[1:4]] == ["0", "1", "2"]
     assert len((out / "smoke.jsonl").read_text().splitlines()) >= 3
+    # the same run through the command line, from its data's CSV file
+    assert (out / "cli.csv").read_bytes() == (out / "smoke.csv").read_bytes()
     for fit in script.FITS:
         load_model(out / f"{fit}.model")
         rows = (out / f"{fit}.predict").read_text().splitlines()

@@ -223,14 +223,31 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="boolean"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("key, text, expected", [
+        ("folds", "ten", "folds: expected an integer, got 'ten'"),
+        ("delta", "tiny", "delta: expected a number, got 'tiny'"),
+        ("header", "maybe", "header: expected a boolean, got 'maybe'"),
+        ("tau", "0.2,x", "tau: expected comma-separated numbers, "
+                         "got '0.2,x'"),
+        ("gamma", " , ", "gamma: expected comma-separated numbers, "
+                         "got ','"),
+    ])
+    def test_a_refused_value_names_its_key(self, tmp_path, key, text,
+                                           expected):
+        path = tmp_path / "cv.conf"
+        path.write_text(f"{key} = {text}\n")
+        for source in (dict(path=str(path)),
+                       dict(overrides={key: text})):
+            with pytest.raises(ConfigurationError) as exc:
+                parse_config(**source)
+            assert str(exc.value) == expected
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             parse_config(str(tmp_path / "none.conf"))
 
     def test_config_keys_and_fields_match_one_to_one(self):
-        targets = [experiment._LIST_KEYS[key] if key in experiment._LIST_KEYS
-                   else experiment._SCALAR_KEYS[key][0]
-                   for key in CONFIG_KEYS]
+        targets = [field for field, _ in CONFIG_KEYS.values()]
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert sorted(targets) == sorted(fields)
 
