@@ -87,6 +87,7 @@ from .dataset import (
     atomic_write,
     minmax_apply,
     minmax_fit,
+    read_lines,
 )
 from .errors import (
     ConfigurationError,
@@ -386,10 +387,18 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
     scaling : attached to the model so prediction can scale raw inputs;
         None means inputs to predict are taken as already scaled.
     config : full config snapshot to carry on the model; a minimal one
-        is synthesized when omitted.
+        is synthesized when omitted. A config whose c1, c2, delta or
+        kernel disagrees with this fit is a ConfigurationError.
     """
     if config is None:
         config = _default_config(c1, c2, delta, weighted=True)
+    elif ((config.c1, config.c2, config.delta, config.kernel)
+          != (c1, c2, delta, "linear")):
+        raise ConfigurationError(
+            f"config (c1={config.c1}, c2={config.c2}, delta={config.delta}, "
+            f"kernel {config.kernel}) disagrees with the linear fit at "
+            f"c1={c1}, c2={c2}, delta={delta}"
+        )
     plane1, plane2, summary, _ = _fit_planes(x1, x2hat, d1, d2, None, c1,
                                              c2, delta)
     return TwinPlaneModel(plane1=plane1, plane2=plane2, scaling=scaling,
@@ -569,9 +578,10 @@ class PreparedFold:
     Min-max scaling is fit on these rows only and the scaled rows are
     split by class. The fuzzy-rough steps of the pipeline are memoised
     per FuzzyParams: the majority's positive-region scores, its
-    similarity row sums and the minority weights; per (FuzzyParams,
-    tau): the subsample. Density scores and kept-majority weights are
-    row means of the majority's m2 x m2 similarity (see
+    similarity row sums and the minority weights. The subsample is not:
+    a grid asks for each (FuzzyParams, tau) once per fold, so each ask
+    takes it from the memoised scores. Density scores and kept-majority
+    weights are row means of the majority's m2 x m2 similarity (see
     _majority_pairs), summed one row block at a time.
 
     A fold that serves many fits (hold=True, the grid search) holds one
@@ -590,8 +600,7 @@ class PreparedFold:
     of one thread (see fuzzy_rough.row_sums). Tau 0 keeps
     every majority row and scores none of them. A tau that empties the
     majority raises the same ConfigurationError on every fit that asks
-    for it: a failure is not memoised, so it is found again from the
-    memoised scores.
+    for it.
 
     The blocks, with their kept-majority weights, are memoised per
     (the weights' FuzzyParams, or None without weights; the kept set),
@@ -677,9 +686,8 @@ class PreparedFold:
         score is >= 0, so tau 0 keeps every row without scoring."""
         if config.tau == 0:
             return np.arange(self.x2.shape[0])
-        return self._cached(("kept", config.fuzzy, config.tau), lambda: (
-            subsample_majority(self.scores(config.fuzzy),
-                               config.tau).kept_indices))
+        return subsample_majority(self.scores(config.fuzzy),
+                                  config.tau).kept_indices
 
     def blocks(self, config: TrainConfig) -> FitBlocks:
         """Subsample the majority at tau and weight both classes."""
@@ -909,6 +917,15 @@ class _Reader:
                             "be one value >= 0")
         return values[0]
 
+    def end(self) -> None:
+        """Refuse a non-blank line after the last section, such as the
+        start of a second model."""
+        for line_no, line in enumerate(self.lines[self.pos:],
+                                       start=self.pos + 1):
+            if line.strip():
+                raise DataError(f"{self.path}: unexpected line {line_no} "
+                                f"after the last section: {line[:40]!r}")
+
     def reference_rows(self) -> np.ndarray:
         """The xref section's rows, parsed in one pass by np.loadtxt,
         whose values are float()'s, though it refuses some strings that
@@ -956,13 +973,10 @@ def load_model(path):
     more config lines, `implicator` (either name gives the same model)
     and `subsample` (0 reads as tau 0), and no norms: they come from
     the gram of its reference rows, the one case in which a load builds
-    that gram."""
+    that gram. Nothing but blank lines may follow the last plane's
+    line."""
     path = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     rd = _Reader(lines, path)
@@ -1051,6 +1065,7 @@ def load_model(path):
     n1 = rd.norm("n1") if n_lines == 6 else None
     w2, b2 = rd.tagged_floats("w2"), rd.tagged_floats("b2")
     n2 = rd.norm("n2") if n_lines == 6 else None
+    rd.end()
     width = w1.size if x_ref is None else x_ref.shape[0]
     if (b1.size != 1 or b2.size != 1
             or w1.size != width or w2.size != width):

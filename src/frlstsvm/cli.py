@@ -97,18 +97,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _prediction_features(args, model):
-    if args.format == "keel":
-        return load_keel(args.data, args.positive_label).features
-    if args.label_column is not None:
-        return load_csv(args.data, args.label_column,
-                        args.positive_label, args.header).features
-    return load_matrix_csv(args.data, args.header)
+def _prediction_features(args):
+    """The rows to label: a CSV file without --label-column is all
+    features, any other file loses its label column."""
+    if args.format == "csv" and args.label_column is None:
+        return load_matrix_csv(args.data, args.header)
+    return _load_labeled(args).features
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    x = _prediction_features(args, model)
+    x = _prediction_features(args)
     labels, d1, d2 = predict(model, x, return_distances=True)
     lines = ["row,label,dist1,dist2"]
     for i in range(labels.shape[0]):
@@ -232,15 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="label new rows with a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=FORMATS, default="csv")
-    p.add_argument("--positive-label", default=None)
-    p.add_argument("--label-column", type=CONFIG_KEYS["label_column"][1],
-                   default=None,
-                   help="drop this CSV column before predicting")
-    p.add_argument("--header", action="store_true")
+    _add_data_flags(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_predict)
+    # without --label-column every CSV column is a feature
+    p.set_defaults(func=cmd_predict, label_column=None)
 
     p = sub.add_parser("eval", help="score a model on labeled data")
     p.add_argument("--model", required=True)

@@ -1,6 +1,12 @@
 """Dataset loading, validation, scaling, fold planning and atomic file
 writes.
 
+read_lines is the one place the library opens a file for reading: data,
+KEEL, config and model files are all read through it, as UTF-8, and a
+file that cannot be opened or decoded is a DataError. CSV rows and KEEL
+@data rows are split on commas by one splitter and parsed to floats by
+one row parser, which keeps the given columns in the given order.
+
 Labels follow one convention everywhere: +1 is the minority (positive)
 class and -1 is the majority. The loaders remap raw file labels onto
 that convention and warn when the class named positive is actually the
@@ -170,36 +176,44 @@ def _parse_value(cell: str, line_no: int, col_no: int,
     return value
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their endings: the one
+    place the library opens a file for reading. A file that cannot be
+    opened or is not UTF-8 is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _split_rows(lines: list[str], first_line_no: int = 1
+                ) -> list[tuple[int, list[str]]]:
+    """Each non-blank line's number and cells, split on commas and
+    stripped; the lines are numbered from first_line_no."""
+    return [(line_no, [c.strip() for c in line.split(",")])
+            for line_no, line in enumerate(lines, start=first_line_no)
+            if line.strip()]
+
+
 def _read_rows(path: str, has_header: bool
                ) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """The header's cells (None without one) and each data row's line
-    number and cells, split on commas and stripped; blank lines are
-    skipped, and a file with no data row is refused."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if has_header and header is None:
-            header = cells
-            continue
-        rows.append((line_no, cells))
+    number and cells (see _split_rows); a file with no data row is
+    refused."""
+    rows = _split_rows(read_lines(path))
+    header = rows.pop(0)[1] if has_header and rows else None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, rows
 
 
 def _parse_rows(rows: list[tuple[int, list[str]]], path: str,
-                skip: int | None = None) -> np.ndarray:
-    """The rows' cells as floats, all but column `skip`, row by row;
-    every row must be as wide as the first."""
-    width = len(rows[0][1])
+                columns, width: int | None = None) -> np.ndarray:
+    """The cells of `columns`, in that order, as floats, row by row;
+    every row must have `width` cells (None: as many as the first)."""
+    if width is None:
+        width = len(rows[0][1])
     values: list[list[float]] = []
     for line_no, cells in rows:
         if len(cells) != width:
@@ -207,8 +221,8 @@ def _parse_rows(rows: list[tuple[int, list[str]]], path: str,
                 f"{path}: line {line_no} has {len(cells)} columns, "
                 f"expected {width}"
             )
-        values.append([_parse_value(cell, line_no, col + 1, path)
-                       for col, cell in enumerate(cells) if col != skip])
+        values.append([_parse_value(cells[col], line_no, col + 1, path)
+                       for col in columns])
     return np.asarray(values)
 
 
@@ -255,7 +269,8 @@ def load_csv(path, label_column: int | str = -1,
                 f"{width} columns"
             )
 
-    feats = _parse_rows(rows, path, skip=label_idx)
+    feats = _parse_rows(rows, path,
+                        [i for i in range(width) if i != label_idx])
     names = None
     if header is not None:
         names = [h for i, h in enumerate(header) if i != label_idx]
@@ -267,7 +282,8 @@ def load_csv(path, label_column: int | str = -1,
 def load_matrix_csv(path, has_header: bool = False) -> np.ndarray:
     """Load a label-free delimited numeric file as a feature matrix."""
     path = str(path)
-    return _parse_rows(_read_rows(path, has_header)[1], path)
+    rows = _read_rows(path, has_header)[1]
+    return _parse_rows(rows, path, range(len(rows[0][1])))
 
 
 def atomic_write(path, text: str) -> None:
@@ -313,12 +329,7 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
     are absent the last attribute is taken as the output.
     """
     path = str(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-
+    lines = read_lines(path)
     attr_names: list[str] = []
     attr_kinds: dict[str, str] = {}
     inputs: list[str] | None = None
@@ -343,12 +354,13 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
                     else "nominal")
             attr_names.append(name)
             attr_kinds[name] = kind
-        elif lowered.startswith("@inputs") or lowered.startswith("@input"):
-            body = text.split(None, 1)[1] if len(text.split(None, 1)) > 1 else ""
-            inputs = [s.strip() for s in body.split(",") if s.strip()]
-        elif lowered.startswith("@outputs") or lowered.startswith("@output"):
-            body = text.split(None, 1)[1] if len(text.split(None, 1)) > 1 else ""
-            outputs = [s.strip() for s in body.split(",") if s.strip()]
+        elif lowered.startswith(("@input", "@output")):
+            body = "".join(text.split(None, 1)[1:])
+            names = [s.strip() for s in body.split(",") if s.strip()]
+            if lowered.startswith("@input"):
+                inputs = names
+            else:
+                outputs = names
         elif lowered.startswith("@data"):
             data_start = line_no
             break
@@ -387,31 +399,15 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
             )
 
     positions = {name: i for i, name in enumerate(attr_names)}
-    in_pos = [positions[name] for name in inputs]
-    label_pos = positions[label_name]
-    width = len(attr_names)
-
-    feats: list[list[float]] = []
-    raw_labels: list[str] = []
-    for line_no, line in enumerate(lines[data_start:], start=data_start + 1):
-        text = line.strip()
-        if not text:
-            continue
-        cells = [c.strip() for c in text.split(",")]
-        if len(cells) != width:
-            raise DataError(
-                f"{path}: line {line_no} has {len(cells)} values, "
-                f"expected {width}"
-            )
-        feats.append([
-            _parse_value(cells[p], line_no, p + 1, path) for p in in_pos
-        ])
-        raw_labels.append(cells[label_pos])
-
-    if not feats:
+    rows = _split_rows(lines[data_start:], data_start + 1)
+    if not rows:
         raise DataError(f"{path}: @data section is empty")
-    labels = _finish_labels(raw_labels, positive_label, path)
-    return LabeledDataset(np.asarray(feats), labels, attribute_names=inputs)
+    feats = _parse_rows(rows, path, [positions[name] for name in inputs],
+                        width=len(attr_names))
+    label_pos = positions[label_name]
+    labels = _finish_labels([cells[label_pos] for _, cells in rows],
+                            positive_label, path)
+    return LabeledDataset(feats, labels, attribute_names=inputs)
 
 
 def minmax_fit(x) -> ScalingParams:

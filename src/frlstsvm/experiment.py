@@ -12,10 +12,13 @@ once per inner fold and (c1, c2, sigma), and share their G-mean. Every
 fold task is a pure function of (dataset, config, repeat, fold), so
 results do not depend on the worker count.
 
-parse_config builds an ExperimentConfig from a `key = value` file and
-raw-text overrides. CONFIG_KEYS, one table, names every key, its
-ExperimentConfig field and the parser of its text; the cv command
-generates its flags from the same table.
+parse_config builds an ExperimentConfig from a `key = value` file, read
+through dataset.read_lines, and raw-text overrides. CONFIG_KEYS, one
+table, names every key, its ExperimentConfig field and the parser of
+its text; the cv command generates its flags from the same table.
+ExperimentConfig checks each grid value with the check a fit applies to
+it (check_tau, FuzzyParams, TrainConfig, _check_sigma), so a value is
+refused with the same message before a run as during one.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
-    KERNELS,
     PreparedFold,
     TrainConfig,
     _check_sigma,
@@ -46,6 +48,7 @@ from .dataset import (
     load_csv,
     load_keel,
     minmax_apply,
+    read_lines,
     stratified_kfold,
     subset,
 )
@@ -56,7 +59,7 @@ from .errors import (
     ExperimentError,
     SingularSystemError,
 )
-from .fuzzy_rough import FuzzyParams
+from .fuzzy_rough import FuzzyParams, check_tau
 from .metrics import CONVENTIONS, confusion, report
 
 # Unused here since the grid search fits through PreparedFold, but the
@@ -106,57 +109,40 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ConfigurationError(
-                f"format must be one of {FORMATS}, got {self.fmt!r}"
-            )
-        if self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
-        # reuse the fuzzy validation for the two enumerations
-        FuzzyParams(gamma=1.0, tnorm=self.tnorm, score_mode=self.score_mode)
-        if self.convention not in CONVENTIONS:
-            raise ConfigurationError(
-                f"convention must be one of {CONVENTIONS}, "
-                f"got {self.convention!r}"
-            )
-        _check_grid("tau", self.tau_grid, 0.0, 1.0)
-        _check_grid("gamma", self.gamma_grid, np.nextafter(0, 1), np.inf)
-        _check_grid("c1", self.c1_grid, np.nextafter(0, 1), np.inf)
-        if self.c2_grid is not None:
-            _check_grid("c2", self.c2_grid, np.nextafter(0, 1), np.inf)
-        _check_grid("sigma", self.sigma_grid, np.nextafter(0, 1), np.inf)
-        for sigma in self.sigma_grid:
-            _check_sigma(sigma)
-        if not (np.isfinite(self.delta) and self.delta >= 0):
-            raise ConfigurationError(f"delta must be >= 0, got {self.delta}")
-        if self.folds < 2:
-            raise ConfigurationError(f"folds must be >= 2, got {self.folds}")
-        if self.inner_folds is not None and self.inner_folds < 2:
-            raise ConfigurationError(
-                f"inner_folds must be >= 2, got {self.inner_folds}"
-            )
-        if self.repeats < 1:
-            raise ConfigurationError(
-                f"repeats must be >= 1, got {self.repeats}"
-            )
+        for name in ("tau", "gamma", "c1", "c2", "sigma"):
+            grid = getattr(self, f"{name}_grid")
+            if not ((isinstance(grid, tuple) and grid)
+                    or (name == "c2" and grid is None)):
+                raise ConfigurationError(
+                    f"{name} grid must be a non-empty tuple")
+        for name, value, allowed in (
+                ("format", self.fmt, FORMATS),
+                ("convention", self.convention, CONVENTIONS)):
+            if value not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be one of {allowed}, got {value!r}")
+        for name, least in (("folds", 2), ("inner_folds", 2), ("repeats", 1),
+                            ("workers", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigurationError(
+                    f"{name} must be >= {least}, got {value}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigurationError("seed must fit in 64 unsigned bits")
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-
-
-def _check_grid(name: str, grid, lo: float, hi: float) -> None:
-    if not isinstance(grid, tuple) or len(grid) == 0:
-        raise ConfigurationError(f"{name} grid must be a non-empty tuple")
-    for v in grid:
-        if not (np.isfinite(v) and lo <= v <= hi):
-            raise ConfigurationError(
-                f"{name} grid value {v} out of range"
-            )
+        # every grid value gets the check a fit applies to it
+        for tau in self.tau_grid:
+            check_tau(tau)
+        for gamma in self.gamma_grid:
+            fuzzy = FuzzyParams(gamma, self.tnorm, self.score_mode)
+        for sigma in self.sigma_grid:
+            _check_sigma(sigma)
+        sigma = self.sigma_grid[0] if self.kernel == "gaussian" else None
+        # each c1 value as a c1 and each c2 value as a c2, the shorter
+        # grid padded with 1; these also check delta and the kernel
+        for c1, c2 in itertools.zip_longest(
+                self.c1_grid, self.c2_grid or (), fillvalue=1.0):
+            TrainConfig(c1=c1, c2=c2, tau=0.0, fuzzy=fuzzy,
+                        delta=self.delta, kernel=self.kernel, sigma=sigma)
 
 
 class GridPoint(NamedTuple):
@@ -508,11 +494,10 @@ def parse_config(path=None, overrides: dict[str, str] | None = None
 
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
+            lines = read_lines(path)
+        except DataError as exc:
             raise ConfigurationError(
-                f"cannot read config {path}: {exc}"
+                str(exc).replace("cannot read", "cannot read config", 1)
             ) from None
         for line_no, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()

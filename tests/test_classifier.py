@@ -792,6 +792,34 @@ class TestPipeline:
         assert model.summary.m2_kept == 30
         assert calls == []
 
+    @pytest.mark.parametrize("field,value", [
+        ("c1", 4.0), ("c2", 4.0), ("delta", 1e-3), ("kernel", "gaussian"),
+    ])
+    def test_fit_linear_refuses_a_config_that_disagrees(self, field,
+                                                        value):
+        # the model would carry the config, so its file and eval's config
+        # string would name values the fit did not use
+        extra = dict(sigma=1.0) if field == "kernel" else {}
+        cfg = config(**{field: value}, **extra)
+        with pytest.raises(ConfigurationError, match=(
+                rf"^config \(c1={cfg.c1}, c2={cfg.c2}, delta={cfg.delta}, "
+                rf"kernel {cfg.kernel}\) disagrees with the linear fit at "
+                r"c1=1.0, c2=1.0, delta=1e-06$")):
+            fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0,
+                       config=cfg)
+
+    def test_fit_blocks_fits_at_its_config(self):
+        x, y = make_blobs(73, m1=10, m2=30)
+        cfg = config(c1=4.0, c2=0.5, tau=0.2, delta=1e-4)
+        blocks = PreparedFold(x, y).blocks(cfg)
+        model = fit_blocks(blocks, cfg)
+        assert model.config is cfg
+        plain = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
+                           4.0, 0.5, 1e-4)
+        for got, want in ((model.plane1, plain.plane1),
+                          (model.plane2, plain.plane2)):
+            assert got.w.tobytes() == want.w.tobytes() and got.b == want.b
+
     def test_tau_one_with_spread_majority_fails(self):
         x, y = make_blobs(72)
         ds = LabeledDataset(x, y)
@@ -1598,6 +1626,35 @@ class TestSerialization:
         clipped.write_text("\n".join(lines[: len(lines) // 2]))
         with pytest.raises(DataError):
             load_model(str(clipped))
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    @pytest.mark.parametrize("tail", ["second model", "garbage"])
+    def test_rejects_a_line_after_the_last_plane(self, tmp_path, kind,
+                                                  tail):
+        model, _ = (self.linear_model() if kind == "linear"
+                    else self.kernel_model())
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        text = path.read_text()
+        n_lines = len(text.splitlines())
+        if tail == "second model":
+            path.write_text(text + text)
+            line, shown = n_lines + 1, f"'FRLSTSVM/2 {kind}'"
+        else:
+            path.write_text(text + "\n  oops\n")
+            line, shown = n_lines + 2, "'  oops'"
+        with pytest.raises(DataError, match=(
+                f"unexpected line {line} after the last section: "
+                f"{shown}$")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("kind", ["linear", "gaussian"])
+    def test_blank_lines_after_the_last_plane_are_read(self, tmp_path,
+                                                       kind):
+        path = tmp_path / "m.model"
+        path.write_text(V1_MODELS[kind].read_text() + "\n  \n\n")
+        model, x = v1_fit(kind)
+        assert_same_bits(load_model(path), model, x)
 
     def test_rejects_short_reference_row(self, tmp_path):
         model, _ = self.kernel_model()

@@ -206,6 +206,26 @@ class TestPredict:
         assert len(lines) == 1 + x.shape[0]
 
 
+    def test_keel_rows_lose_their_label(self, blob_csv, tmp_path, capsys):
+        model_path, x, y = self.fit(blob_csv, tmp_path)
+        keel = tmp_path / "blobs.dat"
+        lines = [f"@attribute x{j} real" for j in range(x.shape[1])]
+        lines += ["@attribute cls {1, -1}", "@data"]
+        lines += [", ".join([*map(repr, row.tolist()), str(label)])
+                  for row, label in zip(x, y)]
+        keel.write_text("\n".join(lines) + "\n")
+        raw = tmp_path / "raw.csv"
+        np.savetxt(raw, x, delimiter=",")
+        capsys.readouterr()
+        outputs = []
+        for flags in (["--data", str(keel), "--format", "keel",
+                       "--positive-label", "1"], ["--data", str(raw)]):
+            assert main(["predict", "--model", model_path, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + x.shape[0]
+
+
 class TestSubsample:
     def test_threshold_example(self, tiny_csv, capsys):
         assert main([
@@ -450,6 +470,25 @@ class TestErrors:
         assert captured.err.startswith("error: sigma must be > 0 with ")
         assert f"got {float(sigma)}" in captured.err
         assert "Traceback" not in captured.err
+        assert not (tmp_path / "m.model").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data", "BAD", "--out", "m.model"],
+        ["train", "--data", "BAD", "--format", "keel", "--out", "m.model"],
+        ["cv", "--config", "BAD"],
+        ["predict", "--model", "BAD", "--data", "BAD"],
+    ], ids=["train-csv", "train-keel", "cv-config", "predict-model"])
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path, capsys,
+                                                monkeypatch, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("1,2,caf\xe9\n".encode("latin-1"))
+        monkeypatch.chdir(tmp_path)
+        code = main([str(bad) if arg == "BAD" else arg for arg in command])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert f"{bad}: 'utf-8' codec can't decode" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "m.model").exists()
 
     def test_usage_error_exits_two(self):

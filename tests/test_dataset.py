@@ -18,6 +18,7 @@ from frlstsvm.dataset import (
     load_matrix_csv,
     minmax_apply,
     minmax_fit,
+    read_lines,
     stratified_kfold,
     subset,
     write_csv,
@@ -156,6 +157,24 @@ class TestLoadCsv:
             load_csv(path)
 
 
+class TestReadLines:
+    def test_lines_without_their_endings(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a,1\r\n\nb,2\n")
+        assert read_lines(str(path)) == ["a,1", "", "b,2"]
+
+    @pytest.mark.parametrize("loader", [
+        read_lines, load_csv, load_matrix_csv, load_keel,
+    ], ids=lambda f: f.__name__)
+    def test_a_file_that_is_not_utf8_is_a_data_error(self, tmp_path,
+                                                     loader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("1,2,caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError,
+                           match=f"^cannot read {path}: 'utf-8' codec"):
+            loader(str(path))
+
+
 class TestRoundTrip:
     def test_write_then_load_is_identical(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -247,6 +266,34 @@ class TestLoadKeel:
         with pytest.warns(UserWarning):
             ds = load_keel(path, positive_label="neg")
         assert np.array_equal(ds.labels, [1, 1, -1])
+
+    def test_inputs_give_the_features_in_their_order(self, tmp_path):
+        text = KEEL_MINIMAL.replace("@inputs A1, A2", "@inputs A2, A1")
+        ds = load_keel(write(tmp_path, "tiny.dat", text))
+        assert ds.attribute_names == ["A2", "A1"]
+        assert np.array_equal(ds.features,
+                              [[0.5, 1.0], [0.25, 2.0], [0.75, 3.0]])
+
+    def test_inputs_that_list_a_subset_give_only_those(self, tmp_path):
+        text = KEEL_MINIMAL.replace("@inputs A1, A2", "@inputs A2")
+        ds = load_keel(write(tmp_path, "tiny.dat", text))
+        assert ds.attribute_names == ["A2"]
+        assert np.array_equal(ds.features, [[0.5], [0.25], [0.75]])
+        assert np.array_equal(ds.labels, [-1, -1, 1])
+
+    def test_a_row_of_the_wrong_width_names_its_columns(self, tmp_path):
+        text = KEEL_MINIMAL.replace("2.0, 0.25, neg", "2.0, neg")
+        path = write(tmp_path, "tiny.dat", text)
+        with pytest.raises(DataError,
+                           match="line 9 has 2 columns, expected 3$"):
+            load_keel(path)
+
+    def test_a_bad_value_names_its_line_and_column(self, tmp_path):
+        text = KEEL_MINIMAL.replace("0.75, pos", "x, pos")
+        path = write(tmp_path, "tiny.dat", text)
+        with pytest.raises(DataError,
+                           match="'x' at line 10, column 2$"):
+            load_keel(path)
 
     @pytest.mark.parametrize("declaration", [
         "@attribute Class{positive, negative}",

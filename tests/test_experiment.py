@@ -139,6 +139,27 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigurationError, match="c1"):
             ExperimentConfig(c1_grid=(0.0,))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(tau_grid=(0.0, 1.5)), "tau must be in [0, 1], got 1.5"),
+        (dict(gamma_grid=(1.0, -1.0)), "gamma must be > 0, got -1.0"),
+        (dict(c1_grid=(1.0, 0.0)), "c1 must be > 0, got 0.0"),
+        (dict(c1_grid=(1.0,), c2_grid=(1.0, 2.0, np.inf)),
+         "c2 must be > 0, got inf"),
+        (dict(sigma_grid=(np.nan,)),
+         "sigma must be > 0 with 2 sigma^2 finite and > 0, got nan"),
+        (dict(delta=-1.0), "delta must be >= 0, got -1.0"),
+        (dict(kernel="poly"),
+         "kernel must be one of ('linear', 'gaussian'), got 'poly'"),
+        (dict(tnorm="max"), "tnorm must be one of ('minimum', 'product', "
+                            "'lukasiewicz'), got 'max'"),
+        (dict(c2_grid=()), "c2 grid must be a non-empty tuple"),
+    ])
+    def test_a_value_gets_the_message_of_the_check_a_fit_applies(
+            self, fields, message):
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(**fields)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("sigma", [1e-200, 1e-300, 1e154, 1e300])
     def test_rejects_a_sigma_whose_two_sigma_squared_is_not_finite_positive(
             self, sigma):
@@ -245,6 +266,13 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             parse_config(str(tmp_path / "none.conf"))
+
+    def test_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "cv.conf"
+        path.write_bytes("data = caf\xe9.csv\n".encode("latin-1"))
+        with pytest.raises(ConfigurationError,
+                           match=f"^cannot read config {path}: 'utf-8'"):
+            parse_config(str(path))
 
     def test_config_keys_and_fields_match_one_to_one(self):
         targets = [field for field, _ in CONFIG_KEYS.values()]
