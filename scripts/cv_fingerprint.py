@@ -4,9 +4,10 @@ byte.
 
     python3 scripts/cv_fingerprint.py OUTDIR
 
-On the seeded pima-shaped data of perfbench/datagen.py (seed 1) it
-writes, for each config in CONFIGS, the nested-CV result files
-cv_csv_text and cv_jsonl_text (`<name>.csv`, `<name>.jsonl`). For
+On the seeded data of perfbench/datagen.py (seed 1), pima-shaped but
+where CONFIG_SHAPES names another shape, it writes, for each config in
+CONFIGS, the nested-CV result files cv_csv_text and cv_jsonl_text
+(`<name>.csv`, `<name>.jsonl`). For
 each single fit in FITS (fit_frlstsvm: a linear and a gaussian fit,
 and linear fits under the product and lukasiewicz t-norms and in
 lower_approx score mode, all pima-shaped, and a linear fit on the
@@ -17,9 +18,11 @@ it, on 500 held-out rows of the fit's shape, so the predictions pin the
 reader's bits as well as the fit's. The configs are the criterion-5 linear
 grid (10 outer x 9 inner folds), the same grid with c2 ranging apart
 from c1, a small gaussian grid, a gaussian grid whose gammas and taus
-share kept sets and whose c values share plane terms, the linear grid
-without subsampling and weights and in lower_approx score mode, and
-grids without tau 0 for each t-norm and score mode. One more CV run
+share kept sets and whose c values share plane terms, a gaussian grid
+on the yeast3 shape whose validation rows span two kernel row blocks,
+so its grid scoring runs on worker threads, the linear grid without
+subsampling and weights and in lower_approx score mode, and grids
+without tau 0 for each t-norm and score mode. One more CV run
 goes through the command line, `frlstsvm cv` with CLI_FLAGS on the same
 data written as a CSV file, and writes `cli.csv`, so the chain from
 flag text through parse_config to the result file is pinned too.
@@ -110,6 +113,12 @@ CONFIGS = {
     "gaussian_shared": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
                             gamma_grid=(0.5, 1.0), c1_grid=(0.25, 1.0),
                             sigma_grid=(1.0, 2.0), folds=5),
+    # on the yeast3 shape (CONFIG_SHAPES) an inner fold validates about
+    # 371 rows against about 371 reference rows, 320 rows a kernel
+    # block: two blocks, scored on worker threads where there are CPUs
+    "gaussian_yeast3": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
+                            gamma_grid=(1.0,), c1_grid=(1.0,),
+                            sigma_grid=(1.0,), folds=2, inner_folds=2),
     # tau 0 keeps every majority row: no subsampling
     "nosubsample_noweights": dict(_LINEAR_GRID, tau_grid=(0.0,),
                                   weights_enabled=False),
@@ -119,6 +128,9 @@ CONFIGS = {
     "subsampled_product": dict(_SUBSAMPLED, tnorm="product"),
     "subsampled_lukasiewicz": dict(_SUBSAMPLED, tnorm="lukasiewicz"),
 }
+
+# name -> the datagen shape of each config in CONFIGS not on SHAPE
+CONFIG_SHAPES = {"gaussian_yeast3": "yeast3"}
 
 # the flags of the `cv` run beside --data and --out: a subsampled grid
 # under the product t-norm with lower_approx scores, the label column
@@ -176,7 +188,10 @@ def write_fingerprint(outdir, configs=None,
 
     for name, fields in (CONFIGS if configs is None else configs).items():
         config = ExperimentConfig(repeats=1, seed=SEED, workers=1, **fields)
-        result = run_nested_cv(config, ds)
+        shape = CONFIG_SHAPES.get(name, SHAPE)
+        result = run_nested_cv(config, ds if shape == SHAPE else
+                               LabeledDataset(*datagen.make_dataset(shape,
+                                                                    SEED)))
         write(f"{name}.csv", cv_csv_text(result))
         write(f"{name}.jsonl", cv_jsonl_text(result))
     with tempfile.TemporaryDirectory() as tmp:

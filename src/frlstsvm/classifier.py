@@ -27,49 +27,54 @@ row's features f are the scaled row itself (linear) or its kernel
 values K(row, Xref) (gaussian), and its distance to plane j is
 |f'w_j + b_j| / ||w_j||. The norm is Euclidean for a linear plane and
 sqrt(w_j' K(Xref, Xref) w_j), the length in the reproducing space, for
-a gaussian one; each plane computes it once, when it is built, and a
-gaussian model file stores it, so loading one builds no gram. A
-gaussian predict works in row blocks of about 2^17 kernel values, so it
-never holds the batch x m_ref kernel matrix; the rows per block are a
+a gaussian one; each plane computes it once, when it is solved, and a
+gaussian model file stores it, so loading one builds no gram.
+
+One path solves every weighted plane and one measures every distance.
+_class_blocks gives H and G (and a gaussian fit's reference rows and
+their gram); a gaussian fit builds one [K | 1] array, H and G its row
+blocks and the gram K, which only the norms read, its column view.
+_solve_plane solves one plane at any number of penalties c: it builds
+the plane's c-free terms once with _plane_terms, (A'A, B'D_B B, B'd_B):
+(H, G, d2) for plane 1 and (G, H, d1) for plane 2; _plane_system forms
+c B'D_B B + A'A + delta I for each c, every c but the last in one
+spare buffer and the last in B'D_B B itself, so A'A and the spare are
+freed before its solve; spd_solve solves it, and a singular c is
+reported for that c alone. A model's fit (fit_linear, fit_kernel, and
+fit_blocks through them) is the one-c case of each plane, so a lone
+gaussian fit holds three (m_ref + 1)^2 arrays at its peak: [K | 1] and
+one plane's two terms, or [K | 1], the system and the solve's factor
+(and a fourth while spd_solve factors a ridged copy).
+_plane_distances measures rows against (w, b, norm) planes, for
+predict and for the grid alike: linear rows directly, gaussian rows
+mapped to kernel values in row blocks of about 2^17 kernel values, so
+the batch x m_ref kernel matrix is never held. The rows per block are a
 multiple of 64, because the BLAS's gemv bits depend on the rows per
 call and such blocks give the bits of one whole-batch pass. The blocks
-run on one worker thread per CPU in the process's affinity mask (taskset
-restricts them), each kept on its CPU, threads that live for one call;
-each block writes its own rows of the distances, so the bits do not
-depend on the thread count.
+run on one worker thread per CPU in the process's affinity mask
+(taskset restricts them), each kept on its CPU, threads that live for
+one call; each block writes its own rows of the distances, so the bits
+do not depend on the thread count.
 
-The pipeline (scale, split by class, subsample the majority, weight,
-solve) lives in PreparedFold, which memoises its fuzzy-rough steps so
-that nested CV fits a whole grid from one object per training set;
-fit_frlstsvm is one fit of a fresh PreparedFold. A PreparedFold hands
-out one FitBlocks per distinct (weights, kept set). One that serves a
-grid holds one m2 x m2 majority array, under the minimum t-norm the
-Chebyshev distance that every gamma's similarity is read from. One
-that serves a lone fit holds none: it builds the majority similarity's
-row sums from the scaled rows a row block of about 2^15 entries at a
-time, so it needs O(m2) memory where the held array needs O(m2^2).
-Either way a pass over at least 1024 rows runs its blocks on the
-worker threads of a gaussian predict, with the bits of one thread.
+The pipeline (scale, split by class, subsample the majority, weight)
+lives in PreparedFold, which memoises its fuzzy-rough steps so that a
+grid is fit from one object per training set; fit_frlstsvm is one fit
+of a fresh PreparedFold. A PreparedFold hands out one FitBlocks per
+distinct (weights, kept set). One that serves a grid holds one m2 x m2
+majority array, under the minimum t-norm the Chebyshev distance that
+every gamma's similarity is read from. One that serves a lone fit holds
+none: it builds the majority similarity's row sums from the scaled rows
+a row block of about 2^15 entries at a time, so it needs O(m2) memory
+where the held array needs O(m2^2). Either way a pass over at least
+1024 rows runs its blocks on the worker threads of a gaussian predict,
+with the bits of one thread.
 
-A model's fit and the grid build the same terms: _class_blocks gives
-H and G (and a gaussian fit's reference rows and their gram), and
-_plane_terms the parts of one plane's system that do not depend on c,
-(A'A, B'D_B B, B'd_B): (H, G, d2) for plane 1 and (G, H, d1) for plane
-2. A gaussian fit builds one [K | 1] array: H and G are its row blocks
-and the gram K, which only the planes' norms read, its column view.
-_plane_system forms c B'D_B B + A'A + delta I in a buffer its caller
-gives, and spd_solve solves every plane system. A model's fit builds
-each plane's system in that plane's own B'D_B B, so A'A is freed
-before the solve, and a lone gaussian fit holds three (m_ref + 1)^2
-arrays at its peak: [K | 1] and one plane's two terms, or [K | 1], the
-system and the solve's factor (and a fourth while spd_solve factors a
-ridged copy). Models leave through fit_blocks. A grid
-search only needs each fit's G-mean on its validation rows: score_fits
-gives it for every (c1, c2) of one (blocks, sigma) group, with the
-bits of predict and report on the model but without building one.
-Plane j depends on c_j alone, so score_fits builds plane 1's terms and
-one system buffer, solves them once per distinct c1 in that buffer,
-and drops them before it builds plane 2's, solved once per distinct c2.
+The grid search's inner folds run in score_grid: one holding
+PreparedFold per fold, and one score_fits call per (blocks, sigma)
+group, which gives each distinct (c1, c2)'s validation G-mean with the
+bits of predict and report on the model, but builds no model: plane 1
+is solved once per distinct c1 and plane 2 once per distinct c2, and
+every solved plane's distances come from one _plane_distances pass.
 """
 
 from __future__ import annotations
@@ -263,7 +268,10 @@ def _kernel(xa: np.ndarray, xb: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    """[x | 1], with the bits of np.hstack without its call overhead."""
+    out = np.ones((x.shape[0], x.shape[1] + 1))
+    out[:, :-1] = x
+    return out
 
 
 def _weights_array(w, size: int, name: str) -> np.ndarray:
@@ -332,35 +340,57 @@ def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
     return lhs, c * bd
 
 
-def _fit_planes(x1, x2hat, d1, d2, sigma: float | None, c1: float,
-                c2: float, delta: float):
-    """Both weighted planes of a fit on pre-scaled class matrices and
-    their weights (None: unit weights), on the blocks of _class_blocks.
-    Plane j solves t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge
+def _solve_plane(a: np.ndarray, b: np.ndarray, d_b: np.ndarray, plane: int,
+                 cs, delta: float, k_ref: np.ndarray | None) -> list:
+    """Plane 1 or 2 of a fit on the blocks of _class_blocks at each
+    distinct penalty c in cs: ((w, b, norm), spd_solve's report), or the
+    SingularSystemError of a c whose system spd_solve cannot solve. The
+    plane solves t = (A'A + c B'DB + delta I)^-1 c B'D e, the ridge
     least-squares fit of At = 0 and Bt = e with weights cD on the rows
-    of B; u1 = -t1 and u2 = t2. Returns the two Hyperplanes, the
-    summary and the reference rows (None for the linear kernel)."""
+    of B; u1 = -t1 and u2 = t2, and norm is that of w over k_ref (see
+    _norm). The c-free terms are built once. Every c but the last is
+    built in one spare buffer; the last in the plane's own B'D_B B, so
+    A'A and the spare are freed before its solve."""
+    # looked up on the module, where tests count and the benchmark's
+    # tracer wraps them
+    terms = _plane_terms(a, b, d_b)
+    spare = np.empty_like(terms[1]) if len(cs) > 1 else None
+    out, last = [], len(cs) - 1
+    for i, c in enumerate(cs):
+        system = _plane_system(*terms, c, delta,
+                               spare if i < last else terms[1])
+        if i == last:
+            del terms, spare
+        try:
+            t, report = spd_solve(*system)
+        except SingularSystemError as exc:
+            out.append(exc)
+            continue
+        u = -t if plane == 1 else t
+        w = u[:-1]
+        out.append(((w, float(u[-1]), _norm(w, k_ref)), report))
+    return out
+
+
+def _fit_model(x1, x2hat, d1, d2, config: TrainConfig,
+               scaling: ScalingParams | None) -> TwinPlaneModel:
+    """The model of both weighted planes at config on pre-scaled class
+    matrices and their weights (None: unit weights): each plane is the
+    one-c case of _solve_plane. A singular plane 1 raises before plane
+    2's terms are built."""
     x1, x2hat, d1, d2 = _checked_blocks(x1, x2hat, d1, d2)
-    h, g, x_ref, k_ref = _class_blocks(x1, x2hat, sigma)
-
-    def solve(a, b, d_b, c):
-        terms = _plane_terms(a, b, d_b)
-        # the system is built in the plane's own B'D_B B, so A'A is
-        # freed with `terms` before the solve, and the system when this
-        # returns, before the next plane's terms are built
-        system = _plane_system(*terms, c, delta, terms[1])
-        del terms
-        return spd_solve(*system)
-
-    t1, report1 = solve(h, g, d2, c1)
-    t2, report2 = solve(g, h, d1, c2)
-    plane1, plane2 = (Hyperplane(w=u[:-1], b=u[-1], norm=_norm(u[:-1], k_ref))
-                      for u in (-t1, t2))
-    summary = TrainingSummary(
-        m1=x1.shape[0], m2_kept=x2hat.shape[0], m2_total=x2hat.shape[0],
-        solver_reports={"plane1": report1, "plane2": report2},
-    )
-    return plane1, plane2, summary, x_ref
+    h, g, x_ref, k_ref = _class_blocks(x1, x2hat, config.sigma)
+    planes, reports = [], {}
+    for plane, a, b, d_b, c in ((1, h, g, d2, config.c1),
+                                (2, g, h, d1, config.c2)):
+        (solved,) = _solve_plane(a, b, d_b, plane, (c,), config.delta, k_ref)
+        if isinstance(solved, SingularSystemError):
+            raise solved
+        (w, offset, norm), reports[f"plane{plane}"] = solved
+        planes.append(Hyperplane(w=w, b=offset, norm=norm))
+    summary = TrainingSummary(x1.shape[0], x2hat.shape[0], x2hat.shape[0],
+                              solver_reports=reports)
+    return TwinPlaneModel(*planes, scaling, config, summary, x_ref=x_ref)
 
 
 def _default_config(c1: float, c2: float, delta: float,
@@ -399,10 +429,7 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
             f"kernel {config.kernel}) disagrees with the linear fit at "
             f"c1={c1}, c2={c2}, delta={delta}"
         )
-    plane1, plane2, summary, _ = _fit_planes(x1, x2hat, d1, d2, None, c1,
-                                             c2, delta)
-    return TwinPlaneModel(plane1=plane1, plane2=plane2, scaling=scaling,
-                          config=config, summary=summary)
+    return _fit_model(x1, x2hat, d1, d2, config, scaling)
 
 
 def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
@@ -488,6 +515,32 @@ def _block_bounds(n: int, m_ref: int) -> list[tuple[int, int]]:
     return list(zip([0, *stops], stops))
 
 
+def _plane_distances(xs: np.ndarray, planes: list,
+                     x_ref: np.ndarray | None,
+                     sigma: float | None) -> list[np.ndarray]:
+    """Each row's distance to each (w, b, norm) plane, one array per
+    plane. The features f of a row are the scaled row itself when x_ref
+    is None, else its kernel values K(row, x_ref) of width sigma, which
+    are mapped one row block at a time (see _block_rows) on
+    linalg._run_blocks' worker threads: no thread holds more than one
+    block's kernel values, and each block writes its own rows of every
+    plane's distances, so the bits are those of one whole-batch pass on
+    one thread."""
+    if x_ref is None:
+        return [_distances(xs, *p) for p in planes]
+    out = [np.empty(xs.shape[0]) for _ in planes]
+
+    def block(start: int, stop: int, _) -> None:
+        # calls no function the benchmark's tracer wraps: its span stack
+        # is per process, not per thread
+        kx = _kernel(xs[start:stop], x_ref, sigma)
+        for d, plane in zip(out, planes):
+            d[start:stop] = _distances(kx, *plane)
+
+    linalg._run_blocks(_block_bounds(xs.shape[0], x_ref.shape[0]), block)
+    return out
+
+
 def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     """Label each row by its nearer plane; ties go to +1.
 
@@ -498,40 +551,25 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     and scalar results are returned. With return_distances, per-plane
     distances come back too.
 
-    A gaussian model maps rows to kernel values and measures both
-    distances one block of rows at a time (see _block_rows), so each
-    thread holds the kernel values of one block, never of the whole
-    batch. The rows per block are a multiple of 64, which gives the bits
-    of one whole-batch pass. The blocks run on one worker thread per CPU
-    in the process's affinity mask, never more than blocks (see
-    linalg._run_blocks, which runs fuzzy_rough.row_sums' large passes
-    too), each writing its own slices of the distances, so the bits do
-    not depend on the thread count. The rows are scaled, and the
-    reference rows and sigma checked, once per batch on the calling
-    thread.
+    Both distances come from _plane_distances, which also measures the
+    grid search's (see score_fits): a gaussian model's rows are mapped
+    to kernel values in row blocks of a multiple of 64 rows, on one
+    worker thread per CPU in the process's affinity mask, never more
+    than blocks (linalg._run_blocks, which runs fuzzy_rough.row_sums'
+    large passes too), with the bits of one whole-batch pass. The rows
+    are scaled, and the reference rows and sigma checked, once per
+    batch on the calling thread.
     """
     xs, single = _prepare_features(model, x)
     p1, p2 = model.plane1, model.plane2
     if p1.norm == 0.0 and p2.norm == 0.0:
         raise DegenerateModelError("both planes are degenerate")
-    if model.x_ref is None:
-        d1 = _distances(xs, p1.w, p1.b, p1.norm)
-        d2 = _distances(xs, p2.w, p2.b, p2.norm)
-    else:
-        sigma = model.config.sigma
+    x_ref, sigma = model.x_ref, model.config.sigma
+    if x_ref is not None:
         _check_sigma(sigma)
-        x_ref = linalg.as_matrix(model.x_ref, "reference rows")
-        d1, d2 = np.empty(xs.shape[0]), np.empty(xs.shape[0])
-
-        def block(start: int, stop: int, _) -> None:
-            # calls no function the benchmark's tracer wraps: its span
-            # stack is per process, not per thread
-            kx = _kernel(xs[start:stop], x_ref, sigma)
-            d1[start:stop] = _distances(kx, p1.w, p1.b, p1.norm)
-            d2[start:stop] = _distances(kx, p2.w, p2.b, p2.norm)
-
-        linalg._run_blocks(_block_bounds(xs.shape[0], x_ref.shape[0]),
-                           block)
+        x_ref = linalg.as_matrix(x_ref, "reference rows")
+    d1, d2 = _plane_distances(xs, [(p.w, p.b, p.norm) for p in (p1, p2)],
+                              x_ref, sigma)
     labels = np.where(d1 <= d2, 1, -1).astype(np.int64)
     if single:
         labels, d1, d2 = int(labels[0]), float(d1[0]), float(d2[0])
@@ -550,10 +588,7 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
         raise ConfigurationError(
             f"fit_kernel requires a gaussian config, got {config.kernel!r}"
         )
-    plane1, plane2, summary, x_ref = _fit_planes(
-        x1, x2hat, d1, d2, config.sigma, config.c1, config.c2, config.delta)
-    return TwinPlaneModel(plane1=plane1, plane2=plane2, scaling=scaling,
-                          config=config, summary=summary, x_ref=x_ref)
+    return _fit_model(x1, x2hat, d1, d2, config, scaling)
 
 
 @dataclass(frozen=True, eq=False)
@@ -734,57 +769,89 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
     each config, which differ only in c1 and c2; None where either
     plane's system is singular or both planes are degenerate. Each value
     has the bits of report(confusion(y_va, predict(fit_blocks(blocks,
-    config), x_va)), convention).gmean, but no model is built: plane
-    1's c-free terms are built once and solved, and its distances to
-    the rows measured, once per distinct c1, then dropped; plane 2's
-    likewise per distinct c2; and the rows are labelled and counted with
-    predict's and confusion's arithmetic. A gaussian group maps the
-    rows to kernel values once, in predict's row blocks."""
+    config), x_va)), convention).gmean, but no model is built: plane 1
+    is solved once per distinct c1 and plane 2 once per distinct c2 by
+    _solve_plane, one plane's terms at a time; every solved plane's
+    distances come from one _plane_distances pass over the rows; and
+    each distinct (c1, c2) labels and counts them with predict's and
+    confusion's arithmetic."""
     sigma, delta = configs[0].sigma, configs[0].delta
     h, g, x_ref, k_ref = _class_blocks(blocks.x1, blocks.x2hat, sigma)
-    feats = (None if sigma is None else
-             [(start, stop, _kernel(x_va[start:stop], x_ref, sigma))
-              for start, stop in _block_bounds(x_va.shape[0],
-                                               x_ref.shape[0])])
-
-    def distances(terms, lhs, c: float, plane: int):
-        """The rows' distances to plane 1 or 2 at penalty c and its
-        norm, or None if its system is singular. The system is built in
-        lhs, which each of the plane's c values reuses."""
-        try:
-            # looked up on the module, where the benchmark's tracer wraps it
-            t, _ = spd_solve(*_plane_system(*terms, c, delta, lhs))
-        except SingularSystemError:
-            return None
-        u = -t if plane == 1 else t
-        w, b = u[:-1], float(u[-1])
-        norm = _norm(w, k_ref)
-        if feats is None:
-            return _distances(x_va, w, b, norm), norm
-        d = np.empty(x_va.shape[0])
-        for start, stop, f in feats:
-            d[start:stop] = _distances(f, w, b, norm)
-        return d, norm
-
-    solved = []
+    # (c1, c2) -> its G-mean, None until measured
+    gmeans = dict.fromkeys((cfg.c1, cfg.c2) for cfg in configs)
+    # (plane, c) -> (w, b, norm), for every c whose system is solvable
+    planes = {}
     for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
-        # one plane's terms and system buffer at a time, dropped before
-        # the next plane's are built
-        terms = _plane_terms(a, b, d_b)
-        lhs = np.empty_like(terms[1])
-        cs = dict.fromkeys((cfg.c1, cfg.c2)[plane - 1] for cfg in configs)
-        solved.append({c: distances(terms, lhs, c, plane) for c in cs})
-        del terms, lhs
-    plane1, plane2 = solved
+        cs = dict.fromkeys(pair[plane - 1] for pair in gmeans)
+        for c, solved in zip(cs, _solve_plane(a, b, d_b, plane, cs, delta,
+                                              k_ref)):
+            if not isinstance(solved, SingularSystemError):
+                planes[plane, c] = solved[0]
+    dists = dict(zip(planes, _plane_distances(x_va, list(planes.values()),
+                                              x_ref, sigma)))
     true_pos = y_va == 1
-    out: list[float | None] = []
-    for config in configs:
-        p1, p2 = plane1[config.c1], plane2[config.c2]
-        if p1 is None or p2 is None or p1[1] == p2[1] == 0.0:
-            out.append(None)
-        else:
-            out.append(gmean(true_pos, p1[0] <= p2[0], convention))
-    return out
+    for c1, c2 in gmeans:
+        p1, p2 = planes.get((1, c1)), planes.get((2, c2))
+        # both planes solvable, and not both degenerate (norm 0)
+        if p1 and p2 and (p1[2] or p2[2]):
+            gmeans[c1, c2] = gmean(true_pos, dists[1, c1] <= dists[2, c2],
+                                   convention)
+    return [gmeans[cfg.c1, cfg.c2] for cfg in configs]
+
+
+def score_grid(ds: LabeledDataset, folds, configs: list[TrainConfig],
+               convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each config's G-mean summed over the (training rows, validation
+    rows) pairs of `folds`, and whether it is alive: a config that fails
+    on a fold (tau empties the majority, a singular system, both planes
+    degenerate) is dead and not fit again. The configs differ only in
+    tau, gamma, c1, c2 and sigma, as one grid search's do.
+
+    The configs are grouped once by (tau, gamma), gamma by gamma. Each
+    fold builds one holding PreparedFold, scales its validation rows,
+    and builds the blocks of every group with a live config, so a fold
+    that holds a similarity per gamma builds each once, and a group
+    whose tau empties the majority dies whole; then it drops the
+    PreparedFold. Configs whose blocks are one object (the same weights
+    and kept set) and that share sigma differ only in c1 and c2: each
+    such (blocks, sigma) group is scored by one score_fits call, and
+    each distinct (c1, c2)'s G-mean, or its failure, goes to every
+    config that shares it. Results are stored by config index, so no
+    sum or flag depends on the walk."""
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in sorted(enumerate(configs), key=lambda p: p[1].fuzzy.gamma):
+        groups.setdefault((cfg.tau, cfg.fuzzy), []).append(i)
+    sums = np.zeros(len(configs))
+    alive = np.ones(len(configs), dtype=bool)
+    for tr, va in folds:
+        # one held majority array serves every (gamma, kept set)
+        prep = PreparedFold(ds.features[tr], ds.labels[tr], hold=True)
+        x_va = minmax_apply(prep.scaling, ds.features[va])
+        y_va = ds.labels[va]
+        # (blocks, sigma) -> its live configs, in the order built
+        fits: dict[tuple, list[int]] = {}
+        for group in groups.values():
+            live = [i for i in group if alive[i]]
+            if not live:
+                continue
+            try:
+                blocks = prep.blocks(configs[live[0]])
+            except ConfigurationError:
+                alive[live] = False
+                continue
+            for i in live:
+                fits.setdefault((blocks, configs[i].sigma), []).append(i)
+        del prep
+        for (blocks, _), members in fits.items():
+            # looked up on the module, where tests wrap it
+            gmeans = score_fits(blocks, [configs[i] for i in members], x_va,
+                                y_va, convention)
+            for i, g in zip(members, gmeans):
+                if g is None:
+                    alive[i] = False
+                else:
+                    sums[i] += g
+    return sums, alive
 
 
 def fit_frlstsvm(ds: LabeledDataset, config: TrainConfig):

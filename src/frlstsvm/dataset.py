@@ -108,6 +108,8 @@ class ScalingParams:
         self.ranges = np.asarray(self.ranges, dtype=np.float64)
         if self.mins.shape != self.ranges.shape or self.mins.ndim != 1:
             raise DataError("scaling parameters must be matching 1-D arrays")
+        if not np.isfinite(np.append(self.mins, self.ranges)).all():
+            raise DataError("scaling parameters must be finite")
         if np.any(self.ranges <= 0):
             raise DataError("scaling ranges must be positive")
 

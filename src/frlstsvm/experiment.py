@@ -6,11 +6,13 @@ outer plan for repeat r is seeded with seed + r. Inside each outer
 training part, a stratified (k-1)-fold grid search picks the
 hyperparameters with the best mean G-mean (ties resolved by grid
 order: tau, gamma, c1, c2, sigma ascending), the winner is refit on
-the whole outer training part and scored on the held-out fold. Grid
-points that keep the same majority rows with the same weights are fit
-once per inner fold and (c1, c2, sigma), and share their G-mean. Every
-fold task is a pure function of (dataset, config, repeat, fold), so
-results do not depend on the worker count.
+the whole outer training part and scored on the held-out fold. This
+module builds the grid points' TrainConfigs and the inner fold plan,
+and averages what classifier.score_grid sums over the inner folds:
+that function fits and scores the points, sharing each fit among the
+points that keep the same majority rows with the same weights at the
+same sigma. Every fold task is a pure function of (dataset, config,
+repeat, fold), so results do not depend on the worker count.
 
 parse_config builds an ExperimentConfig from a `key = value` file, read
 through dataset.read_lines, and raw-text overrides. CONFIG_KEYS, one
@@ -34,12 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifier import (
-    PreparedFold,
     TrainConfig,
     _check_sigma,
     fit_frlstsvm,
     predict,
-    score_fits,
+    score_grid,
 )
 from .dataset import (
     LabeledDataset,
@@ -47,7 +48,6 @@ from .dataset import (
     fold_rows,
     load_csv,
     load_keel,
-    minmax_apply,
     read_lines,
     stratified_kfold,
     subset,
@@ -62,12 +62,12 @@ from .errors import (
 from .fuzzy_rough import FuzzyParams, check_tau
 from .metrics import CONVENTIONS, confusion, report
 
-# Unused here since the grid search fits through PreparedFold, but the
-# benchmark's tracer (perfbench/tracer.py, SITES) wraps these names on
-# this module before a traced run, so they must stay until SITES drops
-# them.
+# Unused here since the grid search fits through classifier.score_grid,
+# but the benchmark's tracer (perfbench/tracer.py, SITES) wraps these
+# names on this module before a traced run, so they must stay until
+# SITES drops them.
 from .classifier import fit_kernel, fit_linear  # noqa: F401
-from .dataset import minmax_fit  # noqa: F401
+from .dataset import minmax_apply, minmax_fit  # noqa: F401
 from .fuzzy_rough import (  # noqa: F401
     class_weights,
     positive_region_scores,
@@ -228,72 +228,15 @@ def derive_fold_seed(seed: int, repeat: int, fold: int) -> int:
 def _grid_search(train_ds: LabeledDataset, config: ExperimentConfig,
                  points: list[GridPoint], inner_k: int,
                  inner_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean inner-fold G-mean per grid point, plus a validity mask.
-
-    A point that fails on any inner fold (tau empties the majority,
-    singular system, degenerate model) is marked invalid and not fit
-    again. Each inner fold prepares every point through one
-    PreparedFold, so its fuzzy-rough steps are shared across the grid,
-    and scales its validation rows once.
-
-    Each inner fold runs in two phases. The first builds the blocks of
-    every (tau, gamma) with a live point, gamma by gamma, so a
-    PreparedFold that holds a similarity per gamma builds each once,
-    and then drops the PreparedFold. Points whose blocks are one object
-    (the same weights and kept set) differ only in c1, c2 and sigma, so
-    the second phase scores each (blocks, sigma) group with one
-    score_fits call, which solves plane 1 once per distinct c1 and
-    plane 2 once per distinct c2 from the group's c-free plane terms,
-    and adds each (c1, c2)'s G-mean, or its failure, to every point
-    that shares it. Results are stored by point index,
-    so no mean, flag or tie-break depends on the walk.
-    """
+    """Mean inner-fold G-mean per grid point, plus a validity mask: a
+    point that fails on any inner fold (tau empties the majority,
+    singular system, degenerate model) is invalid. classifier.score_grid
+    fits and scores every point on each of the inner_k folds of the
+    stratified plan seeded with inner_seed."""
     plan = stratified_kfold(train_ds, inner_k, inner_seed)
-    configs = [_train_config(config, pt) for pt in points]
-    # (tau, gamma) -> its points, whose configs differ only in c1, c2
-    # and sigma and so share their blocks; gamma by gamma
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i in sorted(range(len(points)), key=lambda i: points[i].gamma):
-        groups.setdefault(points[i][:2], []).append(i)
-    sums = np.zeros(len(points))
-    alive = np.ones(len(points), dtype=bool)
-    for f in range(inner_k):
-        tr, va = fold_rows(plan, f)
-        # one held majority array serves every (gamma, kept set)
-        prep = PreparedFold(train_ds.features[tr], train_ds.labels[tr],
-                            hold=True)
-        x_va = minmax_apply(prep.scaling, train_ds.features[va])
-        y_va = train_ds.labels[va]
-        # (blocks, sigma) -> its live points, in the order built
-        fits: dict[tuple, list[int]] = {}
-        for group in groups.values():
-            live = [i for i in group if alive[i]]
-            if not live:
-                continue
-            try:
-                blocks = prep.blocks(configs[live[0]])
-            except ConfigurationError:
-                alive[live] = False
-                continue
-            for i in live:
-                fits.setdefault((blocks, points[i].sigma), []).append(i)
-        del prep
-        for (blocks, _), members in fits.items():
-            # (c1, c2) -> the first member's config, then its G-mean or
-            # None if the fit failed
-            penalties: dict[tuple[float, float], TrainConfig] = {}
-            for i in members:
-                penalties.setdefault((configs[i].c1, configs[i].c2),
-                                     configs[i])
-            gmeans = dict(zip(penalties, score_fits(
-                blocks, list(penalties.values()), x_va, y_va,
-                config.convention)))
-            for i in members:
-                g = gmeans[configs[i].c1, configs[i].c2]
-                if g is None:
-                    alive[i] = False
-                else:
-                    sums[i] += g
+    sums, alive = score_grid(
+        train_ds, (fold_rows(plan, f) for f in range(inner_k)),
+        [_train_config(config, pt) for pt in points], config.convention)
     return sums / inner_k, alive
 
 

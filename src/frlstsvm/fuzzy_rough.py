@@ -205,7 +205,8 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
         if rows is None and gamma is None:
             return pairs.sum(axis=1)
         p = pairs.shape[0] if rows is None else rows.size
-    step = max(1, _KEPT_BLOCK_ENTRIES // p)
+    # an empty row set has no blocks and empty sums
+    step = max(1, _KEPT_BLOCK_ENTRIES // max(p, 1))
     sums = np.empty(p)
 
     def sum_block(i: int, stop: int, buf: np.ndarray | None) -> None:

@@ -1347,24 +1347,116 @@ class TestScoreFits:
         assert got[0] > 0.9
 
     def test_a_gaussian_group_holds_one_planes_terms_at_a_time(self):
-        # [K | 1], one plane's two c-free grams, its system buffer and
-        # the solve's factor come to 5 of the (m_ref + 1)^2 units; a
+        # [K | 1], one plane's two c-free grams, the spare system buffer
+        # and the solve's factor come to 5 of the (m_ref + 1)^2 units; a
         # fresh system per c, or a separate K, to 6, and both planes'
-        # terms held through the solves, to 7
+        # terms held through the solves, to 7. The last c, a one-c
+        # group's only one, is built in B'D_B B and A'A freed before its
+        # solve: [K | 1], the system and the factor come to 3, and a
+        # spare buffer or A'A kept through the solve to 4
         rng = np.random.default_rng(98)
         x1, x2 = rng.random((80, 8)), rng.random((720, 8))
         blocks = FitBlocks(x1, x2, rng.uniform(0.5, 1, 80),
                            rng.uniform(0.5, 1, 720), np.arange(720), 720)
-        configs = [config(c1=c, c2=c, kernel="gaussian", sigma=1.0)
-                   for c in (0.25, 1.0, 4.0)]
         x_va, y_va = rng.random((20, 8)), np.repeat([1, -1], 10)
-        tracemalloc.start()
-        try:
+        for cs, units in (((0.25, 1.0, 4.0), 5.6), ((1.0,), 3.5)):
+            configs = [config(c1=c, c2=c, kernel="gaussian", sigma=1.0)
+                       for c in cs]
+            tracemalloc.start()
+            try:
+                classifier.score_fits(blocks, configs, x_va, y_va,
+                                      "standard")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < units * 801 ** 2 * 8
+
+    @staticmethod
+    def gaussian_group():
+        """A gaussian group of 300 reference rows, so 384 rows a kernel
+        block, scored on 1000 validation rows: three blocks."""
+        x, y = make_circles(75, m1=260, m2=1040, noise=0.4)
+        rows = np.random.default_rng(76).permutation(y.size)
+        tr, va = rows[:300], rows[300:]
+        prep = PreparedFold(x[tr], y[tr])
+        configs = [TrainConfig(c1=c1, c2=c2, tau=0.0, fuzzy=fuzzy(),
+                               kernel="gaussian", sigma=0.5)
+                   for c1, c2 in ((0.25, 0.25), (4.0, 0.5))]
+        blocks = prep.blocks(configs[0])
+        assert len(_block_bounds(va.size, 300)) == 3
+        return blocks, configs, minmax_apply(prep.scaling, x[va]), y[va]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_gaussian_blocks_keep_the_bits_of_one_cpu(self, monkeypatch,
+                                                      cpus):
+        # the validation rows' kernel blocks run on min(cpus, blocks)
+        # workers, each pinned to its own CPU of the mask, as predict's
+        # do, with the G-means of one CPU and of predict
+        blocks, configs, x_va, y_va = self.gaussian_group()
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0])
+        one = classifier.score_fits(blocks, configs, x_va, y_va, "standard")
+        assert one == [
+            report(confusion(y_va, predict(fit_blocks(blocks, cfg), x_va)))
+            .gmean for cfg in configs]
+        assert all(0.5 < g < 1 for g in one)
+        mask = list(range(10, 10 + cpus))
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: mask)
+        started, pinned = count_threads(monkeypatch)
+        before = threading.active_count()
+        got = classifier.score_fits(blocks, configs, x_va, y_va, "standard")
+        assert threading.active_count() == before
+        workers = min(cpus, 3)
+        assert len(started) == (0 if workers == 1 else workers)
+        assert sorted(pinned, key=min) == (
+            [] if workers == 1 else [{c} for c in mask[:workers]])
+        assert np.array(got).tobytes() == np.array(one).tobytes()
+
+    def test_a_linear_or_one_block_group_starts_no_thread(self,
+                                                          monkeypatch):
+        blocks, configs, x_va, y_va = self.gaussian_group()
+        linear = [TrainConfig(c1=cfg.c1, c2=cfg.c2, tau=0.0, fuzzy=fuzzy())
+                  for cfg in configs]
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
+        started, _ = count_threads(monkeypatch)
+        # 384 rows are one block of 300 reference rows
+        assert len(_block_bounds(384, 300)) == 1
+        for group, rows in ((linear, slice(None)), (configs, slice(384))):
+            got = classifier.score_fits(blocks, group, x_va[rows],
+                                        y_va[rows], "standard")
+            assert all(g is not None for g in got)
+        assert started == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_a_failed_gaussian_block_raises_after_every_thread_joins(
+            self, monkeypatch, cpus):
+        # CPUs the host may not have: a worker that cannot be pinned runs
+        # where the OS puts it
+        monkeypatch.setattr(linalg, "_usable_cpus",
+                            lambda: list(range(cpus)))
+        blocks, configs, x_va, y_va = self.gaussian_group()
+        failure = MemoryError("second block")
+        calls = itertools.count(1)
+        lock = threading.Lock()
+        real_kernel = classifier._kernel
+
+        def kernel(xa, xb, sigma):
+            # the first call builds the group's gram, the rest map the
+            # validation blocks
+            with lock:
+                call = next(calls)
+            if call == 3:
+                raise failure
+            return real_kernel(xa, xb, sigma)
+
+        monkeypatch.setattr(classifier, "_kernel", kernel)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
             classifier.score_fits(blocks, configs, x_va, y_va, "standard")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.6 * 801 ** 2 * 8
+        assert info.value is failure
+        assert threading.active_count() == before
+        if cpus == 1:
+            # no block is taken after the one that failed
+            assert next(calls) == 4
 
     def test_plane_system_has_the_bits_of_the_diag_indices_form(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from frlstsvm.classifier import load_model
+from frlstsvm.classifier import _block_bounds, load_model
+from frlstsvm.dataset import LabeledDataset, fold_rows, stratified_kfold
+from frlstsvm.experiment import derive_fold_seed
 from frlstsvm.fuzzy_rough import _THREADED_ENTRIES
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
@@ -34,6 +36,10 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
     # and score mode, and a linear fit whose row sums run on threads
     assert len(script.FITS) == 6 and len(names) == 2 + 1 + 2 * 6
     assert set(script.FIT_SHAPES) < set(script.FITS)
+    assert set(script.CONFIG_SHAPES) < set(script.CONFIGS)
+    # a full run writes 35 files: two per CV config, cli.csv, and two
+    # per lone fit
+    assert 2 * len(script.CONFIGS) + 1 + 2 * len(script.FITS) == 35
     assert names == sorted(
         ["smoke.csv", "smoke.jsonl", "cli.csv"]
         + [f"{fit}.{ext}" for fit in script.FITS
@@ -84,3 +90,24 @@ def test_gaussian_grid_shares_kept_sets_and_plane_terms(tmp_path):
     csv = (tmp_path / "out" / "smoke.csv").read_text().splitlines()
     sigmas = {float(ln.split(",")[6]) for ln in csv[1:4]}
     assert sigmas <= set(fields["sigma_grid"])
+
+
+def test_the_yeast3_gaussian_grid_scores_two_kernel_blocks():
+    # every inner fold of the first outer fold validates its rows in two
+    # predict blocks against the tau-0 fit's reference rows (all of the
+    # inner training rows), so the grid's scoring runs on worker threads
+    script = load_script()
+    fields = script.CONFIGS["gaussian_yeast3"]
+    assert script.CONFIG_SHAPES["gaussian_yeast3"] == "yeast3"
+    assert fields["kernel"] == "gaussian" and 0.0 in fields["tau_grid"]
+    ds = LabeledDataset(*script._perfbench("datagen").make_dataset(
+        "yeast3", script.SEED))
+    outer = stratified_kfold(ds, fields["folds"], script.SEED)
+    train, _ = fold_rows(outer, 0)
+    inner = stratified_kfold(LabeledDataset(ds.features[train],
+                                            ds.labels[train]),
+                             fields["inner_folds"],
+                             derive_fold_seed(script.SEED, 0, 0))
+    for f in range(fields["inner_folds"]):
+        tr, va = fold_rows(inner, f)
+        assert len(_block_bounds(va.size, tr.size)) == 2

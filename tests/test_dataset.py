@@ -10,6 +10,7 @@ import pytest
 from frlstsvm.classifier import PreparedFold
 from frlstsvm.dataset import (
     LabeledDataset,
+    ScalingParams,
     atomic_write,
     fold_rows,
     imbalance_ratio,
@@ -381,6 +382,18 @@ class TestMinMax:
         with pytest.raises(DataError, match=r"feature column 1 \(0-based\) "
                            r"spans -1.5e\+308 to 1.5e\+308"):
             minmax_fit(x)
+
+    @pytest.mark.parametrize("mins, ranges", [
+        ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, np.nan, 1.0]),
+        ([0.0, -np.inf, 0.0], [1.0, 1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, np.inf]),
+    ])
+    def test_non_finite_parameters_are_refused(self, mins, ranges):
+        # a NaN would scale every row to NaN, which predicts -1 for all
+        # of them, and an infinite range silently zeroes its column
+        with pytest.raises(DataError, match="must be finite"):
+            ScalingParams(mins=mins, ranges=ranges)
 
     def test_widest_finite_range_still_scales(self):
         x = np.array([[-8e307], [8e307], [0.0]])

@@ -551,7 +551,7 @@ def inject_into_plane_solves(monkeypatch, change):
     read off the configs given to it."""
     real_terms, real_system = classifier._plane_terms, classifier._plane_system
     real_solve = classifier.spd_solve
-    real_score, real_fit = experiment.score_fits, classifier.fit_blocks
+    real_score, real_fit = classifier.score_fits, classifier.fit_blocks
     gamma, built, calls = [None], [None], [0]
 
     def numbered_terms(*args):
@@ -582,7 +582,7 @@ def inject_into_plane_solves(monkeypatch, change):
             (classifier, "_plane_terms", numbered_terms),
             (classifier, "_plane_system", system),
             (classifier, "spd_solve", solve),
-            (experiment, "score_fits", score),
+            (classifier, "score_fits", score),
             (classifier, "fit_blocks", fit)):
         monkeypatch.setattr(module, name, fake)
 

@@ -568,6 +568,20 @@ class TestRowSums:
             # no block is taken after the one that failed
             assert next(calls) == 3
 
+    @pytest.mark.parametrize("tnorm", T_NORMS)
+    def test_an_empty_row_set_gives_empty_sums(self, tnorm):
+        # as row_means does: no rows, no blocks, no sums
+        x = np.random.default_rng(22).uniform(0, 1, size=(5, 3))
+        none = np.array([], dtype=int)
+        fuzzy = params(gamma=2.0, tnorm=tnorm)
+        # the held distance and the points under the minimum t-norm map
+        # Chebyshev distances; the other forms read the similarity
+        how = dict(gamma=2.0) if tnorm == "minimum" else {}
+        for got in (row_sums(chebyshev_distances(x), none, gamma=2.0),
+                    row_sums(indiscernibility_matrix(x, fuzzy), none),
+                    row_sums(x, none, points=fuzzy, **how)):
+            assert got.shape == (0,) and got.dtype == np.float64
+
     def test_distances_are_the_chebyshev_metric(self):
         x = np.array([[0.0, 0.5], [0.25, 0.0], [1.0, 1.0]])
         assert np.array_equal(chebyshev_distances(x), [
