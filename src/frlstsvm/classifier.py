@@ -40,11 +40,14 @@ the plane's c-free terms once with _plane_terms, (A'A, B'D_B B, B'd_B):
 c B'D_B B + A'A + delta I for each c, every c but the last in one
 spare buffer and the last in B'D_B B itself, so A'A and the spare are
 freed before its solve; spd_solve solves it, and a singular c is
-reported for that c alone. A model's fit (fit_linear, fit_kernel, and
-fit_blocks through them) is the one-c case of each plane, so a lone
-gaussian fit holds three (m_ref + 1)^2 arrays at its peak: [K | 1] and
-one plane's two terms, or [K | 1], the system and the solve's factor
-(and a fourth while spd_solve factors a ridged copy).
+reported for that c alone. A model's fit is the one-c case of each
+plane, so a lone gaussian fit holds three (m_ref + 1)^2 arrays at its
+peak: [K | 1] and one plane's two terms, or [K | 1], the system and
+the solve's factor (and a fourth while spd_solve factors a ridged
+copy). The fit has one signature, (minority rows, kept majority rows,
+their weights, TrainConfig, scaling), under two names: fit_linear
+takes a linear config and fit_kernel a gaussian one, each refusing the
+other's, and fit_blocks calls the one its config's kernel names.
 _plane_distances measures rows against (w, b, norm) planes, for
 predict and for the grid alike: linear rows directly, gaussian rows
 mapped to kernel values in row blocks of about 2^17 kernel values, so
@@ -393,18 +396,10 @@ def _fit_model(x1, x2hat, d1, d2, config: TrainConfig,
     return TwinPlaneModel(*planes, scaling, config, summary, x_ref=x_ref)
 
 
-def _default_config(c1: float, c2: float, delta: float,
-                    weighted: bool) -> TrainConfig:
-    return TrainConfig(
-        c1=c1, c2=c2, tau=0.0, fuzzy=FuzzyParams(gamma=1.0),
-        delta=delta, kernel="linear", sigma=None, weights_enabled=weighted,
-    )
-
-
-def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
-               delta: float = 1e-6, scaling: ScalingParams | None = None,
-               config: TrainConfig | None = None) -> TwinPlaneModel:
-    """Fit both weighted hyperplanes from pre-scaled class matrices.
+def fit_linear(x1, x2hat, d1, d2, config: TrainConfig,
+               scaling: ScalingParams | None = None) -> TwinPlaneModel:
+    """Fit both weighted hyperplanes at config from pre-scaled class
+    matrices.
 
     Parameters
     ----------
@@ -412,23 +407,14 @@ def fit_linear(x1, x2hat, d1, d2, c1: float, c2: float,
     x2hat : (m2k, n) kept majority rows, already scaled.
     d1, d2 : instance weights for x1 and x2hat (array, or None for unit
         weights).
-    c1, c2 : penalty factors, > 0.
-    delta : ridge added to each Gram matrix.
+    config : a linear TrainConfig; the fit reads its c1, c2 and delta,
+        and the model carries it.
     scaling : attached to the model so prediction can scale raw inputs;
         None means inputs to predict are taken as already scaled.
-    config : full config snapshot to carry on the model; a minimal one
-        is synthesized when omitted. A config whose c1, c2, delta or
-        kernel disagrees with this fit is a ConfigurationError.
     """
-    if config is None:
-        config = _default_config(c1, c2, delta, weighted=True)
-    elif ((config.c1, config.c2, config.delta, config.kernel)
-          != (c1, c2, delta, "linear")):
+    if config.kernel != "linear":
         raise ConfigurationError(
-            f"config (c1={config.c1}, c2={config.c2}, delta={config.delta}, "
-            f"kernel {config.kernel}) disagrees with the linear fit at "
-            f"c1={c1}, c2={c2}, delta={delta}"
-        )
+            f"fit_linear requires a linear config, got {config.kernel!r}")
     return _fit_model(x1, x2hat, d1, d2, config, scaling)
 
 
@@ -438,7 +424,8 @@ def fit_lstsvm_baseline(x1, x2, c1: float, c2: float,
                         ) -> TwinPlaneModel:
     """Plain LSTSVM, no subsampling and no weights, via the primal
     closed forms."""
-    config = _default_config(c1, c2, delta, weighted=False)
+    config = TrainConfig(c1=c1, c2=c2, tau=0.0, fuzzy=FuzzyParams(gamma=1.0),
+                         delta=delta, weights_enabled=False)
     x1, x2, _, _ = _checked_blocks(x1, x2)
     h = _augment(x1)
     g = _augment(x2)
@@ -586,8 +573,7 @@ def fit_kernel(x1, x2hat, d1, d2, config: TrainConfig,
     """
     if config.kernel != "gaussian":
         raise ConfigurationError(
-            f"fit_kernel requires a gaussian config, got {config.kernel!r}"
-        )
+            f"fit_kernel requires a gaussian config, got {config.kernel!r}")
     return _fit_model(x1, x2hat, d1, d2, config, scaling)
 
 
@@ -750,13 +736,9 @@ def fit_blocks(blocks: FitBlocks, config: TrainConfig,
     """Run the linear or kernel solver on prepared blocks. Returns a
     TwinPlaneModel carrying `scaling` (None: predict takes scaled rows),
     whose summary records how many majority rows survived."""
-    if config.kernel == "gaussian":
-        model = fit_kernel(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
-                           config, scaling=scaling)
-    else:
-        model = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
-                           config.c1, config.c2, config.delta,
-                           scaling=scaling, config=config)
+    fit = fit_kernel if config.kernel == "gaussian" else fit_linear
+    model = fit(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2, config,
+                scaling)
     model.summary.m2_total = blocks.m2_total
     model.summary.kept_majority_rows = blocks.kept_rows
     return model

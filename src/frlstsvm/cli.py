@@ -20,16 +20,10 @@ from .classifier import (
     predict,
     save_model,
 )
-from .dataset import (
-    atomic_write,
-    load_csv,
-    load_keel,
-    load_matrix_csv,
-)
+from .dataset import FORMATS, atomic_write, load_labeled, load_matrix_csv
 from .errors import ExperimentError, FrlstsvmError
 from .experiment import (
     CONFIG_KEYS,
-    FORMATS,
     CvResult,
     _aggregate,
     format_cv_table,
@@ -61,10 +55,8 @@ def _add_fuzzy_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_labeled(args):
-    if args.format == "keel":
-        return load_keel(args.data, args.positive_label)
-    return load_csv(args.data, args.label_column, args.positive_label,
-                    args.header)
+    return load_labeled(args.data, args.format, args.label_column,
+                        args.positive_label, args.header)
 
 
 def _fuzzy_from_args(args) -> FuzzyParams:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DataError
 
 LABEL_SET = (1, -1)
+FORMATS = ("csv", "keel")
 
 
 @dataclass
@@ -410,6 +411,17 @@ def load_keel(path, positive_label: str | None = None) -> LabeledDataset:
     labels = _finish_labels([cells[label_pos] for _, cells in rows],
                             positive_label, path)
     return LabeledDataset(feats, labels, attribute_names=inputs)
+
+
+def load_labeled(path, fmt: str, label_column: int | str,
+                 positive_label: str | None,
+                 has_header: bool) -> LabeledDataset:
+    """Load a labeled data file in format fmt, one of FORMATS. A KEEL
+    file names its own label and header, so label_column and has_header
+    apply to CSV files only."""
+    if fmt == "keel":
+        return load_keel(path, positive_label)
+    return load_csv(path, label_column, positive_label, has_header)
 
 
 def minmax_fit(x) -> ScalingParams:

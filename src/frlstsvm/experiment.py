@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,11 +44,11 @@ from .classifier import (
     score_grid,
 )
 from .dataset import (
+    FORMATS,
     LabeledDataset,
     atomic_write,
     fold_rows,
-    load_csv,
-    load_keel,
+    load_labeled,
     read_lines,
     stratified_kfold,
     subset,
@@ -80,8 +81,6 @@ DEFAULT_C_GRID = tuple(float(2.0 ** e) for e in range(-8, 9, 2))
 DEFAULT_SIGMA_GRID = tuple(float(2.0 ** e) for e in range(-4, 5))
 
 METRIC_KEYS = ("accuracy", "sensitivity", "specificity", "gmean")
-
-FORMATS = ("csv", "keel")
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,12 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ConfigurationError(
                     f"{name} must be one of {allowed}, got {value!r}")
+        for name in ("folds", "inner_folds", "repeats", "workers", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or (name == "inner_folds" and value is None)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
         for name, least in (("folds", 2), ("inner_folds", 2), ("repeats", 1),
                             ("workers", 1)):
             value = getattr(self, name)
@@ -213,10 +218,8 @@ class CvResult:
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
     if config.data is None:
         raise ConfigurationError("no dataset path configured")
-    if config.fmt == "keel":
-        return load_keel(config.data, config.positive_label)
-    return load_csv(config.data, config.label_column,
-                    config.positive_label, config.has_header)
+    return load_labeled(config.data, config.fmt, config.label_column,
+                        config.positive_label, config.has_header)
 
 
 def derive_fold_seed(seed: int, repeat: int, fold: int) -> int:

@@ -73,6 +73,10 @@ def rel_err(got, want):
                  / max(1.0, np.linalg.norm(want)))
 
 
+def linear_config(c1, c2):
+    return TrainConfig(c1=c1, c2=c2, tau=0.0, fuzzy=FuzzyParams(gamma=1.0))
+
+
 def random_classes(rng):
     """Class matrices with at most 40 rows total and 5 attributes."""
     m1 = int(rng.integers(2, 20))
@@ -87,7 +91,7 @@ def test_criterion_1_solver_equivalence():
     worst = 0.0
     for trial in range(20):
         x1, x2 = random_classes(rng)
-        dual = fit_linear(x1, x2, None, None, 1.0, 1.0, delta=1e-6)
+        dual = fit_linear(x1, x2, None, None, linear_config(1.0, 1.0))
         primal = fit_lstsvm_baseline(x1, x2, 1.0, 1.0, delta=1e-6)
         worst = max(
             worst,
@@ -113,7 +117,7 @@ def test_criterion_2_oracle_equivalence():
         d2 = rng.uniform(0.05, 1.0, size=x2.shape[0])
         c1 = float(rng.uniform(0.25, 4.0))
         c2 = float(rng.uniform(0.25, 4.0))
-        model = fit_linear(x1, x2, d1, d2, c1, c2, delta=1e-6)
+        model = fit_linear(x1, x2, d1, d2, linear_config(c1, c2))
         u1 = plane_vec(model.plane1)
         u2 = plane_vec(model.plane2)
         g1 = np.linalg.norm(grad_f1(u1, x1, x2, d2, c1, 1e-6))

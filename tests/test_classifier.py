@@ -214,7 +214,7 @@ class TestMirrorProblem:
     """One minority point at (1,0), one majority point at (-1,0)."""
 
     def test_planes_are_mirror_images(self):
-        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
+        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, config())
         w1, b1 = model.plane1.w, model.plane1.b
         w2, b2 = model.plane2.w, model.plane2.b
         assert np.allclose(w1, w2, atol=1e-6)
@@ -225,7 +225,7 @@ class TestMirrorProblem:
         assert abs(w2 @ MIRROR_X2[0] + b2) <= 1e-5
 
     def test_baseline_agrees_here(self):
-        weighted = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
+        weighted = fit_linear(MIRROR_X1, MIRROR_X2, None, None, config())
         baseline = fit_lstsvm_baseline(MIRROR_X1, MIRROR_X2, 1.0, 1.0)
         assert np.allclose(plane_vec(weighted.plane1),
                            plane_vec(baseline.plane1), atol=1e-6)
@@ -233,14 +233,14 @@ class TestMirrorProblem:
                            plane_vec(baseline.plane2), atol=1e-6)
 
     def test_decision_examples(self):
-        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
+        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, config())
         assert predict(model, np.array([2.0, 0.0])) == 1
         assert predict(model, np.array([-2.0, 0.0])) == -1
         # equidistant by symmetry: the tie goes to the minority class
         assert predict(model, np.array([0.0, 0.0])) == 1
 
     def test_descent_oracle_on_tiny_problem(self):
-        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0)
+        model = fit_linear(MIRROR_X1, MIRROR_X2, None, None, config())
         want = descent_u1(MIRROR_X1, MIRROR_X2, np.ones(1), 1.0, 1e-6)
         got = np.append(model.plane1.w, model.plane1.b)
         assert rel_close(got, want, 1e-4)
@@ -266,7 +266,7 @@ class TestSolverIdentities:
         rng = np.random.default_rng(33)
         for trial in range(20):
             x1, x2, d1, d2 = random_instance(rng, weighted=False)
-            a = fit_linear(x1, x2, d1, d2, 1.0, 1.0, delta=1e-6)
+            a = fit_linear(x1, x2, d1, d2, config(1.0, 1.0, delta=1e-6))
             b = fit_lstsvm_baseline(x1, x2, 1.0, 1.0, delta=1e-6)
             assert rel_close(plane_vec(a.plane1), plane_vec(b.plane1), 1e-6)
             assert rel_close(plane_vec(a.plane2), plane_vec(b.plane2), 1e-6)
@@ -280,7 +280,7 @@ class TestSolverIdentities:
             c1 = float(2.0 ** rng.integers(-3, 4))
             c2 = float(2.0 ** rng.integers(-3, 4))
             delta = 1e-6
-            a = fit_linear(x1, x2, d1, d2, c1, c2, delta=delta)
+            a = fit_linear(x1, x2, d1, d2, config(c1, c2, delta=delta))
             b1 = fit_lstsvm_baseline(x1, x2, c1, c2, delta=delta / c1)
             b2 = fit_lstsvm_baseline(x1, x2, c1, c2, delta=delta / c2)
             assert rel_close(plane_vec(a.plane1), plane_vec(b1.plane1), 1e-6)
@@ -292,7 +292,7 @@ class TestSolverIdentities:
             x1, x2, d1, d2 = random_instance(rng, weighted=True)
             c1 = float(rng.uniform(0.25, 4.0))
             c2 = float(rng.uniform(0.25, 4.0))
-            model = fit_linear(x1, x2, d1, d2, c1, c2, delta=1e-6)
+            model = fit_linear(x1, x2, d1, d2, config(c1, c2, delta=1e-6))
             u1 = plane_vec(model.plane1)
             u2 = plane_vec(model.plane2)
             want1 = descent_u1(x1, x2, d2, c1, 1e-6)
@@ -308,7 +308,7 @@ class TestSolverIdentities:
             x1, x2, d1, d2 = random_instance(rng, weighted=True)
             c1 = float(2.0 ** rng.integers(-3, 4))
             c2 = float(2.0 ** rng.integers(-3, 4))
-            model = fit_linear(x1, x2, d1, d2, c1, c2, delta=1e-6)
+            model = fit_linear(x1, x2, d1, d2, config(c1, c2, delta=1e-6))
             want1, want2 = smw_dual_planes(x1, x2, d1, d2, c1, c2, 1e-6)
             assert rel_close(plane_vec(model.plane1), want1, 1e-8)
             assert rel_close(plane_vec(model.plane2), want2, 1e-8)
@@ -320,7 +320,7 @@ class TestSolverIdentities:
             x1, x2, d1, d2 = random_instance(rng, weighted=True)
             c1 = float(rng.uniform(0.25, 4.0))
             c2 = float(rng.uniform(0.25, 4.0))
-            model = fit_linear(x1, x2, d1, d2, c1, c2, delta=1e-6)
+            model = fit_linear(x1, x2, d1, d2, config(c1, c2, delta=1e-6))
             u1 = plane_vec(model.plane1)
             u2 = plane_vec(model.plane2)
             g1 = grad_f1(u1, x1, x2, d2, c1, 1e-6)
@@ -338,9 +338,19 @@ class TestSolverIdentities:
         acc = float(np.mean(predict(model, x) == y))
         assert acc >= 0.95
 
+    def test_baseline_model_carries_its_config(self, tmp_path):
+        model = fit_lstsvm_baseline(MIRROR_X1, MIRROR_X2, 2.0, 0.5,
+                                    delta=1e-4)
+        want = TrainConfig(2.0, 0.5, tau=0.0, fuzzy=FuzzyParams(1.0),
+                           delta=1e-4, weights_enabled=False)
+        assert model.config == want
+        path = str(tmp_path / "baseline.model")
+        save_model(model, path)
+        assert load_model(path).config == want
+
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="weights"):
-            fit_linear(MIRROR_X1, MIRROR_X2, np.ones(3), None, 1.0, 1.0)
+            fit_linear(MIRROR_X1, MIRROR_X2, np.ones(3), None, config())
 
     @pytest.mark.parametrize("name, value", [
         ("c1", math.nan), ("c1", math.inf), ("c1", 0.0), ("c2", -1.0),
@@ -792,33 +802,33 @@ class TestPipeline:
         assert model.summary.m2_kept == 30
         assert calls == []
 
-    @pytest.mark.parametrize("field,value", [
-        ("c1", 4.0), ("c2", 4.0), ("delta", 1e-3), ("kernel", "gaussian"),
-    ])
-    def test_fit_linear_refuses_a_config_that_disagrees(self, field,
-                                                        value):
+    def test_fit_linear_refuses_a_gaussian_config(self):
         # the model would carry the config, so its file and eval's config
-        # string would name values the fit did not use
-        extra = dict(sigma=1.0) if field == "kernel" else {}
-        cfg = config(**{field: value}, **extra)
+        # string would name a kernel the fit did not use
         with pytest.raises(ConfigurationError, match=(
-                rf"^config \(c1={cfg.c1}, c2={cfg.c2}, delta={cfg.delta}, "
-                rf"kernel {cfg.kernel}\) disagrees with the linear fit at "
-                r"c1=1.0, c2=1.0, delta=1e-06$")):
-            fit_linear(MIRROR_X1, MIRROR_X2, None, None, 1.0, 1.0,
-                       config=cfg)
+                r"^fit_linear requires a linear config, got 'gaussian'$")):
+            fit_linear(MIRROR_X1, MIRROR_X2, None, None,
+                       config(kernel="gaussian", sigma=1.0))
 
-    def test_fit_blocks_fits_at_its_config(self):
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    def test_fit_blocks_fits_at_its_config(self, kernel):
         x, y = make_blobs(73, m1=10, m2=30)
-        cfg = config(c1=4.0, c2=0.5, tau=0.2, delta=1e-4)
+        sigma = 1.0 if kernel == "gaussian" else None
+        cfg = config(c1=4.0, c2=0.5, tau=0.2, delta=1e-4, kernel=kernel,
+                     sigma=sigma)
         blocks = PreparedFold(x, y).blocks(cfg)
         model = fit_blocks(blocks, cfg)
         assert model.config is cfg
-        plain = fit_linear(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2,
-                           4.0, 0.5, 1e-4)
+        fit = fit_kernel if kernel == "gaussian" else fit_linear
+        plain = fit(blocks.x1, blocks.x2hat, blocks.d1, blocks.d2, cfg)
         for got, want in ((model.plane1, plain.plane1),
                           (model.plane2, plain.plane2)):
             assert got.w.tobytes() == want.w.tobytes() and got.b == want.b
+            assert got.norm == want.norm
+        assert model.summary.m2_total == blocks.m2_total == 30
+        assert np.array_equal(model.summary.kept_majority_rows,
+                              blocks.kept_rows)
+        assert model.summary.m2_kept == blocks.kept_rows.size
 
     def test_tau_one_with_spread_majority_fails(self):
         x, y = make_blobs(72)

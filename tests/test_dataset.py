@@ -16,6 +16,7 @@ from frlstsvm.dataset import (
     imbalance_ratio,
     load_csv,
     load_keel,
+    load_labeled,
     load_matrix_csv,
     minmax_apply,
     minmax_fit,
@@ -310,6 +311,23 @@ class TestLoadKeel:
         ds = load_keel(write(tmp_path, "tiny.dat", text))
         assert ds.attribute_names == ["A1", "A2"]
         assert np.array_equal(ds.labels, [-1, -1, 1])
+
+
+class TestLoadLabeled:
+    def test_keel_format_reads_the_keel_file(self, tmp_path):
+        path = write(tmp_path, "tiny.dat", KEEL_MINIMAL)
+        # a KEEL file names its own label column and header
+        ds = load_labeled(path, "keel", 0, None, True)
+        want = load_keel(path)
+        assert np.array_equal(ds.features, want.features)
+        assert np.array_equal(ds.labels, want.labels)
+        assert ds.attribute_names == want.attribute_names
+
+    def test_csv_format_reads_the_csv_settings(self, tmp_path):
+        path = write(tmp_path, "d.csv", "cls,a,b\nx,1,2\ny,3,4\ny,5,6\n")
+        ds = load_labeled(path, "csv", "cls", "x", True)
+        assert np.array_equal(ds.features, [[1, 2], [3, 4], [5, 6]])
+        assert np.array_equal(ds.labels, [1, -1, -1])
 
 
 class TestAtomicWrite:

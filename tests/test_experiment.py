@@ -180,6 +180,33 @@ class TestExperimentConfigValidation:
         with pytest.raises(ConfigurationError, match="workers"):
             ExperimentConfig(workers=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("folds", 3.5), ("inner_folds", 2.0),
+        ("repeats", 2.0), ("workers", 2.5), ("seed", "1"),
+        ("folds", None), ("repeats", np.float64(2.0)),
+    ])
+    def test_rejects_a_count_that_is_not_an_integer(self, name, value):
+        # run_nested_cv would die in numpy's SeedSequence or in range
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = ExperimentConfig(seed=np.uint64(2 ** 64 - 1),
+                               folds=np.int64(3), inner_folds=np.int32(2),
+                               repeats=np.int8(1), workers=np.int16(1))
+        assert (cfg.folds, cfg.inner_folds, cfg.repeats) == (3, 2, 1)
+
+    def test_keeps_the_range_messages(self):
+        for fields, message in ((dict(folds=1), "folds must be >= 2, got 1"),
+                                (dict(seed=-1),
+                                 "seed must fit in 64 unsigned bits"),
+                                (dict(seed=2 ** 64),
+                                 "seed must fit in 64 unsigned bits")):
+            with pytest.raises(ConfigurationError) as exc:
+                ExperimentConfig(**fields)
+            assert str(exc.value) == message
+
 
 class TestParseConfig:
     def test_no_file_yields_defaults(self):
