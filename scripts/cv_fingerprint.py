@@ -37,6 +37,22 @@ It uses one process and, run as a script, one BLAS thread: it sets
 the thread variables of perfbench/child.py to 1 before numpy is
 imported, since a different BLAS thread count can change the last bits
 of a solve.
+
+A change that states a break in the last bits compares the two
+directories instead:
+
+    python3 scripts/cv_fingerprint.py --compare OUT_PARENT OUT_CHANGE
+
+It lists the identical files and those that differ. For each differing
+`.model` it prints how many of its numbers differ and their largest
+relative and ulp differences; the text around the numbers (every token
+that float() does not read, and each line's token count) must match.
+For each differing `.predict` it prints the flipped labels and the
+largest relative distance difference. It exits 1 if a `.csv` or
+`.jsonl` file differs, a label flips, a model's text differs, a file is
+on one side only or of another kind, and 0 otherwise. Whether the
+differences it prints are inside the bound the change argues is for the
+reader to judge.
 """
 from __future__ import annotations
 
@@ -44,6 +60,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -223,10 +240,109 @@ def write_fingerprint(outdir, configs=None,
     return written
 
 
+def _ulps(a: float, b: float) -> int:
+    """How many float64 values lie from a to b, counting b: 0 when they
+    are the same, 1 for neighbours (with 0.0 and -0.0 one value)."""
+    def ordered(v: float) -> int:
+        (i,) = struct.unpack("<q", struct.pack("<d", v))
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+    return abs(ordered(a) - ordered(b))
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values, infinities included."""
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _split_numbers(text: str) -> tuple[list, list[float]]:
+    """A model file's text, as (each line's tokens with every number
+    replaced by None, the numbers in order); a number is a token that
+    float() reads."""
+    shape, numbers = [], []
+    for line in text.splitlines():
+        tokens = []
+        for token in line.split():
+            try:
+                numbers.append(float(token))
+                tokens.append(None)
+            except ValueError:
+                tokens.append(token)
+        shape.append(tokens)
+    return shape, numbers
+
+
+def _compare_model(old: str, new: str) -> tuple[str, bool]:
+    shape_old, nums_old = _split_numbers(old)
+    shape_new, nums_new = _split_numbers(new)
+    if shape_old != shape_new:
+        return "text differs", False
+    pairs = [(a, b) for a, b in zip(nums_old, nums_new)
+             if _ulps(a, b) != 0]
+    return (f"{len(pairs)} of {len(nums_old)} numbers differ, max relative "
+            f"{max((_relative(a, b) for a, b in pairs), default=0.0):.3g}, "
+            f"max ulps {max((_ulps(a, b) for a, b in pairs), default=0)}",
+            True)
+
+
+def _compare_predict(old: str, new: str) -> tuple[str, bool]:
+    rows_old = [line.split() for line in old.splitlines()]
+    rows_new = [line.split() for line in new.splitlines()]
+    if len(rows_old) != len(rows_new):
+        return "row counts differ", False
+    flips = sum(a[0] != b[0] for a, b in zip(rows_old, rows_new))
+    worst = max((_relative(float(x), float(y))
+                 for a, b in zip(rows_old, rows_new)
+                 for x, y in zip(a[1:], b[1:])), default=0.0)
+    return (f"{flips} of {len(rows_old)} labels flipped, max relative "
+            f"distance difference {worst:.3g}", flips == 0)
+
+
+def compare(parent_dir, change_dir) -> tuple[list[str], bool]:
+    """The report lines of --compare, and whether the gate passes."""
+    parent_dir, change_dir = Path(parent_dir), Path(change_dir)
+    old = {p.name for p in parent_dir.iterdir() if p.is_file()}
+    new = {p.name for p in change_dir.iterdir() if p.is_file()}
+    same, lines, ok = [], [], True
+    for name in sorted(old & new):
+        a = (parent_dir / name).read_text(encoding="utf-8")
+        b = (change_dir / name).read_text(encoding="utf-8")
+        if a == b:
+            same.append(name)
+            continue
+        suffix = Path(name).suffix
+        if suffix == ".model":
+            detail, passed = _compare_model(a, b)
+        elif suffix == ".predict":
+            detail, passed = _compare_predict(a, b)
+        else:
+            detail, passed = "differs", False
+        ok &= passed
+        lines.append(f"  {name}: {detail}{'' if passed else '  FAIL'}")
+    lines.insert(0, f"differ: {len(lines)} files")
+    report = [f"identical: {len(same)} files"] + [f"  {n}" for n in same]
+    report += lines
+    for side, names in ((parent_dir, old - new), (change_dir, new - old)):
+        for name in sorted(names):
+            report.append(f"only in {side}: {name}  FAIL")
+            ok = False
+    report.append("gate: " + ("pass" if ok else "FAIL"))
+    return report, ok
+
+
+USAGE = ("usage: python3 scripts/cv_fingerprint.py OUTDIR\n"
+         "       python3 scripts/cv_fingerprint.py --compare OUT_PARENT "
+         "OUT_CHANGE")
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        report, ok = compare(argv[1], argv[2])
+        print("\n".join(report))
+        return 0 if ok else 1
     if len(argv) != 1 or argv[0].startswith("-"):
-        print("usage: python3 scripts/cv_fingerprint.py OUTDIR",
-              file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
     for path in write_fingerprint(argv[0]):
         print(path)

@@ -70,7 +70,14 @@ none: it builds the majority similarity's row sums from the scaled rows
 a row block of about 2^15 entries at a time, so it needs O(m2) memory
 where the held array needs O(m2^2). Either way a pass over at least
 1024 rows runs its blocks on the worker threads of a gaussian predict,
-with the bits of one thread.
+with the bits of one thread. Under the minimum t-norm a gamma whose
+clip is idle (gamma times the class's largest distance at most 1, so
+every gamma <= 1) builds no similarity: its density scores and both
+classes' weights come from Chebyshev distance row sums (see
+fuzzy_rough), one gamma-free pass per class and fold, and one more per
+kept set over its kept x removed (or kept x kept) distances, which
+serves every gamma that keeps those rows. Held and streamed folds sum
+the same distances in the same order, so they keep equal bits.
 
 The grid search's inner folds run in score_grid: one holding
 PreparedFold per fold, and one score_fits call per (blocks, sigma)
@@ -109,6 +116,7 @@ from .fuzzy_rough import (
     PositiveRegionScores,
     check_tau,
     class_weights,
+    distance_means,
     positive_region_scores,
     row_means,
     row_sums,
@@ -123,6 +131,11 @@ FORMAT_TAG = "FRLSTSVM/2"
 
 # every tag load_model reads, with the format version it names
 _FORMAT_VERSIONS = {"FRLSTSVM/1": 1, FORMAT_TAG: 2}
+
+# row_sums' points for the Chebyshev distances themselves: under the
+# minimum t-norm its blocks are the distances, mapped only by a gamma
+# passed beside them
+_DISTANCES = FuzzyParams(gamma=1.0)
 
 
 def _fmt(v: float) -> str:
@@ -603,19 +616,26 @@ class PreparedFold:
     a grid asks for each (FuzzyParams, tau) once per fold, so each ask
     takes it from the memoised scores. Density scores and kept-majority
     weights are row means of the majority's m2 x m2 similarity (see
-    _majority_pairs), summed one row block at a time.
+    _sums), summed one row block at a time. Under the minimum t-norm at
+    a gamma whose clip is idle they are read off Chebyshev distance sums
+    instead, which are memoised without gamma: the majority's row sums
+    R, each kept set's sums over its own rows, and the minority's row
+    sums R1 (see _kept_distances and fuzzy_rough.distance_means).
 
     A fold that serves many fits (hold=True, the grid search) holds one
     m2 x m2 array and reads every block off it. Under the minimum
     t-norm, in either score mode, that array is the majority's Chebyshev
-    distance, computed once and mapped to each gamma's similarity. Under
+    distance, computed once, summed as it is for the gammas whose clip
+    is idle and mapped to each other gamma's similarity. Under
     the product and lukasiewicz t-norms it is the similarity of one
     FuzzyParams: asking for other FuzzyParams drops it before building
     the new one, so a grid asked gamma by gamma builds each once and
     never holds two. A fold for one fit (hold=False) holds no m2 x m2
     array: each block is built from the scaled majority rows, once for
     the full rows' sums (the density scores) and once more for the kept
-    rows' sums when tau removes rows, with the same bits. Held or
+    rows' sums (kept x removed for a clip-idle gamma whose density
+    scores keep more than half the rows) when tau removes rows, with the
+    same bits. Held or
     streamed, a pass over at least 1024 rows (2^20 entries) sums its
     row blocks on one pinned worker thread per usable CPU, with the bits
     of one thread (see fuzzy_rough.row_sums). Tau 0 keeps
@@ -642,10 +662,7 @@ class PreparedFold:
             raise DataError("training data must contain both classes")
         self.x1 = self.xs[min_rows]
         self.x2 = self.xs[self.maj_rows]
-        # the largest majority distance: that of the two rows spanning
-        # the widest column, since rounding a difference is monotone
-        self._span = (float(np.ptp(self.x2, axis=0).max())
-                      if self.x2.shape[1] else 0.0)
+        self._span, self._span1 = _widest(self.x2), _widest(self.x1)
         self._memo: dict = {}
         self._pairs: tuple[FuzzyParams | None, np.ndarray] | None = None
 
@@ -654,52 +671,105 @@ class PreparedFold:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def _majority_pairs(self, fuzzy: FuzzyParams) -> tuple[np.ndarray, dict]:
-        """What fuzzy's majority similarity is read from, and the
-        keywords of fuzzy_rough.row_sums that read it. A holding fold
-        gives its m2 x m2 array: the Chebyshev distances with fuzzy's
-        gamma under the minimum t-norm, where they serve every gamma and
-        both score modes; else the similarity itself. A streaming fold
-        gives the scaled majority rows as row_sums' points, which build
-        each row block of the same array. lower_approx scores come from
-        the cross-class similarity, so in that mode this serves the
-        weights alone."""
-        by_distance = fuzzy.tnorm == "minimum"
-        # rounding is monotone, so when gamma times the largest distance
-        # rounds to at most 1 no 1 - gamma d is negative
-        how = (dict(gamma=fuzzy.gamma, clip=fuzzy.gamma * self._span > 1.0)
-               if by_distance else {})
+    @staticmethod
+    def _idle(fuzzy: FuzzyParams, span: float) -> bool:
+        """Whether fuzzy's similarity is 1 - gamma d on rows whose largest
+        Chebyshev distance is span: the minimum t-norm, at a gamma whose
+        clip at 0 is idle. Rounding is monotone, so when gamma times the
+        largest distance rounds to at most 1 no 1 - gamma d is negative."""
+        return fuzzy.tnorm == "minimum" and fuzzy.gamma * span <= 1.0
+
+    def _sums(self, fuzzy: FuzzyParams | None, rows: np.ndarray | None = None,
+              cols: np.ndarray | None = None) -> np.ndarray:
+        """Row sums of a majority pairwise array restricted to rows and
+        cols, as fuzzy_rough.row_sums takes them: the Chebyshev distances
+        for fuzzy None, else fuzzy's similarity, which under the minimum
+        t-norm is read off the distances with its gamma. A holding fold
+        reads them off its one held m2 x m2 array: the distances under
+        the minimum t-norm, where they serve every gamma, else the
+        similarity of one FuzzyParams, which asking for another drops
+        before building the new one, so two are never live. A streaming
+        fold gives row_sums the scaled majority rows as points, which
+        build each row block of the same array."""
+        minimum = fuzzy is None or fuzzy.tnorm == "minimum"
+        key = None if minimum else fuzzy
+        how = dict(gamma=fuzzy.gamma) if minimum and fuzzy else {}
         if not self.hold:
-            return self.x2, dict(how, points=fuzzy)
-        key = None if by_distance else fuzzy
+            points = _DISTANCES if minimum else fuzzy
+            return row_sums(self.x2, rows, points=points, cols=cols, **how)
         if self._pairs is None or self._pairs[0] != key:
             self._pairs = None  # so two are never live
             # looked up on the module, where the benchmark's tracer wraps
             # the similarity
             self._pairs = (key, fuzzy_rough.chebyshev_distances(self.x2)
-                           if by_distance else
+                           if minimum else
                            fuzzy_rough.indiscernibility_matrix(self.x2, fuzzy))
-        return self._pairs[1], how
+        return row_sums(self._pairs[1], rows, cols=cols, **how)
 
-    def _row_sums(self, fuzzy: FuzzyParams) -> np.ndarray:
-        """Every majority row's similarity sum; the density scores and
-        the weights of every tau that keeps every row share it."""
+    def _full_sums(self, fuzzy: FuzzyParams | None) -> np.ndarray:
+        """Every majority row's sum over the whole majority (see _sums):
+        the distance sums R for None, which serve every gamma whose clip
+        is idle, else fuzzy's similarity sums."""
+        return self._cached(("sums", fuzzy), lambda: self._sums(fuzzy))
+
+    def _kept_distances(self, kept: np.ndarray,
+                        density: bool) -> np.ndarray:
+        """Each kept row's Chebyshev distance sum over the kept rows, for
+        every gamma whose clip is idle: R itself when every row is kept;
+        R less the sums over the removed rows when more than half are
+        kept and the density scores need R anyway, so the pass is
+        kept x removed instead of kept x kept; else the sums over the
+        kept rows. lower_approx scores need no R, whose m2 x m2 pass
+        would cost more than the kept x kept one."""
+        m2 = self.x2.shape[0]
+        if kept.size == m2:
+            return self._full_sums(None)
+        by_removed = density and 2 * kept.size > m2
+
         def compute():
-            pairs, how = self._majority_pairs(fuzzy)
-            return row_sums(pairs, **how)
-        return self._cached(("sums", fuzzy), compute)
+            if not by_removed:
+                return self._sums(None, kept)
+            removed = np.ones(m2, dtype=bool)
+            removed[kept] = False
+            return (self._full_sums(None)[kept]
+                    - self._sums(None, kept, np.flatnonzero(removed)))
+        return self._cached(("kept distances", kept.tobytes(), by_removed),
+                            compute)
+
+    def _minority_weights(self, fuzzy: FuzzyParams) -> np.ndarray:
+        """D1: class_weights of the minority rows, from their distance
+        sums R1 (memoised) for a gamma whose clip is idle on them."""
+        if not self._idle(fuzzy, self._span1):
+            return class_weights(self.x1, fuzzy)
+        r1 = self._cached(("minority distances",),
+                          lambda: row_sums(self.x1, points=_DISTANCES))
+        return distance_means(r1, fuzzy.gamma, WEIGHT_FLOOR)
+
+    def _kept_weights(self, fuzzy: FuzzyParams,
+                      kept: np.ndarray) -> np.ndarray:
+        """D2: the row means of fuzzy's similarity of the kept majority
+        rows, from their distance sums for a gamma whose clip is idle."""
+        if self._idle(fuzzy, self._span):
+            sums = self._kept_distances(kept, fuzzy.score_mode == "density")
+            return distance_means(sums, fuzzy.gamma, WEIGHT_FLOOR)
+        sums = (self._full_sums(fuzzy) if kept.size == self.x2.shape[0]
+                else self._sums(fuzzy, kept))
+        return row_means(sums, WEIGHT_FLOOR)
 
     def scores(self, fuzzy: FuzzyParams) -> PositiveRegionScores:
         """The majority's positive_region_scores; in density mode, the
-        row means of the majority similarity."""
+        row means of the majority similarity, from the distance sums R
+        for a gamma whose clip is idle."""
         def compute():
             if fuzzy.score_mode != "density":
                 return positive_region_scores(self.xs, self.labels, fuzzy,
                                               target_class=-1)
-            return PositiveRegionScores(
-                scores=row_means(self._row_sums(fuzzy)),
-                params=fuzzy, row_indices=self.maj_rows,
-            )
+            if self._idle(fuzzy, self._span):
+                means = distance_means(self._full_sums(None), fuzzy.gamma)
+            else:
+                means = row_means(self._full_sums(fuzzy))
+            return PositiveRegionScores(scores=means, params=fuzzy,
+                                        row_indices=self.maj_rows)
         return self._cached(("scores", fuzzy), compute)
 
     def _kept(self, config: TrainConfig) -> np.ndarray:
@@ -719,16 +789,18 @@ class PreparedFold:
             d1, d2 = np.ones(self.x1.shape[0]), np.ones(kept.size)
             if fuzzy is not None:
                 d1 = self._cached(("d1", fuzzy),
-                                  lambda: class_weights(self.x1, fuzzy))
-                if kept.size == self.x2.shape[0]:
-                    sums = self._row_sums(fuzzy)
-                else:
-                    pairs, how = self._majority_pairs(fuzzy)
-                    sums = row_sums(pairs, kept, **how)
-                d2 = row_means(sums, WEIGHT_FLOOR)
+                                  lambda: self._minority_weights(fuzzy))
+                d2 = self._kept_weights(fuzzy, kept)
             return FitBlocks(self.x1, self.x2[kept], d1, d2,
                              self.maj_rows[kept], self.x2.shape[0])
         return self._cached(("blocks", fuzzy, kept.tobytes()), compute)
+
+
+def _widest(x: np.ndarray) -> float:
+    """The largest Chebyshev distance between rows of x: that of the two
+    rows spanning its widest column, since rounding a difference is
+    monotone."""
+    return float(np.ptp(x, axis=0).max()) if x.shape[1] else 0.0
 
 
 def fit_blocks(blocks: FitBlocks, config: TrainConfig,
@@ -940,19 +1012,28 @@ class _Reader:
             )
         return parts[1:]
 
+    def bad_value(self, kind: str, tag: str | None,
+                  line: int | None = None) -> DataError:
+        """The error for a non-numeric or non-finite value under tag
+        (None: in a reference row) at line (None: the last line read)."""
+        where = "in reference row" if tag is None else f"under {tag!r}"
+        return DataError(f"{self.path}: {kind} value {where} at line "
+                         f"{self.pos if line is None else line}")
+
+    def numbers(self, parts: list[str], tag: str | None = None) -> list[float]:
+        """The parts as floats, finite or not, or a DataError naming the
+        line and its tag."""
+        try:
+            return [float(p) for p in parts]
+        except ValueError:
+            raise self.bad_value("non-numeric", tag) from None
+
     def floats(self, parts: list[str], tag: str | None = None) -> list[float]:
         """The parts as finite floats, or a DataError naming the line and
         its tag (None: a reference row)."""
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            kind = "non-numeric" if values is None else "non-finite"
-            where = "in reference row" if tag is None else f"under {tag!r}"
-            raise DataError(
-                f"{self.path}: {kind} value {where} at line {self.pos}"
-            )
+        values = self.numbers(parts, tag)
+        if not all(map(math.isfinite, values)):
+            raise self.bad_value("non-finite", tag)
         return values
 
     def tagged_floats(self, tag: str) -> np.ndarray:
@@ -1047,11 +1128,16 @@ def load_model(path):
             raise DataError(f"{path}: malformed scaling section")
         scaling = None
     elif n_scaling == 2:
-        mins = rd.tagged_floats("min")
-        ranges = rd.tagged_floats("range")
+        # ScalingParams checks that each value is finite, once; a failed
+        # check names the line from here
+        lines = [(tag, rd.numbers(rd.tagged(tag), tag))
+                 for tag in ("min", "range")]
         try:
-            scaling = ScalingParams(mins=mins, ranges=ranges)
+            scaling = ScalingParams(mins=lines[0][1], ranges=lines[1][1])
         except DataError as exc:
+            for line, (tag, values) in enumerate(lines, start=rd.pos - 1):
+                if not all(map(math.isfinite, values)):
+                    raise rd.bad_value("non-finite", tag, line) from None
             raise DataError(f"{path}: bad scaling section at lines "
                             f"{rd.pos - 1}-{rd.pos} ({exc})") from None
     else:

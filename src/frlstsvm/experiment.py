@@ -120,6 +120,16 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ConfigurationError(
                     f"{name} must be one of {allowed}, got {value!r}")
+        for name, kinds, kind in (
+                ("has_header", (bool, np.bool_), "a bool"),
+                ("weights_enabled", (bool, np.bool_), "a bool"),
+                ("label_column", (numbers.Integral, str),
+                 "an integer or a column name"),
+                ("delta", numbers.Real, "a number")):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ConfigurationError(
+                    f"{name} must be {kind}, got {value!r}")
         for name in ("folds", "inner_folds", "repeats", "workers", "seed"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral)

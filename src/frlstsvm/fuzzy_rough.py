@@ -19,6 +19,21 @@ instead, row_sums builds each block's distances itself, so no m x m
 array is held. The product and lukasiewicz t-norms fold the attribute
 terms one at a time.
 
+The clip at 0 is idle for a gamma when gamma times the largest
+distance between the rows is at most 1, as it is for every gamma <= 1
+on rows scaled to [0, 1]. Each similarity is then exactly 1 - gamma d,
+and a row's similarity sum over a set S is |S| - gamma sum_{j in S} d.
+So one gamma-free pass, the Chebyshev row sums R, serves every such
+gamma: distance_means gives the density scores 1 - gamma R / (p - 1),
+which rank the rows by ascending R for every gamma, so every tau keeps
+a cut of that one order. A kept set's sums over its own rows are R
+minus the sums over the removed rows (row_sums with cols). The result
+is the similarity's row means up to rounding, not bit for bit: the
+sums are taken over distances, then scaled, where the similarity sums
+the mapped terms. classifier.PreparedFold, the training pipeline, takes
+this route; positive_region_scores, class_weights and mean_similarity
+sum the similarity itself.
+
 The lower_approx score of a row x is its membership in the fuzzy-rough
 lower approximation of its own crisp class X, inf_y I(R(x,y), [y in X]).
 A crisp concept takes only the values 1 and 0, and every implicator I
@@ -163,79 +178,95 @@ def chebyshev_distances(x) -> np.ndarray:
 
 
 def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
-             gamma: float | None = None, clip: bool = True,
-             points: FuzzyParams | None = None) -> np.ndarray:
-    """Row sums of the p x p self-similarity that `pairs` restricts to
-    `rows` (ascending distinct indices into pairs; None: every row).
-    `pairs` is the similarity itself, or, with gamma, the Chebyshev
-    distances d it is under the minimum t-norm, each mapped to
+             gamma: float | None = None,
+             points: FuzzyParams | None = None,
+             cols: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of the pairwise array `pairs` restricted to the rows
+    `rows` and the columns `cols` (ascending distinct indices into
+    pairs; rows None: every row; cols None: the rows themselves, so the
+    sums of a p x p self-similarity). `pairs` is the similarity itself,
+    or the Chebyshev distances d it is under the minimum t-norm: summed
+    as they are without gamma, and with gamma each mapped to
     max(0, 1 - gamma d) in the in-place arithmetic of the similarity.
-    A caller that knows no 1 - gamma d is negative passes clip=False:
-    the clip at 0 would change no bit, and its pass is skipped.
 
     With points, `pairs` is the scaled rows themselves, and no pairwise
-    array is held: each row block is built from the (restricted) rows,
-    as their Chebyshev distances, which gamma maps as above, under the
-    minimum t-norm, and as their similarity under points' other
-    t-norms. Distances and similarities are computed pair by pair, so a
-    built block has the bits of the same rows of the whole array.
+    array is held: each row block is built from the (restricted) rows
+    as the array that points names, their Chebyshev distances under the
+    minimum t-norm (which gamma maps as above) and their similarity
+    under points' other t-norms. Distances and similarities are
+    computed pair by pair, so a built block has the bits of the same
+    rows of the whole array.
 
-    Distances, a strict subset of the rows, and points are summed one
-    row block of about 2^15 entries of the restricted matrix at a time,
-    the distances mapped in one reused buffer, so neither a kept x kept
-    copy nor a second p x p array is made. Each block holds the same
-    contiguous rows as the whole restricted similarity, so its row sums
-    have the whole's bits.
+    Distances, a strict subset of the rows or columns, and points are
+    summed one row block of about 2^15 entries of the restricted array
+    at a time, the distances mapped in one reused buffer, so neither a
+    restricted copy nor a second pairwise array is made. Each block
+    holds the same contiguous rows as the whole restricted array, so its
+    row sums have the whole's bits.
 
-    A pass over at least 2^20 entries of the restricted matrix (p >=
-    1024) runs its blocks on linalg._run_blocks' worker threads: one per
-    CPU in the process's affinity mask (taskset restricts them), never
-    more than blocks, each with its own map buffer, allocated on the
-    calling thread. Each block writes only its own rows of the sums, and
-    a row's sum does not depend on the rows that share its block, so the
-    bits do not depend on the thread count. A smaller pass runs on the
-    calling thread. Each process makes its own threads, so under cv
-    --workers N every pool worker's large passes start theirs."""
+    A pass over at least 2^20 entries of the restricted array (p >=
+    1024 rows of a self-similarity) runs its blocks on
+    linalg._run_blocks' worker threads: one per CPU in the process's
+    affinity mask (taskset restricts them), never more than blocks, each
+    with its own map buffer, allocated on the calling thread. Each block
+    writes only its own rows of the sums, and a row's sum does not
+    depend on the rows that share its block, so the bits do not depend
+    on the thread count. A smaller pass runs on the calling thread. Each
+    process makes its own threads, so under cv --workers N every pool
+    worker's large passes start theirs."""
     if points is not None:
         xr = pairs if rows is None else pairs[rows]
-        rows, p = None, xr.shape[0]
+        xc = xr if cols is None else pairs[cols]
+        p, q = xr.shape[0], xc.shape[0]
+        # Chebyshev blocks are built into the worker's buffer
+        buffered = points.tnorm == "minimum"
     else:
-        if rows is not None and rows.size == pairs.shape[0]:
-            rows = None
-        if rows is None and gamma is None:
-            return pairs.sum(axis=1)
+        if cols is None:
+            if rows is not None and rows.size == pairs.shape[0]:
+                rows = None
+            if rows is None and gamma is None:
+                return pairs.sum(axis=1)
+            cols = rows
         p = pairs.shape[0] if rows is None else rows.size
-    # an empty row set has no blocks and empty sums
-    step = max(1, _KEPT_BLOCK_ENTRIES // max(p, 1))
+        q = pairs.shape[1] if cols is None else cols.size
+        # whole rows are mapped into the worker's buffer; a restriction
+        # is gathered into a fresh block and mapped there
+        buffered = rows is None and cols is None
+    # a gathered block takes its rows whole before its columns, so its
+    # rows are counted at the held array's width. An empty row set has
+    # no blocks and empty sums
+    width = q if points is not None or rows is None else pairs.shape[1]
+    step = max(1, _KEPT_BLOCK_ENTRIES // max(width, 1))
     sums = np.empty(p)
 
     def sum_block(i: int, stop: int, buf: np.ndarray | None) -> None:
         # calls no function the benchmark's tracer wraps: its span stack
         # is per process, not per thread
-        if points is not None and gamma is None:
-            block = _cross_similarity(xr[i:stop], xr, points)
-        elif points is not None:
-            block = cdist(xr[i:stop], xr, "chebyshev", out=buf[:stop - i])
-            block *= -gamma
-        elif rows is None:
+        if points is None and buffered:
             block = np.multiply(pairs[i:stop], -gamma, out=buf[:stop - i])
-        else:
-            block = pairs.take(rows[i:stop], axis=0).take(rows, axis=1)
+        elif points is None:
+            block = (pairs[i:stop] if rows is None
+                     else pairs.take(rows[i:stop], axis=0))
+            block = block.take(cols, axis=1)
             if gamma is not None:
                 block *= -gamma
+        elif buffered:
+            block = cdist(xr[i:stop], xc, "chebyshev", out=buf[:stop - i])
+            if gamma is not None:
+                block *= -gamma
+        else:
+            block = _cross_similarity(xr[i:stop], xc, points)
         if gamma is not None:
             block += 1.0
-            if clip:
-                np.maximum(block, 0.0, out=block)
+            np.maximum(block, 0.0, out=block)
         block.sum(axis=1, out=sums[i:stop])
 
     bounds = [(i, min(i + step, p)) for i in range(0, p, step)]
 
     def scratch():
-        return (np.empty((min(step, p), p))
-                if rows is None and gamma is not None else None)
+        return np.empty((min(step, p), q)) if buffered else None
 
-    if p * p >= _THREADED_ENTRIES:
+    if p * q >= _THREADED_ENTRIES:
         linalg._run_blocks(bounds, sum_block, scratch)
     else:
         buf = scratch()
@@ -252,6 +283,21 @@ def row_means(sums: np.ndarray, floor: float = 0.0) -> np.ndarray:
     if p == 1:
         return np.ones(1)
     return np.clip((sums - 1.0) / (p - 1), floor, 1.0)
+
+
+def distance_means(dsums: np.ndarray, gamma: float,
+                   floor: float = 0.0) -> np.ndarray:
+    """row_means of the minimum-t-norm similarity of p rows whose
+    Chebyshev distances to each other have the row sums dsums, for a
+    gamma whose clip is idle (gamma times the largest distance at most
+    1): each similarity is then 1 - gamma d, so a row's mean over the
+    other p - 1 rows is 1 - gamma dsum / (p - 1), clipped to [floor, 1];
+    a single row gets 1. Every rounded step is monotone in dsum, so the
+    means rank the rows by ascending dsum for every such gamma."""
+    p = dsums.shape[0]
+    if p == 1:
+        return np.ones(1)
+    return np.clip(1.0 - gamma * dsums / (p - 1), floor, 1.0)
 
 
 def mean_similarity(sim: np.ndarray, rows: np.ndarray | None = None,
@@ -325,9 +371,11 @@ def class_weights(x_class, params: FuzzyParams) -> np.ndarray:
     """Per-instance weight: mean similarity to the other members of the
     same class, clamped to [1e-6, 1]. A singleton class gets weight 1.
 
-    D1 is this on the full minority class. D2 is this on the kept
-    majority rows, which the training pipeline reads off the similarity
-    of the whole majority instead (see classifier.PreparedFold).
+    D1 is this on the full minority class and D2 on the kept majority
+    rows. The training pipeline computes D1 here only where the clip
+    acts or the t-norm is not the minimum, and D2 never: it reads them
+    off the whole majority's pairwise array, or off distance sums for a
+    gamma whose clip is idle (see classifier.PreparedFold).
     """
     return mean_similarity(indiscernibility_matrix(x_class, params),
                            floor=WEIGHT_FLOOR)

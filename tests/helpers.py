@@ -85,6 +85,34 @@ def brute_lower_approx_scores(x_all: np.ndarray, labels: np.ndarray,
     return out
 
 
+def distance_mean_bound(p: int, k: int, c: float = 4.0) -> float:
+    """The largest |difference| a clip-idle density mean read off
+    Chebyshev distance sums (fuzzy_rough.distance_means) may show
+    against the row mean of the similarity itself (mean_similarity,
+    class_weights), for the k kept rows of p: c eps (p / (k - 1) + 1)
+    log2 p. Both are in [0, 1]. The oracle sums k terms in [0, 1]
+    pairwise, off by at most about eps log2 k times their sum (at most
+    k), and divides by k - 1: about eps log2 p. The distance form sums
+    p distances (R) and p - k of them (the removed rows), each at most
+    the largest distance d_max, so each sum is off by about eps log2 p
+    times p d_max; their difference is scaled by gamma / (k - 1), and
+    gamma d_max <= 1 where the clip is idle: about eps p log2 p /
+    (k - 1). c = 4 covers the maps' and the division's roundings. A
+    kept set of at most half the rows is summed over itself, inside the
+    same bound."""
+    eps = float(np.finfo(np.float64).eps)
+    return c * eps * (p / max(k - 1, 1) + 1) * math.log2(max(p, 2))
+
+
+def assert_near_distance_means(got: np.ndarray, want: np.ndarray,
+                               p: int) -> None:
+    """got within distance_mean_bound(p, got.size) of the oracle's
+    want, entry by entry."""
+    assert got.shape == want.shape
+    gap = float(np.abs(got - want).max(initial=0.0))
+    assert gap <= distance_mean_bound(p, got.size), gap
+
+
 # -- per-attribute similarity oracle ------------------------------------
 # The library's similarity before the minimum t-norm became one
 # Chebyshev distance: one m x m term per attribute, t-normed in

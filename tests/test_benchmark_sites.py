@@ -62,11 +62,17 @@ def test_traced_run_derives_every_per_layer_metric(tmp_path):
     cv_config = experiment.ExperimentConfig(
         tau_grid=(0.0, 0.3), gamma_grid=(1.0,), c1_grid=(1.0,), folds=3,
         repeats=1, seed=1, workers=1)
+    # min-t-norm fits at gamma 1, whose clip is idle on scaled rows,
+    # read both classes' weights off distance sums and build no
+    # similarity; the product t-norm builds the minority's similarity
     fit_configs = [
         classifier.TrainConfig(c1=1.0, c2=1.0, tau=0.2,
-                               fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0),
+                               fuzzy=fuzzy_rough.FuzzyParams(gamma=1.0,
+                                                             tnorm=tnorm),
                                kernel=kernel, sigma=sigma)
-        for kernel, sigma in (("linear", None), ("gaussian", 0.5))
+        for kernel, sigma, tnorm in (("linear", None, "minimum"),
+                                     ("gaussian", 0.5, "minimum"),
+                                     ("linear", None, "product"))
     ]
     tracer = tracing.Tracer(str(tmp_path))
     tracer.install(frlstsvm)
@@ -75,7 +81,7 @@ def test_traced_run_derives_every_per_layer_metric(tmp_path):
             experiment.run_nested_cv(cv_config, ds)
             for cfg in fit_configs:
                 model = classifier.fit_frlstsvm(ds, cfg)
-                path = str(tmp_path / f"{cfg.kernel}.model")
+                path = str(tmp_path / f"{cfg.kernel}_{cfg.fuzzy.tnorm}.model")
                 classifier.save_model(model, path)
                 classifier.predict(classifier.load_model(path), x, True)
     finally:

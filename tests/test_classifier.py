@@ -1,6 +1,7 @@
 """Plane fits, kernel fits, the decision rule, and serialization."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -58,6 +59,7 @@ from helpers import (
     gaussian_kernel,
     grad_f1,
     grad_f2,
+    assert_near_distance_means,
     make_blobs,
     make_circles,
     smw_dual_planes,
@@ -1013,8 +1015,11 @@ class TestPreparedFold:
     def test_every_gamma_reads_the_held_distance_with_its_similarity_bits(
             self):
         # scores and kept-majority weights of each gamma, visited in turn
-        # and then again, come from the one held majority distance; they
-        # must have the bits of the standalone similarity's row means
+        # and then again, come from the one held majority distance. A
+        # gamma whose clip acts must give the bits of the standalone
+        # similarity's row means; one whose clip is idle reads them off
+        # distance sums, within distance_mean_bound of them. Each kept
+        # set is the cut of the fold's own scores at tau
         x, y = make_blobs(98, m1=8, m2=300, spread=1.2)
         prep = PreparedFold(x, y)
         x2 = prep.x2
@@ -1022,21 +1027,31 @@ class TestPreparedFold:
         # at 0 starts to act
         dmax = float(fuzzy_rough.chebyshev_distances(x2).max())
         gammas = (0.5 / dmax, 1.0 / dmax, 2.0, 0.5 / dmax, 7.0, 2.0)
-        kept_sets = set()
+        kept_sets, idle_seen = set(), set()
         for gamma in gammas:
             fz = fuzzy(gamma=gamma)
+            idle = gamma * dmax <= 1.0
+            if idle:
+                idle_seen.add(gamma)
             sim = fuzzy_rough.indiscernibility_matrix(x2, fz)
-            assert (prep.scores(fz).scores.tobytes()
-                    == mean_similarity(sim).tobytes())
+            scores = prep.scores(fz).scores
+            if idle:
+                assert_near_distance_means(scores, mean_similarity(sim), 300)
+            else:
+                assert scores.tobytes() == mean_similarity(sim).tobytes()
             for q in (0.0, 0.3, 0.8):
-                tau = float(np.quantile(mean_similarity(sim), q))
+                tau = float(np.quantile(scores, q))
                 blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau,
                                                  fuzzy=fz))
-                kept = np.flatnonzero(mean_similarity(sim) >= tau)
+                kept = np.flatnonzero(scores >= tau)
                 kept_sets.add(kept.tobytes())
                 assert np.array_equal(blocks.kept_rows, prep.maj_rows[kept])
                 want = mean_similarity(sim, kept, WEIGHT_FLOOR)
-                assert blocks.d2.tobytes() == want.tobytes()
+                if idle:
+                    assert_near_distance_means(blocks.d2, want, 300)
+                else:
+                    assert blocks.d2.tobytes() == want.tobytes()
+        assert 0.5 / dmax in idle_seen and 2.0 not in idle_seen
         # the full set, and strict subsets that differ between gammas
         assert len(kept_sets) >= 5
         assert np.arange(300).tobytes() in kept_sets
@@ -1078,37 +1093,55 @@ class TestPreparedFold:
         # scores and kept-majority weights are read off one memoised
         # majority similarity; they must equal the standalone functions
         # bit for bit, or CV result files would drift
+        # Under the minimum t-norm, a gamma whose clip is idle on a class
+        # reads that class's means off its distance sums, within
+        # distance_mean_bound of the functions; kept sets are the cuts of
+        # the fold's own scores, as subsample_majority takes them
         x, y = make_blobs(91, m1=9, m2=40, spread=1.2)
         prep = PreparedFold(x, y)
         xs = minmax_apply(minmax_fit(x), x)
+        x1, x2 = xs[y == 1], xs[y == -1]
         taus = (0.0, 0.5, 0.7)
-        kept_sizes = set()
+        kept_sizes, idle_seen = set(), set()
+
+        def check(got, want, idle, p):
+            if idle:
+                assert_near_distance_means(got, want, p)
+            else:
+                assert got.tobytes() == want.tobytes()
+
         for tnorm in ("minimum", "product", "lukasiewicz"):
             for gamma in (0.8, 2.0):
                 fz = fuzzy(gamma=gamma, tnorm=tnorm)
+                idle2, idle1 = (tnorm == "minimum" and gamma * float(
+                    np.ptp(rows, axis=0).max()) <= 1.0 for rows in (x2, x1))
+                idle_seen |= {(tnorm, gamma, idle2, idle1)}
                 scores = positive_region_scores(xs, y, fz, target_class=-1)
                 got = prep.scores(fz)
-                assert got.scores.tobytes() == scores.scores.tobytes()
+                check(got.scores, scores.scores, idle2, 40)
                 assert np.array_equal(got.row_indices, scores.row_indices)
-                d1 = class_weights(xs[y == 1], fz)
+                d1 = class_weights(x1, fz)
                 for tau in taus:
                     cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
                     try:
-                        kept = subsample_majority(scores, tau).kept_indices
+                        kept = subsample_majority(got, tau).kept_indices
                     except ConfigurationError:
                         with pytest.raises(ConfigurationError):
                             prep.blocks(cfg)
                         continue
                     kept_sizes.add(kept.size)
                     blocks = prep.blocks(cfg)
-                    x2hat = xs[y == -1][kept]
+                    x2hat = x2[kept]
                     assert np.array_equal(blocks.kept_rows,
                                           np.flatnonzero(y == -1)[kept])
                     assert blocks.x2hat.tobytes() == x2hat.tobytes()
-                    assert blocks.d1.tobytes() == d1.tobytes()
-                    assert (blocks.d2.tobytes()
-                            == class_weights(x2hat, fz).tobytes())
+                    check(blocks.d1, d1, idle1, 9)
+                    check(blocks.d2, class_weights(x2hat, fz), idle2, 40)
         assert len(kept_sizes) >= 3
+        # both classes idle at gamma 0.8; at gamma 2 the clip acts on the
+        # majority and is idle on the minority
+        assert {("minimum", 0.8, True, True),
+                ("minimum", 2.0, False, True)} <= idle_seen
 
     def test_blocked_kept_weights_are_bit_equal_to_class_weights(self):
         # a 900-row majority: a strict subset of it spans several row
@@ -1244,7 +1277,9 @@ class TestPreparedFold:
     def test_one_majority_distance_per_fold(self, monkeypatch):
         # under the minimum t-norm in density mode every gamma's
         # majority similarity is read off one Chebyshev distance; the
-        # minority weights keep one similarity per gamma
+        # minority weights of a gamma whose clip is idle on the minority
+        # come from its distance sums, and of any other gamma from one
+        # similarity per gamma
         distances, similarities = [], []
         real_d = fuzzy_rough.chebyshev_distances
         real_s = fuzzy_rough.indiscernibility_matrix
@@ -1262,12 +1297,17 @@ class TestPreparedFold:
                             counted_s)
         x, y = make_blobs(92, m1=8, m2=30, spread=1.2)
         prep = PreparedFold(x, y)
-        for gamma, tau, c in itertools.product((1.0, 2.0, 1.0),
+        for gamma, tau, c in itertools.product((1.0, 2.0, 1.0, 4.0, 4.0),
                                                (0.0, 0.4, 0.6), (0.5, 2.0)):
             cfg = TrainConfig(c1=c, c2=c, tau=tau, fuzzy=fuzzy(gamma=gamma))
-            fit_blocks(prep.blocks(cfg), cfg)
+            try:
+                fit_blocks(prep.blocks(cfg), cfg)
+            except ConfigurationError:
+                assert gamma == 4.0 and tau > 0  # tau empties the majority
         assert distances == [30]
-        assert sorted(similarities) == [(1.0, 8), (2.0, 8)]
+        # the minority's widest column is under 1/2 and over 1/4
+        assert 2.0 * prep._span1 <= 1.0 < 4.0 * prep._span1
+        assert sorted(similarities) == [(4.0, 8)]
 
     def test_lower_approx_weights_read_one_majority_distance(
             self, monkeypatch):
@@ -1283,6 +1323,9 @@ class TestPreparedFold:
         monkeypatch.setattr(fuzzy_rough, "chebyshev_distances", counted)
         x, y = make_blobs(93, m1=8, m2=30, spread=1.2)
         prep, sizes = PreparedFold(x, y), []
+        # the clip is idle at gamma 1 and acts at gamma 2, where the
+        # weights keep the bits of the similarity's row means
+        assert 1.0 * prep._span <= 1.0 < 2.0 * prep._span
         for gamma in (1.0, 2.0, 1.0):
             fz = fuzzy(gamma=gamma, score_mode="lower_approx")
             sim = fuzzy_rough.indiscernibility_matrix(prep.x2, fz)
@@ -1292,15 +1335,51 @@ class TestPreparedFold:
                                                  fuzzy=fz))
                 kept = np.searchsorted(prep.maj_rows, blocks.kept_rows)
                 want = mean_similarity(sim, kept, WEIGHT_FLOOR)
-                assert blocks.d2.tobytes() == want.tobytes()
+                if gamma == 1.0:
+                    assert_near_distance_means(blocks.d2, want, 30)
+                else:
+                    assert blocks.d2.tobytes() == want.tobytes()
                 sizes.append(kept.size)
         assert distances == [30] and 0 < min(sizes) < max(sizes) == 30
+
+    @pytest.mark.parametrize("score_mode", fuzzy_rough.SCORE_MODES)
+    def test_a_lone_fit_sums_the_smaller_kept_pass(self, monkeypatch,
+                                                   score_mode):
+        # at a gamma whose clip is idle, density scores need every row's
+        # distance sum R, so a kept set of more than half the rows takes
+        # R less its kept x removed sums; lower_approx scores need no R,
+        # so its kept rows are summed kept x kept and no m2 x m2 pass runs
+        passes = []
+        real = classifier.row_sums
+
+        def counted(pairs, rows=None, *args, **kw):
+            cols = kw.get("cols")
+            p = pairs.shape[0] if rows is None else rows.size
+            passes.append((p, p if cols is None else cols.size))
+            return real(pairs, rows, *args, **kw)
+
+        monkeypatch.setattr(classifier, "row_sums", counted)
+        x, y = make_blobs(94, m1=8, m2=60, spread=1.2)
+        fz = fuzzy(score_mode=score_mode)
+        prep = PreparedFold(x, y, hold=False)
+        tau = float(np.quantile(prep.scores(fz).scores, 0.25))
+        passes.clear()
+        blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz))
+        k = blocks.x2hat.shape[0]
+        assert 30 < k < 60 and prep._span <= 1.0
+        if score_mode == "density":
+            # R was summed for the scores
+            assert passes == [(8, 8), (k, 60 - k)]
+        else:
+            assert passes == [(8, 8), (k, k)]
 
     def test_lower_approx_blocks_build_no_majority_by_all_block(
             self, monkeypatch):
         # lower_approx scores need only the majority-by-minority
         # similarity; the majority's own Chebyshev distance, the
-        # minimum t-norm's similarity, is for its weights
+        # minimum t-norm's similarity, is for its weights. At gamma 1
+        # the clip is idle on the minority, whose weights come from its
+        # distance sums, built a row block at a time and never held
         shapes = []
         real = fuzzy_rough._cross_similarity
         real_distances = fuzzy_rough.chebyshev_distances
@@ -1322,7 +1401,8 @@ class TestPreparedFold:
         tau = float(np.median(prep.scores(fz).scores))
         blocks = prep.blocks(TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz))
         assert 0 < blocks.x2hat.shape[0] < m2
-        assert sorted(shapes) == sorted([(m2, m1), (m2, m2), (m1, m1)])
+        assert prep._span1 <= 1.0
+        assert sorted(shapes) == sorted([(m2, m1), (m2, m2)])
 
 
 class TestScoreFits:
@@ -1497,14 +1577,23 @@ V1_MODELS = {
 
 
 def v1_fit(kind: str):
-    """The fit saved as V1_MODELS[kind], and its training rows."""
+    """The fit saved as V1_MODELS[kind], and its training rows. The
+    files predate the weights of a clip-idle gamma from distance sums,
+    which move their last bits: the fit keeps the rows a PreparedFold
+    keeps and weights them with the class_weights oracle, the row means
+    of the similarity itself, as every fit did when they were saved."""
     if kind == "linear":
         x, y = make_blobs(83, m1=8, m2=20)
         cfg = config(tau=0.0)
     else:
         x, y = make_circles(81, m1=10, m2=20)
         cfg = config(tau=0.2, kernel="gaussian", sigma=0.3)
-    return fit_frlstsvm(LabeledDataset(x, y), cfg), x
+    prep = PreparedFold(x, y, hold=False)
+    blocks = prep.blocks(cfg)
+    oracle = dataclasses.replace(
+        blocks, d1=class_weights(blocks.x1, cfg.fuzzy),
+        d2=class_weights(blocks.x2hat, cfg.fuzzy))
+    return fit_blocks(oracle, cfg, prep.scaling), x
 
 
 def assert_same_bits(a: TwinPlaneModel, b: TwinPlaneModel, x) -> None:
@@ -1836,9 +1925,11 @@ class TestSerialization:
         parts[-1] = bad
         lines[row] = " ".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError,
-                           match=f"non-finite value .* at line {row + 1}$"):
+        where = "in reference row" if tag == "xref" else f"under {tag!r}"
+        with pytest.raises(DataError) as err:
             load_model(str(path))
+        assert str(err.value) == (
+            f"{path}: non-finite value {where} at line {row + 1}")
 
     @pytest.mark.parametrize("kind", ["linear", "gaussian"])
     def test_rejects_width_that_disagrees_with_scaling(self, tmp_path,
@@ -1904,6 +1995,27 @@ class TestSerialization:
             load_model(str(path))
         assert str(err.value) == (
             f"{path}: bad scaling section at lines 3-4 ({message})")
+
+    @pytest.mark.parametrize("edits,message", [
+        ({2: "min inf 0", 3: "range nan 1"},
+         "non-finite value under 'min' at line 3"),
+        ({3: "range 1 x"}, "non-numeric value under 'range' at line 4"),
+    ])
+    def test_bad_scaling_value_names_its_line(self, tmp_path, edits,
+                                              message):
+        # ScalingParams alone checks that each scaling value is finite;
+        # its failure names the first line that holds one (one bad
+        # value: test_rejects_non_finite_values)
+        model, _ = self.linear_model()
+        path = tmp_path / "m.model"
+        save_model(model, str(path))
+        lines = path.read_text().splitlines()
+        for row, line in edits.items():
+            lines[row] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as err:
+            load_model(str(path))
+        assert str(err.value) == f"{path}: {message}"
 
     def test_either_implicator_line_loads_the_same_model(self, tmp_path):
         # files written while the implicator was an option may name

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -510,9 +512,15 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_module_entry_point(self):
+        # the subprocess imports the package from this checkout's src,
+        # whether or not the test run itself had it on PYTHONPATH
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
         proc = subprocess.run(
             [sys.executable, "-m", "frlstsvm.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         for name in ("train", "predict", "eval", "subsample", "cv"):

@@ -1,14 +1,27 @@
-"""Smoke test of scripts/cv_fingerprint.py, the byte-identity check
-that performance changes run against their parent commit."""
+"""Smoke tests of scripts/cv_fingerprint.py, the byte-identity check
+that performance changes run against their parent commit, and of its
+--compare mode, the gate of a change that states a break in the last
+bits."""
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-from frlstsvm.classifier import _block_bounds, load_model
+import numpy as np
+
+from frlstsvm.classifier import (
+    TrainConfig,
+    _block_bounds,
+    fit_frlstsvm,
+    load_model,
+    predict,
+    save_model,
+)
 from frlstsvm.dataset import LabeledDataset, fold_rows, stratified_kfold
 from frlstsvm.experiment import derive_fold_seed
-from frlstsvm.fuzzy_rough import _THREADED_ENTRIES
+from frlstsvm.fuzzy_rough import _THREADED_ENTRIES, FuzzyParams
+
+from helpers import make_blobs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
     "cv_fingerprint.py"
@@ -111,3 +124,72 @@ def test_the_yeast3_gaussian_grid_scores_two_kernel_blocks():
     for f in range(fields["inner_folds"]):
         tr, va = fold_rows(inner, f)
         assert len(_block_bounds(va.size, tr.size)) == 2
+
+
+def fingerprint_pair(tmp_path):
+    """Two fingerprint-like directories with the same CV file, model
+    file and predictions: a small linear fit's."""
+    x, y = make_blobs(60, m1=10, m2=30)
+    model = fit_frlstsvm(LabeledDataset(x, y), TrainConfig(
+        c1=1.0, c2=1.0, tau=0.2, fuzzy=FuzzyParams(gamma=1.0)))
+    dirs = tmp_path / "parent", tmp_path / "change"
+    for d in dirs:
+        d.mkdir()
+        save_model(model, d / "fit.model")
+        labels, d1, d2 = predict(model, x, return_distances=True)
+        (d / "fit.predict").write_text("".join(
+            f"{label} {a!r} {b!r}\n" for label, a, b in
+            zip(labels.tolist(), d1.tolist(), d2.tolist())))
+        (d / "cv.csv").write_text("repeat,fold,gmean\n0,0,0.9\n")
+    return dirs
+
+
+def test_compare_reports_a_one_ulp_coefficient_and_no_flip(tmp_path,
+                                                            capsys):
+    script = load_script()
+    parent, change = fingerprint_pair(tmp_path)
+    assert script.main(["--compare", str(parent), str(change)]) == 0
+    assert "identical: 3 files" in capsys.readouterr().out
+    # one ulp up on plane 1's first coefficient
+    path = change / "fit.model"
+    lines = path.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("w1 "))
+    parts = lines[row].split()
+    bumped = np.nextafter(float(parts[1]), np.inf)
+    parts[1] = f"{bumped:.17g}"
+    lines[row] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert script.main(["--compare", str(parent), str(change)]) == 0
+    out = capsys.readouterr().out
+    assert "identical: 2 files" in out and "differ: 1 files" in out
+    assert "fit.model: 1 of " in out and "max ulps 1\n" in out
+    assert out.endswith("gate: pass\n")
+
+
+def test_compare_fails_on_a_flipped_label_or_a_csv_byte(tmp_path, capsys):
+    script = load_script()
+    parent, change = fingerprint_pair(tmp_path)
+    path = change / "fit.predict"
+    rows = path.read_text().splitlines()
+    label, rest = rows[3].split(" ", 1)
+    rows[3] = f"{-int(label)} {rest}"
+    path.write_text("\n".join(rows) + "\n")
+    assert script.main(["--compare", str(parent), str(change)]) == 1
+    out = capsys.readouterr().out
+    assert "fit.predict: 1 of 40 labels flipped" in out
+    assert out.endswith("gate: FAIL\n")
+    # the predictions again, and one byte of a result file
+    path.write_text((parent / "fit.predict").read_text())
+    (change / "cv.csv").write_text("repeat,fold,gmean\n0,0,0.8\n")
+    assert script.main(["--compare", str(parent), str(change)]) == 1
+    assert "cv.csv: differs  FAIL" in capsys.readouterr().out
+
+
+def test_compare_refuses_a_change_in_a_models_text(tmp_path, capsys):
+    script = load_script()
+    parent, change = fingerprint_pair(tmp_path)
+    path = change / "fit.model"
+    path.write_text(path.read_text().replace("tnorm minimum",
+                                             "tnorm product"))
+    assert script.main(["--compare", str(parent), str(change)]) == 1
+    assert "fit.model: text differs  FAIL" in capsys.readouterr().out

@@ -197,6 +197,29 @@ class TestExperimentConfigValidation:
                                repeats=np.int8(1), workers=np.int16(1))
         assert (cfg.folds, cfg.inner_folds, cfg.repeats) == (3, 2, 1)
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("has_header", "false", "a bool"),
+        ("weights_enabled", "false", "a bool"),
+        ("has_header", 1, "a bool"),
+        ("label_column", 1.5, "an integer or a column name"),
+        ("label_column", None, "an integer or a column name"),
+        ("delta", "1e-6", "a number"),
+    ])
+    def test_rejects_a_setting_of_the_wrong_type(self, name, value, kind):
+        # a non-empty string is truthy, so "false" acted as True; a float
+        # column was taken; a string delta died in numpy's isfinite
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be {kind}, got {value!r}"
+
+    def test_accepts_numpy_bools_and_numbers(self):
+        cfg = ExperimentConfig(has_header=np.bool_(True),
+                               weights_enabled=np.False_,
+                               label_column=np.int64(0),
+                               delta=np.float32(1e-6))
+        assert cfg.has_header and not cfg.weights_enabled
+        assert ExperimentConfig(label_column="class", delta=0).delta == 0
+
     def test_keeps_the_range_messages(self):
         for fields, message in ((dict(folds=1), "folds must be >= 2, got 1"),
                                 (dict(seed=-1),

@@ -21,15 +21,17 @@ from frlstsvm.fuzzy_rough import (
     _cross_similarity,
     chebyshev_distances,
     class_weights,
+    distance_means,
     indiscernibility_matrix,
+    mean_similarity,
     row_sums,
     positive_region_scores,
     subsample_majority,
 )
 
-from helpers import brute_density_scores, brute_lower_approx_scores, \
-    brute_pair_sim, count_threads, dyadic_matrix, loop_lower_approx_scores, \
-    loop_similarity
+from helpers import assert_near_distance_means, brute_density_scores, \
+    brute_lower_approx_scores, brute_pair_sim, count_threads, dyadic_matrix, \
+    loop_lower_approx_scores, loop_similarity
 
 
 def params(gamma=1.0, **kw):
@@ -431,6 +433,34 @@ class TestClassWeights:
         assert wp == pytest.approx(w[perm], abs=1e-12)
 
 
+class TestDistanceMeans:
+    def test_a_single_row_gets_one(self):
+        assert np.array_equal(distance_means(np.array([0.0]), 3.0), [1.0])
+
+    def test_means_are_clipped_to_floor_and_one(self):
+        # 1 - gamma dsum / (p - 1): 1, 0.5 and -1 before the clip
+        dsums = np.array([0.0, 1.0, 4.0])
+        assert np.array_equal(distance_means(dsums, 1.0), [1.0, 0.5, 0.0])
+        assert np.array_equal(distance_means(dsums, 1.0, WEIGHT_FLOOR),
+                              [1.0, 0.5, WEIGHT_FLOOR])
+
+    def test_clip_idle_means_match_the_similarity(self):
+        # for gammas whose clip is idle the distance sums give the row
+        # means of the similarity itself, up to rounding, and rank the
+        # rows by ascending distance sum
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 1, size=(300, 3)) * [1.0, 0.5, 0.25]
+        d = chebyshev_distances(x)
+        dsums = row_sums(d)
+        for gamma in (0.3, 1.0 / float(d.max())):
+            sim = indiscernibility_matrix(x, params(gamma=gamma))
+            got = distance_means(dsums, gamma, WEIGHT_FLOOR)
+            assert_near_distance_means(
+                got, mean_similarity(sim, floor=WEIGHT_FLOOR), 300)
+            assert np.all(np.diff(got[np.argsort(dsums, kind="stable")])
+                          <= 0)
+
+
 class TestRowSums:
     def test_distances_give_the_sums_of_each_gammas_similarity(self):
         # a majority of 400 rows spans several row blocks; gammas on
@@ -449,10 +479,30 @@ class TestRowSums:
                         else sim[np.ix_(r, r)].sum(axis=1))
                 assert row_sums(d, r, gamma).tobytes() == want.tobytes()
                 assert row_sums(sim, r).tobytes() == want.tobytes()
-                if gamma * dmax <= 1.0:
-                    # no 1 - gamma d is negative: the clip is idle
-                    assert (row_sums(d, r, gamma, clip=False).tobytes()
-                            == want.tobytes())
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_columns_restrict_the_sums(self, held):
+        # rows and columns restricted apart, as a kept set's sums over
+        # its removed rows take them: the distances summed as they are,
+        # and mapped with a gamma whose clip acts, held or built from
+        # the rows, with the bits of the restricted array's row sums
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0, 1, size=(400, 3)) * [1.0, 0.5, 0.25]
+        d = chebyshev_distances(x)
+        rows = np.sort(rng.permutation(400)[:300])
+        # a held block gathers whole rows: several blocks of them
+        assert rows.size * 400 > 3 * _KEPT_BLOCK_ENTRIES
+        for cols in (np.sort(rng.permutation(400)[:120]), np.arange(400),
+                     np.setdiff1d(np.arange(400), rows), np.array([5])):
+            source = (dict(pairs=d) if held else
+                      dict(pairs=x, points=params(gamma=1.0)))
+            got = row_sums(rows=rows, cols=cols, **source)
+            want = d[np.ix_(rows, cols)].sum(axis=1)
+            assert got.tobytes() == want.tobytes()
+            sim = indiscernibility_matrix(x, params(gamma=9.0))
+            got = row_sums(rows=rows, cols=cols, gamma=9.0, **source)
+            want = sim[np.ix_(rows, cols)].sum(axis=1)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("columns", [3, 0])
     @pytest.mark.parametrize("tnorm", T_NORMS)
@@ -472,8 +522,7 @@ class TestRowSums:
             fz = params(gamma=gamma, tnorm=tnorm)
             sim = indiscernibility_matrix(x, fz)
             # the minimum t-norm maps each block's distances with gamma
-            how = ({} if tnorm != "minimum"
-                   else dict(gamma=gamma, clip=gamma * dmax > 1.0))
+            how = {} if tnorm != "minimum" else dict(gamma=gamma)
             for r in rows:
                 want = row_sums(sim, r)
                 got = row_sums(x, r, points=fz, **how)
@@ -484,22 +533,28 @@ class TestRowSums:
     @staticmethod
     def threaded_sources(x: np.ndarray):
         """(pairs, rows, keywords) of row_sums for each source of a
-        threaded pass: the held distance over every row and over a
-        subset, and the rows themselves under each t-norm, mapped with
-        and without the clip under the minimum."""
+        threaded pass: the held distance and the rows themselves, over
+        every row, a subset, and a subset's sums over other columns
+        (p - 50 rows by 1000 columns), summed as distances and mapped
+        with gamma under the minimum t-norm, and under each other
+        t-norm. The held distance over every row summed as it is takes
+        no pass."""
         p = x.shape[0]
         d = chebyshev_distances(x)
-        kept = np.sort(np.random.default_rng(19).permutation(p)[:p - 50])
-        dmax = float(d.max())
-        sources = [(d, rows, how) for rows in (None, kept)
-                   for how in (dict(gamma=9.0),
-                               dict(gamma=0.5 / dmax, clip=False))]
+        rng = np.random.default_rng(19)
+        kept = np.sort(rng.permutation(p)[:p - 50])
+        cols = np.sort(rng.permutation(p)[:1000])
+        shapes = [(None, {}), (kept, {}), (kept, dict(cols=cols))]
+        sources = []
         for tnorm in T_NORMS:
             fz = params(gamma=9.0, tnorm=tnorm)
-            hows = ([dict(gamma=9.0), dict(gamma=0.5 / dmax, clip=False)]
-                    if tnorm == "minimum" else [{}])
-            sources += [(x, rows, dict(how, points=fz))
-                        for rows in (None, kept) for how in hows]
+            hows = ([{}, dict(gamma=9.0)] if tnorm == "minimum" else [{}])
+            for rows, how in shapes:
+                sources += [(x, rows, dict(how, points=fz, **g))
+                            for g in hows]
+                if tnorm == "minimum":
+                    sources += [(d, rows, dict(how, **g)) for g in hows
+                                if rows is not None or g]
         return sources
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -513,7 +568,8 @@ class TestRowSums:
         started, pinned = count_threads(monkeypatch)
         for pairs, rows, how in self.threaded_sources(x):
             p = x.shape[0] if rows is None else rows.size
-            assert p * p >= _THREADED_ENTRIES
+            q = how["cols"].size if "cols" in how else p
+            assert p * q >= _THREADED_ENTRIES
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0])
             want = row_sums(pairs, rows, **how)
             assert started == [] and pinned == []
