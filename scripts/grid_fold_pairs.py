@@ -23,8 +23,11 @@ in any byte from the first parent run's. `--grid gaussian` searches
 the criterion-5 grid (tau {0, 0.2, 0.4} x gamma {0.5, 1} x c {0.25, 1,
 4}) with the gaussian kernel and sigma {0.5, 1, 2}, 54 points over 3
 inner folds: about 6 s a run on `--shape yeast3`, the fold on which to
-measure a change to the gaussian fit. `--grid tiny` searches a
-2 x 2 x 2 grid over 3 inner folds, a quick check of the script itself.
+measure a change to the gaussian fit. `--grid criterion5` searches
+the grid of the benchmark's cv-pima workload (linear, the criterion-5
+grid over 9 inner folds), read from perfbench/workloads.py: one outer
+fold of that job. `--grid tiny` searches a 2 x 2 x 2 grid over 3 inner
+folds, a quick check of the script itself.
 """
 from __future__ import annotations
 
@@ -41,17 +44,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTER_FOLDS, OUTER_SEED, DATA_SEED, INNER_SEED = 10, 0, 1, 123
 
-# name -> (ExperimentConfig grid fields, inner folds); {} is the default
-GRIDS = {
-    "default": ({}, 9),
-    "gaussian": (dict(tau_grid=(0.0, 0.2, 0.4), gamma_grid=(0.5, 1.0),
-                      c1_grid=(0.25, 1.0, 4.0), kernel="gaussian",
-                      sigma_grid=(0.5, 1.0, 2.0)), 3),
-    "tiny": (dict(tau_grid=(0.0, 0.4), gamma_grid=(0.5, 1.0),
-                  c1_grid=(0.25, 4.0)), 3),
-}
-
-
 def _load(path: Path, name: str):
     """A module imported by path: neither perfbench/ nor scripts/ is a
     package."""
@@ -64,6 +56,23 @@ def _load(path: Path, name: str):
 def _perfbench(name: str):
     """perfbench/<name>.py beside this script."""
     return _load(REPO_ROOT / "perfbench" / f"{name}.py", f"perfbench_{name}")
+
+
+# the grid of the cv-pima workload, as the benchmark reads it
+_workloads = _perfbench("workloads")
+
+# name -> (ExperimentConfig grid fields, inner folds); {} is the default
+GRIDS = {
+    "default": ({}, 9),
+    "criterion5": (dict(tau_grid=_workloads.TAU_GRID,
+                        gamma_grid=_workloads.GAMMA_GRID,
+                        c1_grid=_workloads.C_GRID), _workloads.INNER_FOLDS),
+    "gaussian": (dict(tau_grid=(0.0, 0.2, 0.4), gamma_grid=(0.5, 1.0),
+                      c1_grid=(0.25, 1.0, 4.0), kernel="gaussian",
+                      sigma_grid=(0.5, 1.0, 2.0)), 3),
+    "tiny": (dict(tau_grid=(0.0, 0.4), gamma_grid=(0.5, 1.0),
+                  c1_grid=(0.25, 4.0)), 3),
+}
 
 
 # the alternating pair loop and the statistics of scripts/bench_pairs.py

@@ -30,8 +30,9 @@ sqrt(w_j' K(Xref, Xref) w_j), the length in the reproducing space, for
 a gaussian one; each plane computes it once, when it is solved, and a
 gaussian model file stores it, so loading one builds no gram.
 
-One path solves every weighted plane and one measures every distance.
-_class_blocks gives H and G (and a gaussian fit's reference rows and
+One path solves every weighted plane of a model and of a gaussian
+grid group, and one measures their distances. _class_blocks gives H
+and G (and a gaussian fit's reference rows and
 their gram); a gaussian fit builds one [K | 1] array, H and G its row
 blocks and the gram K, which only the norms read, its column view.
 _solve_plane solves one plane at any number of penalties c: it builds
@@ -80,15 +81,25 @@ serves every gamma that keeps those rows. Held and streamed folds sum
 the same distances in the same order, so they keep equal bits.
 
 The grid search's inner folds run in score_grid: one holding
-PreparedFold per fold, and one score_fits call per (blocks, sigma)
-group, which gives each distinct (c1, c2)'s validation G-mean with the
-bits of predict and report on the model, but builds no model: plane 1
-is solved once per distinct c1 and plane 2 once per distinct c2, and
-every solved plane's distances come from one _plane_distances pass.
+PreparedFold per fold, whose (blocks, sigma) groups are scored with the
+bits of predict and report on each config's model, but without building
+a model: plane 1 is solved once per distinct c1 and plane 2 once per
+distinct c2. A gaussian group is scored by one score_fits call, through
+_solve_plane and one _plane_distances pass. A linear fold's groups are
+scored together by score_linear, in stacked passes of about
+_STACK_ENTRIES entries: _linear_planes forms every (group, plane, c)
+system of a pass in one stack and solves it with
+linalg.spd_solve_stack, one dpotrf and dpotrs per system, sending the
+systems it misses to spd_solve; _linear_distances measures every
+solved plane in stacked matmuls, which run each plane's own dot or
+gemv; and _config_gmeans counts every config in one stacked gmean. An
+order-9 system spends about 4 us there, against about 40 us through
+spd_solve, _norm and _distances, and every bit is the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,7 +133,8 @@ from .fuzzy_rough import (
     row_sums,
     subsample_majority,
 )
-from .linalg import SpdSolveReport, add_scaled_identity, gram, spd_solve
+from .linalg import (SpdSolveReport, add_scaled_identity, gram, spd_solve,
+                     spd_solve_stack)
 from .metrics import gmean
 
 KERNELS = ("linear", "gaussian")
@@ -551,8 +563,8 @@ def predict(model: TwinPlaneModel, x, return_distances: bool = False):
     and scalar results are returned. With return_distances, per-plane
     distances come back too.
 
-    Both distances come from _plane_distances, which also measures the
-    grid search's (see score_fits): a gaussian model's rows are mapped
+    Both distances come from _plane_distances, which also measures a
+    gaussian grid group's (see score_fits): a gaussian model's rows are mapped
     to kernel values in row blocks of a multiple of 64 rows, on one
     worker thread per CPU in the process's affinity mask, never more
     than blocks (linalg._run_blocks, which runs fuzzy_rough.row_sums'
@@ -816,6 +828,25 @@ def fit_blocks(blocks: FitBlocks, config: TrainConfig,
     return model
 
 
+def _config_gmeans(groups: list, rows: dict, norms: np.ndarray,
+                   dists: np.ndarray, y_va: np.ndarray,
+                   convention: str) -> list[list[float | None]]:
+    """Each config's G-mean for each (blocks, configs) group i, from
+    rows, which maps (i, plane, c) to the row of norms and dists of that
+    plane solved at c: predict's labels (plane 1 where its distance is
+    not the larger) and report's G-mean, every config of every group
+    counted in one stacked gmean call. None where either plane went
+    unsolved or both are degenerate (norm 0)."""
+    i1, i2 = (np.array([rows.get((i, j, cfg.c1 if j == 1 else cfg.c2), -1)
+                        for i, (_, configs) in enumerate(groups)
+                        for cfg in configs]) for j in (1, 2))
+    live = (i1 >= 0) & (i2 >= 0) & ((norms[i1] != 0) | (norms[i2] != 0))
+    values = iter(np.where(live, gmean(y_va == 1, dists[i1] <= dists[i2],
+                                       convention), np.nan).tolist())
+    return [[None if math.isnan(g) else g for _, g in zip(configs, values)]
+            for _, configs in groups]
+
+
 def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
                x_va: np.ndarray, y_va: np.ndarray,
                convention: str) -> list[float | None]:
@@ -825,32 +856,116 @@ def score_fits(blocks: FitBlocks, configs: list[TrainConfig],
     has the bits of report(confusion(y_va, predict(fit_blocks(blocks,
     config), x_va)), convention).gmean, but no model is built: plane 1
     is solved once per distinct c1 and plane 2 once per distinct c2 by
-    _solve_plane, one plane's terms at a time; every solved plane's
-    distances come from one _plane_distances pass over the rows; and
-    each distinct (c1, c2) labels and counts them with predict's and
-    confusion's arithmetic."""
+    _solve_plane, one plane's terms at a time, and every solved plane's
+    distances come from one _plane_distances pass over the rows (see
+    _config_gmeans). score_grid scores its gaussian groups here, one at
+    a time, and its linear ones in score_linear's stacks."""
     sigma, delta = configs[0].sigma, configs[0].delta
     h, g, x_ref, k_ref = _class_blocks(blocks.x1, blocks.x2hat, sigma)
-    # (c1, c2) -> its G-mean, None until measured
-    gmeans = dict.fromkeys((cfg.c1, cfg.c2) for cfg in configs)
-    # (plane, c) -> (w, b, norm), for every c whose system is solvable
+    # (0, plane, c) -> (w, b, norm), for every c whose system is solvable
     planes = {}
     for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
-        cs = dict.fromkeys(pair[plane - 1] for pair in gmeans)
+        cs = dict.fromkeys(cfg.c1 if plane == 1 else cfg.c2
+                           for cfg in configs)
         for c, solved in zip(cs, _solve_plane(a, b, d_b, plane, cs, delta,
                                               k_ref)):
             if not isinstance(solved, SingularSystemError):
-                planes[plane, c] = solved[0]
-    dists = dict(zip(planes, _plane_distances(x_va, list(planes.values()),
-                                              x_ref, sigma)))
-    true_pos = y_va == 1
-    for c1, c2 in gmeans:
-        p1, p2 = planes.get((1, c1)), planes.get((2, c2))
-        # both planes solvable, and not both degenerate (norm 0)
-        if p1 and p2 and (p1[2] or p2[2]):
-            gmeans[c1, c2] = gmean(true_pos, dists[1, c1] <= dists[2, c2],
-                                   convention)
-    return [gmeans[cfg.c1, cfg.c2] for cfg in configs]
+                planes[0, plane, c] = solved[0]
+    if not planes:
+        return [None] * len(configs)
+    dists = _plane_distances(x_va, list(planes.values()), x_ref, sigma)
+    return _config_gmeans([(blocks, configs)], dict(zip(planes, range(
+        len(planes)))), np.array([p[2] for p in planes.values()]),
+        np.array(dists), y_va, convention)[0]
+
+
+# Entries of one stacked pass of score_linear: each (group, plane, c)
+# system's order^2 matrix and the validation rows of each system and
+# config. Not a knob: it bounds the pass's memory, which would otherwise
+# grow with an inner fold's groups (a 400-feature default grid would
+# stack gigabytes), while a pima-shaped default-grid inner fold's 3852
+# order-9 systems take a few passes.
+_STACK_ENTRIES = 1 << 18
+
+
+def _linear_planes(groups: list, delta: float
+                   ) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every (group, plane, c) system of linear (blocks, configs) groups,
+    solved: the (group index, plane, c) of each, its solution t (one row
+    each, with _solve_plane's bits) and whether it was solved. Each
+    group's c-free terms are built per plane by _plane_terms, and every
+    system is formed in one stack by one broadcast of c B'DB + A'A +
+    delta I, whose entries have _plane_system's bits. spd_solve_stack
+    solves the stack, and each system it misses goes to spd_solve, with
+    its ridge ladder and reports; one whose SingularSystemError is
+    raised there is left unsolved, as _solve_plane leaves it."""
+    keys, terms = [], []
+    for i, (blocks, configs) in enumerate(groups):
+        h, g, _, _ = _class_blocks(blocks.x1, blocks.x2hat, None)
+        for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
+            keys += [(i, plane, c, len(terms)) for c in dict.fromkeys(
+                cfg.c1 if plane == 1 else cfg.c2 for cfg in configs)]
+            terms.append(_plane_terms(a, b, d_b))
+    aa, bdb, bd = map(np.array, zip(*terms))
+    del terms
+    c, term = (np.array(column) for column in list(zip(*keys))[2:])
+    lhs = bdb[term] * c[:, None, None]
+    lhs += aa[term]
+    lhs.reshape(len(keys), -1)[:, ::lhs.shape[1] + 1] += delta
+    rhs = bd[term] * c[:, None]
+    # looked up on the module, where tests count them and the
+    # benchmark's tracer wraps spd_solve
+    t, solved = spd_solve_stack(lhs, rhs)
+    for k in np.flatnonzero(~solved):
+        try:
+            t[k] = spd_solve(lhs[k], rhs[k])[0]
+            solved[k] = True
+        except SingularSystemError:
+            pass
+    return [key[:3] for key in keys], t, solved
+
+
+def _linear_distances(x: np.ndarray, u: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The norms of the linear planes whose rows of u stack w over b,
+    and each row of x's distance to each plane, one row per plane: the
+    bits of _norm and _distances plane by plane, because a stacked
+    matmul runs each plane's own dot (the norm; a one-row x's distances)
+    or gemv (the distances)."""
+    w, b = u[:, :-1], u[:, -1:]
+    norms = np.sqrt(np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0])
+    d = np.matmul(x, w[:, :, None])[:, :, 0]
+    d += b
+    np.abs(d, out=d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d /= norms[:, None]
+    d[norms == 0.0] = np.inf
+    return norms, d
+
+
+def score_linear(groups: list, x_va: np.ndarray, y_va: np.ndarray,
+                 convention: str) -> list[list[float | None]]:
+    """score_fits of each linear (blocks, configs) group, with its bits,
+    in stacked passes: the groups that start in one span of
+    _STACK_ENTRIES entries (see there) are one pass, whose systems
+    _linear_planes solves, whose planes _linear_distances measures and
+    whose configs _config_gmeans counts."""
+    order, rows = x_va.shape[1] + 1, x_va.shape[0]
+    # an upper bound: at most two systems per config
+    need = [3 * len(configs) * (order * order + rows) for _, configs in groups]
+    starts = np.cumsum([0, *need[:-1]]) // _STACK_ENTRIES
+    out = []
+    for _, chunk in itertools.groupby(zip(starts, groups), lambda p: p[0]):
+        chunk = [group for _, group in chunk]
+        # looked up on the module, where tests wrap it
+        keys, t, solved = _linear_planes(chunk, chunk[0][1][0].delta)
+        plane1 = np.array([plane == 1 for _, plane, _ in keys])
+        norms, dists = _linear_distances(x_va,
+                                         np.where(plane1[:, None], -t, t))
+        out += _config_gmeans(chunk, {key: k for k, key in enumerate(keys)
+                                      if solved[k]}, norms, dists, y_va,
+                              convention)
+    return out
 
 
 def score_grid(ds: LabeledDataset, folds, configs: list[TrainConfig],
@@ -868,10 +983,11 @@ def score_grid(ds: LabeledDataset, folds, configs: list[TrainConfig],
     whose tau empties the majority dies whole; then it drops the
     PreparedFold. Configs whose blocks are one object (the same weights
     and kept set) and that share sigma differ only in c1 and c2: each
-    such (blocks, sigma) group is scored by one score_fits call, and
-    each distinct (c1, c2)'s G-mean, or its failure, goes to every
-    config that shares it. Results are stored by config index, so no
-    sum or flag depends on the walk."""
+    such (blocks, sigma) group is scored once, a linear fold's groups
+    all together by score_linear and a gaussian fold's one at a time by
+    score_fits, and each distinct (c1, c2)'s G-mean, or its failure,
+    goes to every config that shares it. Results are stored by config
+    index, so no sum or flag depends on the walk."""
     groups: dict[tuple, list[int]] = {}
     for i, cfg in sorted(enumerate(configs), key=lambda p: p[1].fuzzy.gamma):
         groups.setdefault((cfg.tau, cfg.fuzzy), []).append(i)
@@ -896,10 +1012,15 @@ def score_grid(ds: LabeledDataset, folds, configs: list[TrainConfig],
             for i in live:
                 fits.setdefault((blocks, configs[i].sigma), []).append(i)
         del prep
-        for (blocks, _), members in fits.items():
-            # looked up on the module, where tests wrap it
-            gmeans = score_fits(blocks, [configs[i] for i in members], x_va,
-                                y_va, convention)
+        scoring = [(blocks, [configs[i] for i in members])
+                   for (blocks, _), members in fits.items()]
+        # looked up on the module, where tests wrap them
+        if configs[0].kernel == "linear":
+            scored = score_linear(scoring, x_va, y_va, convention)
+        else:
+            scored = [score_fits(*group, x_va, y_va, convention)
+                      for group in scoring]
+        for members, gmeans in zip(fits.values(), scored):
             for i, g in zip(members, gmeans):
                 if g is None:
                     alive[i] = False

@@ -3,7 +3,8 @@
 Everything here operates on float64 numpy arrays. The one nontrivial
 routine is :func:`spd_solve`, a Cholesky solve with automatic ridge
 escalation for exactly symmetric matrices that are positive definite
-only up to rounding. :func:`gram` returns A^T A exactly symmetric, so a
+only up to rounding; :func:`spd_solve_stack` runs its unridged attempt
+on a stack of small systems, and leaves the ones it misses to it. :func:`gram` returns A^T A exactly symmetric, so a
 scaled sum of its results plus a diagonal, which is every system the
 plane solvers build, is exactly symmetric too.
 
@@ -222,22 +223,9 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
     SingularSystemError
         If no attempt meets the residual threshold.
     """
-    a = as_matrix(a, "A")
+    a, b_arr = _checked_system(a, b)
     n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"A must be square, got shape {a.shape}")
-    # finite, so == is array_equal's test, without its call overhead
-    if not (a == a.T).all():
-        raise ValueError("A is not symmetric: A != A^T in some entry")
-
-    b_arr = np.asarray(b, dtype=np.float64)
-    if not np.isfinite(b_arr).all():
-        raise ValueError("B contains non-finite entries")
     vector_rhs = b_arr.ndim == 1
-    if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
-        raise ValueError(
-            f"B has shape {b_arr.shape}, incompatible with A of order {n}"
-        )
     b2 = b_arr.reshape(n, -1) if vector_rhs else b_arr
     threshold = RESIDUAL_RTOL * max(1.0, _frobenius(b2))
 
@@ -268,3 +256,76 @@ def spd_solve(a, b) -> tuple[np.ndarray, SpdSolveReport]:
             factorization_attempts=attempts,
         ),
     )
+
+
+def _checked_system(a, b, b_axes: tuple[int, ...] = (1, 2)
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as float64 arrays, or spd_solve's refusal of them: A is
+    one square matrix, finite and exactly symmetric, and B is finite,
+    with A's rows and b_axes axes in all; or, for b_axes (2,), A is a
+    stack of such matrices and B one such vector per matrix."""
+    axes = b_axes[0] + 1
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != axes or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"A must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("A contains non-finite entries")
+    # finite, so == is array_equal's test, without its call overhead
+    if not (a == a.swapaxes(-1, -2)).all():
+        raise ValueError("A is not symmetric: A != A^T in some entry")
+    if not np.isfinite(b).all():
+        raise ValueError("B contains non-finite entries")
+    if b.ndim not in b_axes or b.shape[:axes - 1] != a.shape[:-1]:
+        raise ValueError(f"B has shape {b.shape}, incompatible with A of "
+                         f"shape {a.shape}")
+    return a, b
+
+
+def spd_solve_stack(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A_k x_k = b_k for a stack of systems by spd_solve's
+    unridged attempt each: x, one system's solution a row, and whether
+    each system was solved.
+
+    The stack is checked once, as spd_solve checks one system and with
+    its messages. Each system is then factored by dpotrf(A_k', lower=1,
+    clean=0) and solved by dpotrs, one call of each per system as
+    _attempt makes them, so a solved x_k has the bits of spd_solve's.
+    The residuals and the norms of b are taken in stacked matmuls, for
+    which numpy runs the gemv and the dot of each system that _attempt
+    and _frobenius run, and each residual is gated at RESIDUAL_RTOL *
+    max(1, ||b_k||). A system whose factor fails, whose x_k is not
+    finite or whose residual misses comes back unsolved, with x_k 0:
+    spd_solve(a[k], b[k]) then takes it up its ridge ladder, as it
+    would have alone.
+
+    Parameters
+    ----------
+    a : (s, n, n) array_like
+    b : (s, n) array_like
+
+    Returns
+    -------
+    x : (s, n) ndarray
+    solved : (s,) bool ndarray
+    """
+    a, b = _checked_system(a, b, b_axes=(2,))
+    b3 = b[:, :, None]
+    x = np.zeros_like(b3)
+    solved = np.zeros(a.shape[0], dtype=bool)
+    for k in range(a.shape[0]):
+        factor, info = dpotrf(a[k].T, lower=1, clean=0)
+        if info == 0:
+            x[k], _ = dpotrs(factor, b3[k], lower=1)
+            solved[k] = True
+    solved &= np.isfinite(x).all(axis=(1, 2))
+    x[~solved] = 0.0
+    residual = _frobenius_each(np.matmul(a, x) - b3)
+    solved &= residual <= RESIDUAL_RTOL * np.maximum(1.0, _frobenius_each(b3))
+    x[~solved] = 0.0
+    return x[:, :, 0], solved
+
+
+def _frobenius_each(v: np.ndarray) -> np.ndarray:
+    """_frobenius of each (n, 1) column of an (s, n, 1) stack, by one
+    dot each."""
+    return np.sqrt(np.matmul(v.swapaxes(1, 2), v)[:, 0, 0])

@@ -63,15 +63,15 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
             raise DataError(f"{name} contains labels outside ±1: "
                             f"{np.unique(bad).tolist()}")
     # every label is now ±1, so -1 is "not +1"
-    return ConfusionMatrix(*_outcomes(t == 1, p == 1))
+    return ConfusionMatrix(*map(int, _outcomes(t == 1, p == 1)))
 
 
-def _outcomes(true_pos: np.ndarray, pred_pos: np.ndarray
-              ) -> tuple[int, int, int, int]:
-    """(tp, fn, fp, tn) of two boolean masks of the +1 rows."""
-    tp = int(np.count_nonzero(true_pos & pred_pos))
-    fn = int(np.count_nonzero(true_pos)) - tp
-    fp = int(np.count_nonzero(pred_pos)) - tp
+def _outcomes(true_pos: np.ndarray, pred_pos: np.ndarray, axis=None):
+    """(tp, fn, fp, tn) of two boolean masks of the +1 rows, or with
+    axis -1 of the true mask and each row of pred_pos."""
+    tp = np.count_nonzero(true_pos & pred_pos, axis=axis)
+    fn = np.count_nonzero(true_pos) - tp
+    fp = np.count_nonzero(pred_pos, axis=axis) - tp
     return tp, fn, fp, true_pos.size - tp - fn - fp
 
 
@@ -86,7 +86,8 @@ def report(cm: ConfusionMatrix, convention: str = "standard") -> MetricReport:
         raise DataError(
             f"convention must be one of {CONVENTIONS}, got {convention!r}"
         )
-    (sen, d1), (spe, d2) = _rates(cm.tp, cm.fn, cm.fp, cm.tn, convention)
+    (sen, d1), (spe, d2) = (_ratio(*r) for r in _rates(
+        cm.tp, cm.fn, cm.fp, cm.tn, convention))
     acc = (cm.tp + cm.tn) / cm.total
     return MetricReport(
         sensitivity=sen,
@@ -98,22 +99,26 @@ def report(cm: ConfusionMatrix, convention: str = "standard") -> MetricReport:
     )
 
 
-def _rates(tp: int, fn: int, fp: int, tn: int, convention: str
-           ) -> tuple[tuple[float, bool], tuple[float, bool]]:
-    """Sensitivity and specificity, each with its degenerate flag."""
+def _rates(tp, fn, fp, tn, convention: str) -> tuple[tuple, tuple]:
+    """(numerator, denominator) of sensitivity and of specificity."""
     if convention == "standard":
-        return _ratio(tp, tp + fn), _ratio(tn, tn + fp)
-    return _ratio(tp, tp + fp), _ratio(tn, tn + fn)
+        return (tp, tp + fn), (tn, tn + fp)
+    return (tp, tp + fp), (tn, tn + fn)
 
 
 def gmean(true_pos: np.ndarray, pred_pos: np.ndarray,
-          convention: str) -> float:
-    """report(confusion(y_true, y_pred), convention).gmean from the
-    boolean masks y_true == 1 and y_pred == 1, with the same arithmetic
-    but none of the checks or objects: for callers that score many
-    predictions of labels known to be ±1, under a known convention."""
-    (sen, _), (spe, _) = _rates(*_outcomes(true_pos, pred_pos), convention)
-    return math.sqrt(sen * spe)
+          convention: str) -> np.ndarray:
+    """report(confusion(y_true, y_pred), convention).gmean of each row
+    of pred_pos, from the boolean masks y_true == 1 and y_pred == 1 (one
+    row of pred_pos per prediction), with the same arithmetic but none
+    of the checks or objects: for callers that score many predictions
+    of labels known to be ±1, under a known convention. The counts are
+    exact, and each ratio of two of them is one division, as _ratio's,
+    so each G-mean has report's bits."""
+    sen, spe = (np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+                for num, den in _rates(*_outcomes(true_pos, pred_pos, -1),
+                                       convention))
+    return np.sqrt(sen * spe)
 
 
 def format_report(rep: MetricReport, dataset: str = "-",

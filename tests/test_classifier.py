@@ -986,6 +986,13 @@ class TestPreparedFold:
                                         "standard")
             assert got == [report(confusion(y_probe, want[cfg][1][0]))
                            .gmean for cfg in group]
+        # the linear groups once more, all in one stacked pass
+        linear = [(blocks, group) for (blocks, sigma), group in groups.items()
+                  if sigma is None]
+        assert len(linear) == 7
+        got = classifier.score_linear(linear, x_probe, y_probe, "standard")
+        assert got == [[report(confusion(y_probe, want[cfg][1][0])).gmean
+                        for cfg in group] for _, group in linear]
 
     def test_duplicate_kept_sets_share_one_blocks_object(self):
         # under the minimum t-norm every density score is >= 1 - gamma,
@@ -1428,8 +1435,11 @@ class TestScoreFits:
         if kernel == "gaussian":
             assert _block_rows(blocks.x1.shape[0]
                                + blocks.x2hat.shape[0]) == 128
-        got = classifier.score_fits(blocks, configs, x_va, y[va],
-                                    convention)
+            got = classifier.score_fits(blocks, configs, x_va, y[va],
+                                        convention)
+        else:
+            (got,) = classifier.score_linear([(blocks, configs)], x_va,
+                                             y[va], convention)
         for g, cfg in zip(got, configs):
             pred = predict(fit_blocks(blocks, cfg), x_va)
             want = report(confusion(y[va], pred), convention).gmean
@@ -1510,10 +1520,12 @@ class TestScoreFits:
         started, _ = count_threads(monkeypatch)
         # 384 rows are one block of 300 reference rows
         assert len(_block_bounds(384, 300)) == 1
-        for group, rows in ((linear, slice(None)), (configs, slice(384))):
-            got = classifier.score_fits(blocks, group, x_va[rows],
-                                        y_va[rows], "standard")
-            assert all(g is not None for g in got)
+        (got,) = classifier.score_linear([(blocks, linear)], x_va, y_va,
+                                         "standard")
+        assert all(g is not None for g in got)
+        got = classifier.score_fits(blocks, configs, x_va[:384], y_va[:384],
+                                    "standard")
+        assert all(g is not None for g in got)
         assert started == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -1547,6 +1559,108 @@ class TestScoreFits:
         if cpus == 1:
             # no block is taken after the one that failed
             assert next(calls) == 4
+
+    def test_stacked_planes_have_the_bits_of_solve_plane(self):
+        # two groups with untied penalties: every (group, plane, c)
+        # system once, its t that of _solve_plane's lone solve
+        rng = np.random.default_rng(41)
+        groups = []
+        for m2 in (30, 24):
+            x1, x2 = rng.random((10, 5)), rng.random((m2, 5))
+            blocks = FitBlocks(x1, x2, rng.uniform(0.5, 1, 10),
+                               rng.uniform(0.5, 1, m2), np.arange(m2), m2)
+            groups.append((blocks, [config(c1=c1, c2=c2) for c1, c2 in
+                                    itertools.product((0.25, 1.0, 4.0),
+                                                      (0.5, 2.0))]))
+        keys, t, solved = classifier._linear_planes(groups, 1e-6)
+        assert keys == [(i, plane, c) for i in (0, 1)
+                        for plane, cs in ((1, (0.25, 1.0, 4.0)),
+                                          (2, (0.5, 2.0))) for c in cs]
+        assert solved.all()
+        for (i, plane, c), tk in zip(keys, t):
+            blocks = groups[i][0]
+            h, g = classifier._augment(blocks.x1), classifier._augment(
+                blocks.x2hat)
+            a, b, d_b = ((h, g, blocks.d2) if plane == 1
+                         else (g, h, blocks.d1))
+            ((w, offset, norm), _), = classifier._solve_plane(
+                a, b, d_b, plane, (c,), 1e-6, None)
+            u = -tk if plane == 1 else tk
+            assert u[:-1].tobytes() == w.tobytes() and u[-1] == offset
+
+    def test_stacked_norms_and_distances_have_the_bits_of_one_plane(self):
+        # numpy runs each plane's own dot (the norm, and a one-row
+        # batch) or gemv (more rows) in a stacked matmul, so the bits
+        # are those of _norm and _distances; a numpy that batched them
+        # otherwise would move grid winners, and must fail here
+        rng = np.random.default_rng(42)
+        for rows, planes, trial in itertools.product(
+                (1, 2, 3, 45, 90), range(1, 31), range(6)):
+            n = int(rng.integers(1, 12))
+            x = rng.random((rows, n))
+            u = rng.normal(size=(planes, n + 1)) * 10.0 ** rng.integers(
+                -3, 4, size=(planes, 1))
+            if trial == 0:
+                u[0, :-1] = 0.0  # a degenerate plane
+            norms, dists = classifier._linear_distances(x, u)
+            assert dists.shape == (planes, rows)
+            for k in range(planes):
+                w, b = u[k, :-1].copy(), float(u[k, -1])
+                norm = classifier._norm(w, None)
+                assert norms[k] == norm
+                want = classifier._distances(x, w, b, norm)
+                assert dists[k].tobytes() == want.tobytes()
+
+    def wide_group(self):
+        """One linear group of 150 features (order 151), two tied
+        penalties and 30 validation rows: counted as 6 x (22801 + 30)
+        entries, so a pass of 2^18 entries holds two groups."""
+        rng = np.random.default_rng(43)
+        x1, x2 = rng.random((40, 150)), rng.random((80, 150))
+        blocks = FitBlocks(x1, x2, rng.uniform(0.5, 1, 40),
+                           rng.uniform(0.5, 1, 80), np.arange(80), 80)
+        x_va = rng.random((30, 150))
+        y_va = np.repeat([1, -1], 15)
+        group = (blocks, [config(c1=c, c2=c) for c in (0.25, 4.0)])
+        return group, x_va, y_va
+
+    def test_stacked_passes_keep_the_bits_of_one_pass(self, monkeypatch):
+        group, x_va, y_va = self.wide_group()
+        groups = [group] * 5
+        one = classifier.score_linear(groups, x_va, y_va, "standard")
+        assert one == [classifier.score_fits(*group, x_va, y_va,
+                                             "standard")] * 5
+        passes = []
+        real = classifier._linear_planes
+
+        def counted(chunk, delta):
+            passes.append(len(chunk))
+            return real(chunk, delta)
+
+        monkeypatch.setattr(classifier, "_linear_planes", counted)
+        for entries, sizes in ((1 << 30, [5]), (1 << 18, [2, 2, 1]),
+                               (1, [1] * 5)):
+            monkeypatch.setattr(classifier, "_STACK_ENTRIES", entries)
+            passes.clear()
+            assert classifier.score_linear(groups, x_va, y_va,
+                                           "standard") == one
+            assert passes == sizes
+
+    def test_stacked_pass_memory_does_not_grow_with_the_groups(self):
+        # two wide groups fill a pass of _STACK_ENTRIES; forty take
+        # twenty passes of the same size, not one twenty times larger
+        group, x_va, y_va = self.wide_group()
+        peaks = []
+        for count in (2, 40):
+            tracemalloc.start()
+            try:
+                classifier.score_linear([group] * count, x_va, y_va,
+                                        "standard")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+        assert peaks[1] < 4 * classifier._STACK_ENTRIES * 8
 
     def test_plane_system_has_the_bits_of_the_diag_indices_form(self):
         rng = np.random.default_rng(6)

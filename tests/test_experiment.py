@@ -576,9 +576,10 @@ def singular_grid_dataset():
 
 
 def count_attempts(monkeypatch) -> list[int]:
-    """The factorization attempts of each spd_solve call, as they
-    happen."""
-    real = classifier.spd_solve
+    """The factorization attempts of each plane system, as they happen:
+    1 for each system the linear grid's stacked solve solves, and the
+    attempts of each spd_solve call, which solves the rest."""
+    real, real_stack = classifier.spd_solve, classifier.spd_solve_stack
     attempts = []
 
     def counted(a, b):
@@ -586,25 +587,36 @@ def count_attempts(monkeypatch) -> list[int]:
         attempts.append(out[1].factorization_attempts)
         return out
 
+    def counted_stack(a, b):
+        out = real_stack(a, b)
+        attempts.extend([1] * int(out[1].sum()))
+        return out
+
     monkeypatch.setattr(classifier, "spd_solve", counted)
+    monkeypatch.setattr(classifier, "spd_solve_stack", counted_stack)
     return attempts
 
 
 def inject_into_plane_solves(monkeypatch, change):
-    """Pass the solution t of every plane system that spd_solve solves,
-    in the grid's scoring and in the reference loop's fits alike,
-    through change(plane, c, gamma, t), which may edit t in place or
-    raise: plane is 1 or 2, c its penalty and gamma that of the fit's
-    config. Both score_fits and a fit build plane 1's terms before
-    plane 2's, so planes are numbered by the order of the _plane_terms
-    calls since the last score_fits or fit_blocks call, and gamma is
-    read off the configs given to it."""
+    """Pass the solution t of every plane system that is solved, in the
+    grid's scoring and in the reference loop's fits alike, through
+    change(plane, c, gamma, t), which may edit t in place or raise:
+    plane is 1 or 2, c its penalty and gamma that of the fit's config.
+    A linear grid's systems are passed as _linear_planes returns them,
+    each (group, plane, c) with its group's gamma, and one that raises
+    is left unsolved. Elsewhere each spd_solve solution is: score_fits
+    and a fit build plane 1's terms before plane 2's, so planes are
+    numbered by the order of the _plane_terms calls since the last
+    score_fits or fit_blocks call, and gamma is read off the configs
+    given to it."""
     real_terms, real_system = classifier._plane_terms, classifier._plane_system
-    real_solve = classifier.spd_solve
+    real_solve, real_planes = classifier.spd_solve, classifier._linear_planes
     real_score, real_fit = classifier.score_fits, classifier.fit_blocks
-    gamma, built, calls = [None], [None], [0]
+    gamma, built, calls, stacked = [None], [None], [0], [False]
 
     def numbered_terms(*args):
+        if stacked[0]:
+            return real_terms(*args)
         calls[0] += 1
         return (*real_terms(*args), calls[0])
 
@@ -615,10 +627,26 @@ def inject_into_plane_solves(monkeypatch, change):
 
     def solve(a, b):
         t, rep = real_solve(a, b)
+        if stacked[0]:
+            return t, rep
         lhs, plane, c = built[0]
         assert a is lhs
         change(plane, c, gamma[0], t)
         return t, rep
+
+    def planes(groups, delta):
+        stacked[0] = True
+        try:
+            keys, t, solved = real_planes(groups, delta)
+        finally:
+            stacked[0] = False
+        for k, (i, plane, c) in enumerate(keys):
+            if solved[k]:
+                try:
+                    change(plane, c, groups[i][1][0].fuzzy.gamma, t[k])
+                except SingularSystemError:
+                    solved[k] = False
+        return keys, t, solved
 
     def score(blocks, configs, *args):
         gamma[0], calls[0] = configs[0].fuzzy.gamma, 0
@@ -632,6 +660,7 @@ def inject_into_plane_solves(monkeypatch, change):
             (classifier, "_plane_terms", numbered_terms),
             (classifier, "_plane_system", system),
             (classifier, "spd_solve", solve),
+            (classifier, "_linear_planes", planes),
             (classifier, "score_fits", score),
             (classifier, "fit_blocks", fit)):
         monkeypatch.setattr(module, name, fake)

@@ -43,6 +43,33 @@ def test_gaussian_grid_is_the_criterion_5_grid_over_three_sigmas():
     assert {pt.sigma for pt in points} == {0.5, 1.0, 2.0}
 
 
+def test_criterion5_grid_is_the_cv_pima_workloads():
+    # read from perfbench/workloads.py, whose constants the cv-pima
+    # job's ExperimentConfig takes; only the points are built
+    from frlstsvm.experiment import ExperimentConfig, grid_points
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    fields, inner_k = load_script().GRIDS["criterion5"]
+    assert fields == dict(tau_grid=workloads.TAU_GRID,
+                          gamma_grid=workloads.GAMMA_GRID,
+                          c1_grid=workloads.C_GRID)
+    assert inner_k == workloads.INNER_FOLDS == 9
+    config = ExperimentConfig(**fields)
+    assert config.kernel == "linear"
+    points = grid_points(config)
+    assert len(points) == 18
+    assert {pt.tau for pt in points} == {0.0, 0.2, 0.4}
+    assert {pt.gamma for pt in points} == {0.5, 1.0}
+    assert {(pt.c1, pt.c2) for pt in points} == {
+        (c, c) for c in (0.25, 1.0, 4.0)}
+    child = (ROOT / "perfbench" / "child.py").read_text(encoding="utf-8")
+    assert ("tau_grid=TAU_GRID, gamma_grid=GAMMA_GRID, c1_grid=C_GRID,"
+            in child and "inner_folds=INNER_FOLDS" in child)
+
+
 def test_summary_of_canned_runs():
     script = load_script()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from frlstsvm.errors import SingularSystemError
 from frlstsvm.linalg import (
@@ -9,6 +10,7 @@ from frlstsvm.linalg import (
     add_scaled_identity,
     gram,
     spd_solve,
+    spd_solve_stack,
 )
 
 
@@ -259,3 +261,93 @@ class TestSpdSolve:
         with pytest.raises(ValueError, match="not symmetric"):
             spd_solve(a, np.ones(3))
 
+
+
+def conditioned_stack(rng, count: int, n: int, worst: float):
+    """count exactly symmetric SPD systems of order n, each with
+    eigenvalues spread log-evenly from 1 down to 1 / cond, cond drawn
+    log-uniformly up to worst, and normal right-hand sides."""
+    a = np.empty((count, n, n))
+    for k in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m = (q * np.logspace(0, -rng.uniform(0, np.log10(worst)), n)) @ q.T
+        a[k] = np.triu(m) + np.triu(m, 1).T
+    return a, rng.normal(size=(count, n))
+
+
+class TestSpdSolveStack:
+    def test_bits_of_spd_solve_up_to_condition_1e12(self):
+        # each solved system has the bits of spd_solve's unridged
+        # attempt, and each miss is a system whose unridged attempt
+        # spd_solve rejects too
+        a, b = conditioned_stack(np.random.default_rng(21), 600, 9, 1e12)
+        a_bits, b_bits = a.tobytes(), b.tobytes()
+        x, solved = spd_solve_stack(a, b)
+        assert a.tobytes() == a_bits and b.tobytes() == b_bits
+        assert x.shape == b.shape and solved.shape == (600,)
+        assert 0 < solved.sum() < 600
+        for k in range(600):
+            want, rep = spd_solve(a[k], b[k])
+            if solved[k]:
+                assert rep.factorization_attempts == 1
+                assert x[k].tobytes() == want.tobytes()
+            else:
+                assert rep.factorization_attempts > 1
+                assert not x[k].any()
+
+    def test_misses_go_to_spd_solve_as_a_lone_system_would(self):
+        # one system that factors and solves, one that does not factor
+        # at any ridge, and one that factors but misses the residual
+        # gate, from which spd_solve's ridge ladder recovers
+        rng = np.random.default_rng(22)
+        good = gram(rng.normal(size=(12, 9))) + 1e-3 * np.eye(9)
+        indefinite = good.copy()
+        indefinite[-1, -1] = -1.0
+        rank_six = gram(np.random.default_rng(1).normal(size=(6, 9)))
+        assert dpotrf(rank_six.T, lower=1, clean=0)[1] == 0
+        systems = [good, indefinite, rank_six]
+        rhs = [rng.normal(size=9), rng.normal(size=9),
+               np.random.default_rng(101).normal(size=9)]
+        x, solved = spd_solve_stack(np.array(systems), np.array(rhs))
+        assert solved.tolist() == [True, False, False]
+        with pytest.raises(SingularSystemError) as exc:
+            spd_solve(indefinite, rhs[1])
+        assert exc.value.report.factorization_attempts == 5
+        lone, lone_rep = spd_solve(rank_six.copy(), rhs[2].copy())
+        assert lone_rep.factorization_attempts > 1
+        # the stack's own rows, as the grid hands them to spd_solve
+        stack, stack_rhs = np.array(systems), np.array(rhs)
+        again, rep = spd_solve(stack[2], stack_rhs[2])
+        assert rep == lone_rep and again.tobytes() == lone.tobytes()
+        with pytest.raises(SingularSystemError) as again_exc:
+            spd_solve(stack[1], stack_rhs[1])
+        assert again_exc.value.report == exc.value.report
+        assert str(again_exc.value) == str(exc.value)
+        assert x[0].tobytes() == spd_solve(good, rhs[0])[0].tobytes()
+
+    @pytest.mark.parametrize("case", ["asymmetric", "inf_in_a", "nan_in_b"])
+    def test_refuses_what_spd_solve_refuses_with_its_message(self, case):
+        a, b = conditioned_stack(np.random.default_rng(23), 5, 4, 1e3)
+        if case == "asymmetric":
+            a[3, 0, 1] = np.nextafter(a[3, 0, 1], np.inf)
+        elif case == "inf_in_a":
+            a[2, 1, 1] = np.inf
+        else:
+            b[4, 0] = np.nan
+        k = {"asymmetric": 3, "inf_in_a": 2, "nan_in_b": 4}[case]
+        with pytest.raises(ValueError) as lone:
+            spd_solve(a[k], b[k])
+        with pytest.raises(ValueError) as stacked:
+            spd_solve_stack(a, b)
+        assert str(stacked.value) == str(lone.value)
+
+    @pytest.mark.parametrize("a_shape, b_shape, match", [
+        ((2, 3, 4), (2, 3), "square"), ((3, 3), (3,), "square"),
+        ((2, 3, 3), (2, 4), "incompatible"), ((2, 3, 3), (3, 3),
+                                              "incompatible"),
+        ((2, 3, 3), (2,), "incompatible"),
+        ((2, 3, 3), (2, 3, 1), "incompatible"),
+    ])
+    def test_rejects_bad_shapes(self, a_shape, b_shape, match):
+        with pytest.raises(ValueError, match=match):
+            spd_solve_stack(np.ones(a_shape), np.ones(b_shape))

@@ -158,6 +158,18 @@ class TestReport:
             want = report(confusion(t, p), convention).gmean
             assert gmean(t == 1, p == 1, convention) == want
 
+    @pytest.mark.parametrize("convention", ["standard", "paper_literal"])
+    def test_each_row_of_stacked_masks_is_its_report_gmean(self, convention):
+        rng = np.random.default_rng(32)
+        for trial in range(100):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            t = np.where(rng.random(n) < rng.random(), 1, -1)
+            p = np.where(rng.random((k, n)) < rng.random((k, 1)), 1, -1)
+            got = gmean(t == 1, p == 1, convention)
+            assert got.shape == (k,)
+            assert got.tolist() == [report(confusion(t, row), convention)
+                                    .gmean for row in p]
+
     def test_rejects_unknown_convention(self):
         cm = ConfusionMatrix(tp=1, fn=0, fp=0, tn=1)
         with pytest.raises(DataError, match="convention"):
