@@ -10,9 +10,10 @@ CONFIGS, the nested-CV result files cv_csv_text and cv_jsonl_text
 (`<name>.csv`, `<name>.jsonl`). For
 each single fit in FITS (fit_frlstsvm: a linear and a gaussian fit,
 and linear fits under the product and lukasiewicz t-norms and in
-lower_approx score mode, all pima-shaped, and a linear fit on the
-abalone19 shape, whose majority's row sums run on worker threads) it
-also writes the saved model file and predict(...,
+lower_approx score mode, all pima-shaped, a linear fit on the
+abalone19 shape and a gaussian fit on the yeast3 shape, whose
+majorities' self row sums are tiled passes on worker threads) it also
+writes the saved model file and predict(...,
 return_distances=True), by the model that load_model reads back from
 it, on 500 held-out rows of the fit's shape, so the predictions pin the
 reader's bits as well as the fit's. The configs are the criterion-5 linear
@@ -20,7 +21,9 @@ grid (10 outer x 9 inner folds), the same grid with c2 ranging apart
 from c1, a small gaussian grid, a gaussian grid whose gammas and taus
 share kept sets and whose c values share plane terms, a gaussian grid
 on the yeast3 shape whose validation rows span two kernel row blocks,
-so its grid scoring runs on worker threads, the linear grid without
+so its grid scoring runs on worker threads, the linear grid on the
+abalone19 shape in 3 outer x 2 inner folds, whose inner folds' held
+majority distances are summed in tiled passes, the linear grid without
 subsampling and weights and in lower_approx score mode, and grids
 without tau 0 for each t-norm and score mode. One more CV run
 goes through the command line, `frlstsvm cv` with CLI_FLAGS on the same
@@ -136,6 +139,10 @@ CONFIGS = {
     "gaussian_yeast3": dict(kernel="gaussian", tau_grid=(0.0, 0.2),
                             gamma_grid=(1.0,), c1_grid=(1.0,),
                             sigma_grid=(1.0,), folds=2, inner_folds=2),
+    # on the abalone19 shape (CONFIG_SHAPES) every inner fold's majority
+    # has over 1024 rows, so the row sums of its held distance are a
+    # tiled self pass on worker threads
+    "linear_abalone19": dict(_LINEAR_GRID, folds=3, inner_folds=2),
     # tau 0 keeps every majority row: no subsampling
     "nosubsample_noweights": dict(_LINEAR_GRID, tau_grid=(0.0,),
                                   weights_enabled=False),
@@ -147,7 +154,8 @@ CONFIGS = {
 }
 
 # name -> the datagen shape of each config in CONFIGS not on SHAPE
-CONFIG_SHAPES = {"gaussian_yeast3": "yeast3"}
+CONFIG_SHAPES = {"gaussian_yeast3": "yeast3",
+                 "linear_abalone19": "abalone19"}
 
 # the flags of the `cv` run beside --data and --out: a subsampled grid
 # under the product t-norm with lower_approx scores, the label column
@@ -178,13 +186,15 @@ FITS = {
     "fit_lower_approx": dict(fuzzy=FuzzyParams(gamma=2.0,
                                                score_mode="lower_approx")),
     "fit_abalone19": dict(fuzzy=FuzzyParams(gamma=1.0)),
+    "fit_gaussian_yeast3": dict(fuzzy=FuzzyParams(gamma=1.0),
+                                kernel="gaussian", sigma=1.0),
 }
 
 # name -> the datagen shape of each fit in FITS not on SHAPE. The
-# abalone19 majority (4142 rows) is large enough that both of its lone
-# fit's row-sum passes run on worker threads (pima's run on the calling
-# thread)
-FIT_SHAPES = {"fit_abalone19": "abalone19"}
+# abalone19 (4142 rows) and yeast3 (1321 rows) majorities are large
+# enough that their lone fits' full row-sum passes are tiled and run on
+# worker threads (pima's run on the calling thread)
+FIT_SHAPES = {"fit_abalone19": "abalone19", "fit_gaussian_yeast3": "yeast3"}
 
 
 def write_fingerprint(outdir, configs=None,

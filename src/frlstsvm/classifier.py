@@ -68,17 +68,20 @@ distinct (weights, kept set). One that serves a grid holds one m2 x m2
 majority array, under the minimum t-norm the Chebyshev distance that
 every gamma's similarity is read from. One that serves a lone fit holds
 none: it builds the majority similarity's row sums from the scaled rows
-a row block of about 2^15 entries at a time, so it needs O(m2) memory
-where the held array needs O(m2^2). Either way a pass over at least
-1024 rows runs its blocks on the worker threads of a gaussian predict,
-with the bits of one thread. Under the minimum t-norm a gamma whose
+a row block or a tile at a time, so it needs O(m2) memory where the
+held array needs O(m2^2). Either way a pass over at least 2^20
+entries runs on the worker threads of a gaussian predict, with the
+bits of one thread, and a self pass that large (1024 rows or more)
+builds each unordered pair once, in tiles (see fuzzy_rough.row_sums).
+Under the minimum t-norm a gamma whose
 clip is idle (gamma times the class's largest distance at most 1, so
 every gamma <= 1) builds no similarity: its density scores and both
 classes' weights come from Chebyshev distance row sums (see
 fuzzy_rough), one gamma-free pass per class and fold, and one more per
 kept set over its kept x removed (or kept x kept) distances, which
 serves every gamma that keeps those rows. Held and streamed folds sum
-the same distances in the same order, so they keep equal bits.
+the same distances in the same blocks and order, so they keep equal
+bits.
 
 The grid search's inner folds run in score_grid: one holding
 PreparedFold per fold, whose (blocks, sigma) groups are scored with the
@@ -345,13 +348,19 @@ def _class_blocks(x1: np.ndarray, x2hat: np.ndarray, sigma: float | None):
     return k_aug[:m1], k_aug[m1:], x_ref, k_aug[:, :-1]
 
 
+def _weighted_terms(b: np.ndarray,
+                    d_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B'D_B B, B'd_B): the weighted parts of a plane's c-free terms."""
+    return gram(b * np.sqrt(d_b)[:, None], checked=True), b.T @ d_b
+
+
 def _plane_terms(a: np.ndarray, b: np.ndarray,
                  d_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A'A, B'D_B B, B'd_B): the parts of one plane's system that do
     not depend on its c (see _plane_system). B'D_B B is built first, so
     the scaled copy of B is freed before A'A exists."""
-    bdb = gram(b * np.sqrt(d_b)[:, None], checked=True)
-    return gram(a, checked=True), bdb, b.T @ d_b
+    bdb, bd = _weighted_terms(b, d_b)
+    return gram(a, checked=True), bdb, bd
 
 
 def _plane_system(aa: np.ndarray, bdb: np.ndarray, bd: np.ndarray,
@@ -635,7 +644,7 @@ class PreparedFold:
     sums R1 (see _kept_distances and fuzzy_rough.distance_means).
 
     A fold that serves many fits (hold=True, the grid search) holds one
-    m2 x m2 array and reads every block off it. Under the minimum
+    m2 x m2 array and reads every block or tile off it. Under the minimum
     t-norm, in either score mode, that array is the majority's Chebyshev
     distance, computed once, summed as it is for the gammas whose clip
     is idle and mapped to each other gamma's similarity. Under
@@ -646,11 +655,14 @@ class PreparedFold:
     array: each block is built from the scaled majority rows, once for
     the full rows' sums (the density scores) and once more for the kept
     rows' sums (kept x removed for a clip-idle gamma whose density
-    scores keep more than half the rows) when tau removes rows, with the
-    same bits. Held or
-    streamed, a pass over at least 1024 rows (2^20 entries) sums its
-    row blocks on one pinned worker thread per usable CPU, with the bits
-    of one thread (see fuzzy_rough.row_sums). Tau 0 keeps
+    scores keep more than half the rows) when tau removes rows. Held or
+    streamed, a pass over at least 2^20 entries runs on one pinned
+    worker thread per usable CPU, with the bits of one thread, and a
+    self pass that large (the full rows, or kept x kept over 1024 kept
+    rows or more) builds each unordered pair once, in tiles of
+    fuzzy_rough._TILE_ROWS rows. Both folds cut the same blocks and
+    tiles and add their sums in the same order, so they keep equal bits
+    (see fuzzy_rough.row_sums). Tau 0 keeps
     every majority row and scores none of them. A tau that empties the
     majority raises the same ConfigurationError on every fit that asks
     for it.
@@ -892,22 +904,36 @@ def _linear_planes(groups: list, delta: float
                    ) -> tuple[list, np.ndarray, np.ndarray]:
     """Every (group, plane, c) system of linear (blocks, configs) groups,
     solved: the (group index, plane, c) of each, its solution t (one row
-    each, with _solve_plane's bits) and whether it was solved. Each
-    group's c-free terms are built per plane by _plane_terms, and every
-    system is formed in one stack by one broadcast of c B'DB + A'A +
-    delta I, whose entries have _plane_system's bits. spd_solve_stack
-    solves the stack, and each system it misses goes to spd_solve, with
-    its ridge ladder and reports; one whose SingularSystemError is
-    raised there is left unsolved, as _solve_plane leaves it."""
-    keys, terms = [], []
+    each, with _solve_plane's bits) and whether it was solved. The
+    c-free terms are those of _plane_terms, but the groups of one fold
+    share their minority rows: H = [X1 | 1] and plane 1's H'H are built
+    once per minority block, and plane 2's H'D1H and H'd1 once per
+    distinct d1; G and the rest once per group. Every system is formed
+    in one stack by one broadcast of c B'DB + A'A + delta I, whose
+    entries have _plane_system's bits. spd_solve_stack solves the
+    stack, and each system it misses goes to spd_solve, with its ridge
+    ladder and reports; one whose SingularSystemError is raised there is
+    left unsolved, as _solve_plane leaves it."""
+    keys, terms, minority, weighted = [], [], {}, {}
     for i, (blocks, configs) in enumerate(groups):
-        h, g, _, _ = _class_blocks(blocks.x1, blocks.x2hat, None)
-        for plane, a, b, d_b in ((1, h, g, blocks.d2), (2, g, h, blocks.d1)):
+        # every group's blocks are alive, so no id is reused
+        x1 = id(blocks.x1)
+        if x1 not in minority:
+            h = _augment(blocks.x1)
+            minority[x1] = h, gram(h, checked=True)
+        h, hh = minority[x1]
+        d1 = (x1, blocks.d1.tobytes())
+        if d1 not in weighted:
+            weighted[d1] = _weighted_terms(h, blocks.d1)
+        g = _augment(blocks.x2hat)
+        for plane, aa, (bdb, bd) in (
+                (1, hh, _weighted_terms(g, blocks.d2)),
+                (2, gram(g, checked=True), weighted[d1])):
             keys += [(i, plane, c, len(terms)) for c in dict.fromkeys(
                 cfg.c1 if plane == 1 else cfg.c2 for cfg in configs)]
-            terms.append(_plane_terms(a, b, d_b))
+            terms.append((aa, bdb, bd))
     aa, bdb, bd = map(np.array, zip(*terms))
-    del terms
+    del terms, minority, weighted
     c, term = (np.array(column) for column in list(zip(*keys))[2:])
     lhs = bdb[term] * c[:, None, None]
     lhs += aa[term]

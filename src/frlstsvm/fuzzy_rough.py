@@ -14,7 +14,7 @@ is monotone in d, so the smallest term is the term of the largest
 per-attribute form takes; and d*(-gamma) + 1, the in-place form, equals
 1 - gamma*d in IEEE arithmetic. So one distance matrix serves every
 gamma: chebyshev_distances computes it, and row_sums maps it to one
-gamma's similarity a row block at a time as it sums. Given the rows
+gamma's similarity a row block or a tile at a time as it sums. Given the rows
 instead, row_sums builds each block's distances itself, so no m x m
 array is held. The product and lukasiewicz t-norms fold the attribute
 terms one at a time.
@@ -66,11 +66,20 @@ WEIGHT_FLOOR = 1e-6
 _KEPT_BLOCK_ENTRIES = 1 << 15
 
 # entries of the restricted matrix from which row_sums runs its row
-# blocks on linalg._run_blocks' worker threads. Smaller passes run on
-# the calling thread: threading every pass made an in-process cv-pima
-# job slower, since the thread starts outweigh a pass over a majority of
-# a few hundred rows
+# blocks or tile pairs on linalg._run_blocks' worker threads, and from
+# which a self pass is tiled. Smaller passes run on the calling thread:
+# threading every pass made an in-process cv-pima job slower, since the
+# thread starts outweigh a pass over a majority of a few hundred rows
 _THREADED_ENTRIES = 1 << 20
+
+# rows of one tile of a self pass over at least _THREADED_ENTRIES
+# entries (see row_sums). Not a knob: a streamed minimum-t-norm pass
+# over abalone19's 4142-row majority on two pinned workers of a 2-vCPU
+# VM took 42, 21-25 and 24-25 ms (best of 9) with tiles of 128, 256 and
+# 512 rows, against 51-56 ms over whole rows. A held array's tile is
+# gathered by np.ix_, which took 0.20 ms a tile there against 0.57 ms
+# for two takes
+_TILE_ROWS = 256
 
 T_NORMS = ("minimum", "product", "lukasiewicz")
 SCORE_MODES = ("density", "lower_approx")
@@ -190,89 +199,127 @@ def row_sums(pairs: np.ndarray, rows: np.ndarray | None = None,
     max(0, 1 - gamma d) in the in-place arithmetic of the similarity.
 
     With points, `pairs` is the scaled rows themselves, and no pairwise
-    array is held: each row block is built from the (restricted) rows
-    as the array that points names, their Chebyshev distances under the
+    array is held: each block is built from the (restricted) rows as the
+    array that points names, their Chebyshev distances under the
     minimum t-norm (which gamma maps as above) and their similarity
     under points' other t-norms. Distances and similarities are
     computed pair by pair, so a built block has the bits of the same
-    rows of the whole array.
+    entries of the whole array.
 
-    Distances, a strict subset of the rows or columns, and points are
-    summed one row block of about 2^15 entries of the restricted array
-    at a time, the distances mapped in one reused buffer, so neither a
-    restricted copy nor a second pairwise array is made. Each block
-    holds the same contiguous rows as the whole restricted array, so its
-    row sums have the whole's bits.
+    A pass over fewer than 2^20 entries of the restricted array, or one
+    with cols, sums whole rows. Distances, a strict subset of the rows
+    or columns, and points are summed one row block of about 2^15
+    entries at a time, the distances mapped in one reused buffer, so
+    neither a restricted copy nor a second pairwise array is made. Each
+    block holds the same contiguous rows as the whole restricted array,
+    so its row sums have the whole's bits; a held array's every row
+    summed as it is takes one sum of the array.
 
-    A pass over at least 2^20 entries of the restricted array (p >=
-    1024 rows of a self-similarity) runs its blocks on
-    linalg._run_blocks' worker threads: one per CPU in the process's
+    A self pass (cols None) over at least 2^20 entries (p >= 1024)
+    builds each unordered pair once, since every pairwise array here is
+    symmetric. Its p rows are cut into tiles of _TILE_ROWS rows, and
+    each tile pair I <= J is built once (a slice or gather of the held
+    array, or built from the points) and mapped. Its row sums are the
+    rows of I summed over the columns of J, and for J > I its column
+    sums are the rows of J summed over the columns of I; each goes to
+    its own slot of a ceil(p / _TILE_ROWS) x p array of partial sums,
+    and each row's partials are then added in tile order. The result
+    differs from a sum of whole rows in the last bits only: every term
+    is the same and only the order of the additions moves. Held and
+    streamed passes cut the same tiles, so they keep equal bits.
+
+    A pass over at least 2^20 entries runs its row blocks or tile pairs
+    on linalg._run_blocks' worker threads: one per CPU in the process's
     affinity mask (taskset restricts them), never more than blocks, each
-    with its own map buffer, allocated on the calling thread. Each block
-    writes only its own rows of the sums, and a row's sum does not
-    depend on the rows that share its block, so the bits do not depend
-    on the thread count. A smaller pass runs on the calling thread. Each
-    process makes its own threads, so under cv --workers N every pool
-    worker's large passes start theirs."""
+    with its own buffer, allocated on the calling thread. Each block or
+    tile pair writes only its own sums or partials, and no sum depends
+    on which worker took it, so the bits do not depend on the thread
+    count. A smaller pass runs on the calling thread. Each process makes
+    its own threads, so under cv --workers N every pool worker's large
+    passes start theirs."""
+    if cols is None and rows is not None and rows.size == pairs.shape[0]:
+        rows = None
     if points is not None:
         xr = pairs if rows is None else pairs[rows]
         xc = xr if cols is None else pairs[cols]
         p, q = xr.shape[0], xc.shape[0]
-        # Chebyshev blocks are built into the worker's buffer
-        buffered = points.tnorm == "minimum"
     else:
-        if cols is None:
-            if rows is not None and rows.size == pairs.shape[0]:
-                rows = None
-            if rows is None and gamma is None:
-                return pairs.sum(axis=1)
-            cols = rows
         p = pairs.shape[0] if rows is None else rows.size
-        q = pairs.shape[1] if cols is None else cols.size
-        # whole rows are mapped into the worker's buffer; a restriction
-        # is gathered into a fresh block and mapped there
-        buffered = rows is None and cols is None
-    # a gathered block takes its rows whole before its columns, so its
-    # rows are counted at the held array's width. An empty row set has
-    # no blocks and empty sums
-    width = q if points is not None or rows is None else pairs.shape[1]
-    step = max(1, _KEPT_BLOCK_ENTRIES // max(width, 1))
-    sums = np.empty(p)
+        q = p if cols is None else cols.size
+    tiled = cols is None and p * q >= _THREADED_ENTRIES
+    # a held array's whole rows are sliced; a restriction is gathered
+    whole = points is None and rows is None and cols is None
+    if whole and gamma is None and not tiled:
+        return pairs.sum(axis=1)
+    if points is None and cols is None:
+        cols = rows
+    # Chebyshev blocks are built, and a held array's whole rows mapped,
+    # into the worker's buffer; other blocks are fresh arrays
+    buffered = (points.tnorm == "minimum" if points is not None
+                else whole and gamma is not None)
 
-    def sum_block(i: int, stop: int, buf: np.ndarray | None) -> None:
-        # calls no function the benchmark's tracer wraps: its span stack
-        # is per process, not per thread
-        if points is None and buffered:
-            block = np.multiply(pairs[i:stop], -gamma, out=buf[:stop - i])
-        elif points is None:
-            block = (pairs[i:stop] if rows is None
-                     else pairs.take(rows[i:stop], axis=0))
-            block = block.take(cols, axis=1)
-            if gamma is not None:
-                block *= -gamma
-        elif buffered:
-            block = cdist(xr[i:stop], xc, "chebyshev", out=buf[:stop - i])
-            if gamma is not None:
-                block *= -gamma
+    def block(r0: int, r1: int, c0: int, c1: int,
+              buf: np.ndarray | None) -> np.ndarray:
+        """The restricted array's rows r0:r1 and columns c0:c1, mapped.
+        Calls no function the benchmark's tracer wraps: its span stack
+        is per process, not per thread."""
+        if buf is not None:
+            buf = buf[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+        if points is not None and not buffered:
+            return _cross_similarity(xr[r0:r1], xc[c0:c1], points)
+        if points is not None:
+            out = cdist(xr[r0:r1], xc[c0:c1], "chebyshev", out=buf)
+        elif whole:
+            out = pairs[r0:r1, c0:c1]
+        elif tiled:
+            out = pairs[np.ix_(rows[r0:r1], cols[c0:c1])]
         else:
-            block = _cross_similarity(xr[i:stop], xc, points)
-        if gamma is not None:
-            block += 1.0
-            np.maximum(block, 0.0, out=block)
-        block.sum(axis=1, out=sums[i:stop])
+            out = (pairs[r0:r1] if rows is None
+                   else pairs.take(rows[r0:r1], axis=0))
+            out = out.take(cols[c0:c1], axis=1)
+        if gamma is None:
+            return out
+        out = np.multiply(out, -gamma, out=buf if whole else out)
+        out += 1.0
+        return np.maximum(out, 0.0, out=out)
 
-    bounds = [(i, min(i + step, p)) for i in range(0, p, step)]
+    if tiled:
+        t = _TILE_ROWS
+        tiles = -(-p // t)
+        partials = np.empty((tiles, p))
+        bounds = [(i, j) for i in range(tiles) for j in range(i, tiles)]
+        size = t * t
+
+        def work(i: int, j: int, buf: np.ndarray | None) -> None:
+            r0, c0 = i * t, j * t
+            tile = block(r0, min(r0 + t, p), c0, min(c0 + t, p), buf)
+            tile.sum(axis=1, out=partials[j, r0:r0 + t])
+            if j > i:
+                tile.sum(axis=0, out=partials[i, c0:c0 + t])
+    else:
+        # a gathered block takes its rows whole before its columns, so
+        # its rows are counted at the held array's width. An empty row
+        # set has no blocks and empty sums
+        width = q if points is not None or rows is None else pairs.shape[1]
+        step = max(1, _KEPT_BLOCK_ENTRIES // max(width, 1))
+        sums = np.empty(p)
+        bounds = [(i, min(i + step, p)) for i in range(0, p, step)]
+        size = min(step, p) * q
+
+        def work(i: int, stop: int, buf: np.ndarray | None) -> None:
+            block(i, stop, 0, q, buf).sum(axis=1, out=sums[i:stop])
 
     def scratch():
-        return np.empty((min(step, p), q)) if buffered else None
+        return np.empty(size) if buffered else None
 
     if p * q >= _THREADED_ENTRIES:
-        linalg._run_blocks(bounds, sum_block, scratch)
+        linalg._run_blocks(bounds, work, scratch)
     else:
         buf = scratch()
-        for i, stop in bounds:
-            sum_block(i, stop, buf)
-    return sums
+        for span in bounds:
+            work(*span, buf)
+    # each row's partials added in tile order
+    return partials.sum(axis=0) if tiled else sums
 
 
 def row_means(sums: np.ndarray, floor: float = 0.0) -> np.ndarray:

@@ -8,9 +8,10 @@ on a stack of small systems, and leaves the ones it misses to it. :func:`gram` r
 scaled sum of its results plus a diagonal, which is every system the
 plane solvers build, is exactly symmetric too.
 
-:func:`_run_blocks` runs the row blocks of a gaussian predict and of a
-large fuzzy-rough row-sum pass on one pinned worker thread per usable
-CPU, each block writing only its own rows of the result.
+:func:`_run_blocks` runs the row blocks of a gaussian predict and the
+row blocks or tile pairs of a large fuzzy-rough row-sum pass on one
+pinned worker thread per usable CPU, each block writing only its own
+part of the result.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def _usable_cpus() -> list[int]:
 
 def _run_blocks(bounds: list[tuple[int, int]], work,
                 scratch=lambda: None) -> None:
-    """work(start, stop, buf) for every block, buf being the scratch of
-    the worker that runs it. With one block or one usable CPU it runs on
+    """work(a, b, buf) for every block (a, b) of bounds (a row range, or
+    a tile pair of fuzzy_rough.row_sums), buf being the scratch of the
+    worker that runs it. With one block or one usable CPU it runs on
     the calling thread. Else one worker thread per usable CPU, never
     more than blocks, each kept on its own CPU, takes the next block not
     yet taken until none is left or one has raised, while the calling

@@ -1218,6 +1218,39 @@ class TestPreparedFold:
         assert any(1 < size < 300 for size in sizes)
         assert streamed._pairs is None
 
+    @pytest.mark.parametrize("score_mode", fuzzy_rough.SCORE_MODES)
+    @pytest.mark.parametrize("tnorm", fuzzy_rough.T_NORMS)
+    def test_a_streaming_fold_has_the_bits_of_a_holding_fold_in_tiles(
+            self, tnorm, score_mode):
+        # the same over a majority of five tiles and one row (m2 = 5T +
+        # 1), so every full-row pass is a tiled self pass with an uneven
+        # last tile. Kept sets of over 1024 rows are tiled self passes
+        # too wherever their sums are over the kept rows themselves: at
+        # a gamma whose clip acts or under another t-norm, and in
+        # lower_approx mode at a gamma whose clip is idle
+        t = fuzzy_rough._TILE_ROWS
+        m2 = 5 * t + 1
+        x, y = make_blobs(99, m1=20, m2=m2, spread=1.2)
+        held, streamed = PreparedFold(x, y), PreparedFold(x, y, hold=False)
+        dmax = float(fuzzy_rough.chebyshev_distances(held.x2).max())
+        tiled = set()
+        for gamma in (0.5 / dmax, 7.0):
+            fz = fuzzy(gamma=gamma, tnorm=tnorm, score_mode=score_mode)
+            scores = held.scores(fz).scores
+            assert streamed.scores(fz).scores.tobytes() == scores.tobytes()
+            for tau in (0.0, float(np.quantile(scores, 0.1)),
+                        float(np.quantile(scores, 0.2))):
+                cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+                want, got = held.blocks(cfg), streamed.blocks(cfg)
+                assert np.array_equal(got.kept_rows, want.kept_rows)
+                assert got.d1.tobytes() == want.d1.tobytes()
+                assert got.d2.tobytes() == want.d2.tobytes()
+                size = want.x2hat.shape[0]
+                if size < m2 and size * size >= fuzzy_rough._THREADED_ENTRIES:
+                    tiled.add(gamma)
+        assert tiled
+        assert streamed._pairs is None
+
     def test_a_streaming_fold_without_attributes(self):
         # rows without attributes are all alike: density scores 1,
         # lower_approx scores 0
@@ -1238,21 +1271,9 @@ class TestPreparedFold:
             self, monkeypatch):
         # a 2000-row majority, whose Chebyshev distance alone is
         # m2^2 * 8 bytes (32 MB); the lone fit's scores and kept-majority
-        # weights are row sums built a row block at a time, on four
-        # worker threads (CPUs this box may not have run where the OS
-        # puts them), each with one map buffer
-        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
-        buffers = []
-        real_run = linalg._run_blocks
-
-        def run_blocks(bounds, work, scratch):
-            def counted():
-                buffers[-1].append(scratch())
-                return buffers[-1][-1]
-            buffers.append([])
-            real_run(bounds, work, counted)
-
-        monkeypatch.setattr(linalg, "_run_blocks", run_blocks)
+        # weights are row sums built a tile or a row block at a time, on
+        # four worker threads (CPUs this box may not have run where the
+        # OS puts them), each with one map buffer
         rng = np.random.default_rng(97)
         m1, m2 = 40, 2000
         x = np.vstack([rng.normal(0.55, 0.05, size=(m1, 8)),
@@ -1265,6 +1286,18 @@ class TestPreparedFold:
             positive_region_scores(xs, y, fz, target_class=-1).scores))
         ds = LabeledDataset(x, y)
         cfg = TrainConfig(c1=1.0, c2=1.0, tau=tau, fuzzy=fz)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: [0, 1, 2, 3])
+        buffers = []
+        real_run = linalg._run_blocks
+
+        def run_blocks(bounds, work, scratch):
+            def counted():
+                buffers[-1].append(scratch())
+                return buffers[-1][-1]
+            buffers.append([])
+            real_run(bounds, work, counted)
+
+        monkeypatch.setattr(linalg, "_run_blocks", run_blocks)
         tracemalloc.start()
         try:
             model = fit_frlstsvm(ds, cfg)
@@ -1272,14 +1305,19 @@ class TestPreparedFold:
         finally:
             tracemalloc.stop()
         assert 0 < model.summary.m2_kept < m2
-        assert peak < m2 * m2 * 8 / 4
-        # the full rows' pass is threaded (the kept rows' need not be):
-        # each worker has one buffer of at most one block, and besides
-        # them the fit holds under 1 MiB
+        # the full rows' pass is a tiled self pass on four workers (the
+        # kept rows' need not be threaded). Each worker has one buffer:
+        # a tile of T^2 entries, or a row block of a pass with columns.
+        # Besides them the fit holds the m2 x ceil(m2 / T) partial sums
+        # and under 1 MiB
+        t = fuzzy_rough._TILE_ROWS
         assert buffers and all(len(made) == 4 for made in buffers)
-        block = _KEPT_BLOCK_ENTRIES * 8
-        assert all(b.nbytes <= block for made in buffers for b in made)
-        assert peak < 4 * block + 2 ** 20
+        buffer = max(t * t, _KEPT_BLOCK_ENTRIES) * 8
+        assert all(b.nbytes <= buffer for made in buffers for b in made)
+        bound = 4 * buffer + m2 * -(-m2 // t) * 8 + 2 ** 20
+        assert peak < bound
+        # the bound is under a quarter of one m2 x m2 array
+        assert bound < m2 * m2 * 8 / 4
 
     def test_one_majority_distance_per_fold(self, monkeypatch):
         # under the minimum t-norm in density mode every gamma's
@@ -1584,6 +1622,53 @@ class TestScoreFits:
             a, b, d_b = ((h, g, blocks.d2) if plane == 1
                          else (g, h, blocks.d1))
             ((w, offset, norm), _), = classifier._solve_plane(
+                a, b, d_b, plane, (c,), 1e-6, None)
+            u = -tk if plane == 1 else tk
+            assert u[:-1].tobytes() == w.tobytes() and u[-1] == offset
+
+    def test_stacked_groups_of_one_fold_share_their_minority_terms(
+            self, monkeypatch):
+        # four groups of one fold: one minority block, two distinct d1.
+        # H and H'H are built once, H'D1H once per d1, and every t has
+        # the bits of _solve_plane's lone solve
+        rng = np.random.default_rng(43)
+        x1 = rng.random((10, 5))
+        d1s = [rng.uniform(0.5, 1, 10) for _ in range(2)]
+        groups = []
+        for k, m2 in enumerate((30, 24, 27, 21)):
+            x2 = rng.random((m2, 5))
+            blocks = FitBlocks(x1, x2, d1s[k % 2].copy(),
+                               rng.uniform(0.5, 1, m2), np.arange(m2), m2)
+            groups.append((blocks, [config(c1=c, c2=c)
+                                    for c in (0.25, 4.0)]))
+        augmented, grams = [], []
+        real_augment, real_gram = classifier._augment, classifier.gram
+
+        def augment(x):
+            augmented.append(x.shape[0])
+            return real_augment(x)
+
+        def counted_gram(a, **kw):
+            grams.append(a.shape[0])
+            return real_gram(a, **kw)
+
+        monkeypatch.setattr(classifier, "_augment", augment)
+        monkeypatch.setattr(classifier, "gram", counted_gram)
+        keys, t, solved = classifier._linear_planes(groups, 1e-6)
+        monkeypatch.undo()
+        # H once, then G per group
+        assert augmented == [10, 30, 24, 27, 21]
+        # H'H, each d1's H'D1H, and G'D2G and G'G per group
+        assert sorted(grams) == sorted([10, 10, 10] + [30, 30, 24, 24, 27,
+                                                        27, 21, 21])
+        assert solved.all() and len(keys) == 4 * 2 * 2
+        for (i, plane, c), tk in zip(keys, t):
+            blocks = groups[i][0]
+            h, g = classifier._augment(blocks.x1), classifier._augment(
+                blocks.x2hat)
+            a, b, d_b = ((h, g, blocks.d2) if plane == 1
+                         else (g, h, blocks.d1))
+            ((w, offset, _), _), = classifier._solve_plane(
                 a, b, d_b, plane, (c,), 1e-6, None)
             u = -tk if plane == 1 else tk
             assert u[:-1].tobytes() == w.tobytes() and u[-1] == offset

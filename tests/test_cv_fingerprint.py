@@ -46,13 +46,14 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
     written = script.write_fingerprint(tmp_path / "out", smoke, flags)
     names = sorted(p.name for p in written)
     # a linear and a gaussian fit, linear fits under each other t-norm
-    # and score mode, and a linear fit whose row sums run on threads
-    assert len(script.FITS) == 6 and len(names) == 2 + 1 + 2 * 6
+    # and score mode, and a linear and a gaussian fit whose row sums are
+    # tiled passes on threads
+    assert len(script.FITS) == 7 and len(names) == 2 + 1 + 2 * 7
     assert set(script.FIT_SHAPES) < set(script.FITS)
     assert set(script.CONFIG_SHAPES) < set(script.CONFIGS)
-    # a full run writes 35 files: two per CV config, cli.csv, and two
+    # a full run writes 39 files: two per CV config, cli.csv, and two
     # per lone fit
-    assert 2 * len(script.CONFIGS) + 1 + 2 * len(script.FITS) == 35
+    assert 2 * len(script.CONFIGS) + 1 + 2 * len(script.FITS) == 39
     assert names == sorted(
         ["smoke.csv", "smoke.jsonl", "cli.csv"]
         + [f"{fit}.{ext}" for fit in script.FITS
@@ -73,14 +74,39 @@ def test_writes_cv_files_models_and_predictions(tmp_path):
 
 
 def test_the_fits_off_pima_run_threaded_row_sum_passes():
-    # pima's majority (500 rows) sums on the calling thread, so only a
-    # larger shape's fit pins the bits of a threaded pass
+    # pima's majority (500 rows) sums whole rows on the calling thread,
+    # so only a larger shape's fit pins the bits of a tiled pass on
+    # worker threads, streamed for a linear and for a gaussian fit
     script = load_script()
     shapes = script._perfbench("datagen").SHAPES
     assert shapes[script.SHAPE].majority ** 2 < _THREADED_ENTRIES
-    assert script.FIT_SHAPES
-    for shape in script.FIT_SHAPES.values():
+    kernels = set()
+    for fit, shape in script.FIT_SHAPES.items():
         assert shapes[shape].majority ** 2 >= _THREADED_ENTRIES
+        kernels.add(script.FITS[fit].get("kernel", "linear"))
+    assert kernels == {"linear", "gaussian"}
+
+
+def test_the_abalone19_grid_sums_its_held_distances_in_tiles():
+    # every inner fold of every outer fold holds a majority distance of
+    # over 1024 rows, so its row sums are a tiled self pass
+    script = load_script()
+    fields = script.CONFIGS["linear_abalone19"]
+    assert script.CONFIG_SHAPES["linear_abalone19"] == "abalone19"
+    assert (fields["folds"], fields["inner_folds"]) == (3, 2)
+    ds = LabeledDataset(*script._perfbench("datagen").make_dataset(
+        "abalone19", script.SEED))
+    outer = stratified_kfold(ds, fields["folds"], script.SEED)
+    for o in range(fields["folds"]):
+        train, _ = fold_rows(outer, o)
+        inner = stratified_kfold(LabeledDataset(ds.features[train],
+                                                ds.labels[train]),
+                                 fields["inner_folds"],
+                                 derive_fold_seed(script.SEED, 0, o))
+        for f in range(fields["inner_folds"]):
+            tr, _ = fold_rows(inner, f)
+            m2 = int((ds.labels[train][tr] == -1).sum())
+            assert m2 * m2 >= _THREADED_ENTRIES
 
 
 def test_usage_without_an_output_directory(capsys):

@@ -18,6 +18,7 @@ from frlstsvm.fuzzy_rough import (
     PositiveRegionScores,
     _KEPT_BLOCK_ENTRIES,
     _THREADED_ENTRIES,
+    _TILE_ROWS,
     _cross_similarity,
     chebyshev_distances,
     class_weights,
@@ -623,6 +624,96 @@ class TestRowSums:
         if cpus == 1:
             # no block is taken after the one that failed
             assert next(calls) == 3
+
+    @staticmethod
+    def self_passes(x: np.ndarray):
+        """(held array, streamed keywords, rows, gamma or None) of each
+        self pass over x: every row and every row but the second, the
+        Chebyshev distances summed as they are and mapped with a gamma
+        whose clip acts, and each other t-norm's similarity."""
+        d = chebyshev_distances(x)
+        kept = np.delete(np.arange(x.shape[0]), 1)
+        passes = []
+        for rows in (None, kept):
+            passes += [(d, dict(points=params(gamma=1.0)), rows, g)
+                       for g in (None, 9.0)]
+            for tnorm in ("product", "lukasiewicz"):
+                fz = params(gamma=9.0, tnorm=tnorm)
+                passes.append((indiscernibility_matrix(x, fz),
+                               dict(points=fz), rows, None))
+        return passes
+
+    @pytest.mark.parametrize("p", [4 * _TILE_ROWS + 1, 4 * _TILE_ROWS + 2])
+    def test_tiled_self_passes_have_one_set_of_bits(self, monkeypatch, p):
+        # a self pass over at least 2^20 entries is tiled, here with a
+        # last tile of one row over every row (p = 4T + 1) or over all
+        # but one (p = 4T + 2); its sums are the same on 1, 2 and 4
+        # workers, and held or streamed
+        x = np.random.default_rng(23).uniform(0, 1, size=(p, 3))
+        started, _ = count_threads(monkeypatch)
+        for held, streamed, rows, gamma in self.self_passes(x):
+            size = p if rows is None else rows.size
+            assert size * size >= _THREADED_ENTRIES
+            got = set()
+            for cpus in ([0], [0, 1], [0, 1, 2, 3]):
+                monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+                del started[:]
+                got.add(row_sums(held, rows, gamma).tobytes())
+                got.add(row_sums(x, rows, gamma, **streamed).tobytes())
+                # both passes start a worker per CPU, or none on one
+                assert len(started) == (0 if len(cpus) == 1
+                                        else 2 * len(cpus))
+            assert len(got) == 1
+
+    @pytest.mark.parametrize("p", [4 * _TILE_ROWS + 2, 1100])
+    def test_tiled_sums_are_near_whole_row_sums(self, p):
+        # a tiled pass adds the same terms as a whole row's sum in
+        # another order. Both add nonnegative terms, and an addition
+        # tree of depth h over such terms is within gamma_h = h u /
+        # (1 - h u) relative of their exact sum (u = 2^-53). A tiled
+        # sum's tree is a tile row's pairwise sum or a tile column's
+        # running sum, of at most T terms, then ceil(p / T) partials in
+        # turn: depth under h = T + ceil(p / T). numpy's pairwise sum of
+        # a whole row is shallower. So the two are within 2 gamma_h
+        x = np.random.default_rng(24).uniform(0, 1, size=(p, 3))
+        u = np.finfo(float).eps / 2
+        h = _TILE_ROWS + -(-p // _TILE_ROWS)
+        bound = 2 * h * u / (1 - h * u)
+        worst = 0.0
+        for held, _, rows, gamma in self.self_passes(x):
+            whole = held if rows is None else held[np.ix_(rows, rows)]
+            if gamma is not None:
+                whole = indiscernibility_matrix(
+                    x if rows is None else x[rows], params(gamma=gamma))
+            want = whole.sum(axis=1)
+            got = row_sums(held, rows, gamma)
+            assert got.tobytes() != want.tobytes()
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        # against the brute-force pairwise distance itself
+        d = np.array([[np.abs(a - b).max() for b in x] for a in x[:50]])
+        got = row_sums(chebyshev_distances(x))[:50]
+        worst = max(worst, float(np.max(np.abs(got - d.sum(axis=1))
+                                        / d.sum(axis=1))))
+        assert 0 < worst <= bound
+
+    def test_passes_below_the_threshold_sum_whole_rows(self):
+        # the largest pass of one tile (1023 rows of a self pass) sums
+        # whole rows: the bits of the restricted array's row sums
+        x = np.random.default_rng(25).uniform(0, 1, size=(1023, 3))
+        assert 1023 * 1023 < _THREADED_ENTRIES
+        big = np.vstack([x, np.random.default_rng(26).uniform(
+            0, 1, size=(5, 3))])
+        for source, rows in ((x, None), (big, np.arange(1023))):
+            for held, streamed, _, gamma in self.self_passes(source):
+                whole = held if rows is None else held[np.ix_(rows, rows)]
+                if gamma is not None:
+                    whole = indiscernibility_matrix(
+                        source if rows is None else source[rows],
+                        params(gamma=gamma))
+                want = whole.sum(axis=1).tobytes()
+                assert row_sums(held, rows, gamma).tobytes() == want
+                assert row_sums(source, rows, gamma,
+                                **streamed).tobytes() == want
 
     @pytest.mark.parametrize("tnorm", T_NORMS)
     def test_an_empty_row_set_gives_empty_sums(self, tnorm):
